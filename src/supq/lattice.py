@@ -329,7 +329,7 @@ def parse_lattice(text: str | bytes, max_size: int = MAX_LATTICE_SIZE) -> Lattic
             raise SizeGuardExceeded(f"lattice size {n} exceeds cap {max_size}")
         covers = doc["covers"]
         if not isinstance(covers, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p) for p in covers
+            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in covers
         ):
             raise ValueError("'covers' must be a list of [int, int] pairs")
         if n == 0:

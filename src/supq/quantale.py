@@ -7,6 +7,8 @@ cyclic and dualizing elements run as batched numpy passes.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from supq.lattice import Lattice, LatticeError, dual, join_irreducibles
@@ -48,6 +50,20 @@ class NotAutomorphism(LatticeError):
 
 class NotCompletelyDistributive(LatticeError):
     """The construction needs a completely distributive lattice."""
+
+
+def homset_cached(key: str):
+    """Run a search once per homset and keep its result in
+    `EndoHomset._cache[key]`; a list result comes back as a fresh copy."""
+    def decorate(search):
+        @functools.wraps(search)
+        def cached(H: "EndoHomset"):
+            if key not in H._cache:
+                H._cache[key] = search(H)
+            got = H._cache[key]
+            return list(got) if isinstance(got, list) else got
+        return cached
+    return decorate
 
 
 # -- rowwise join/meet of element sets via packed order masks -----------------
@@ -364,7 +380,10 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
 
 
 class EndoHomset:
-    """The lex-sorted table of every join-preserving endomap of a lattice."""
+    """The lex-sorted table of every join-preserving endomap of a lattice.
+    Derived tables and search results are computed once into `_cache`:
+    `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
+    `tight_has_unit` under "tight_unit", `homset_irreducibles` under "irreducibles"."""
 
     def __init__(self, L: Lattice, tables: np.ndarray):
         self.lattice = L
@@ -607,6 +626,7 @@ def _generator_indices(H: EndoHomset) -> list[int]:
     return sorted(gens)
 
 
+@homset_cached("cyclic")
 def find_cyclic(H: EndoHomset) -> list[int]:
     """All cyclic members, by generator prefilter plus a full confirming scan."""
     alive = np.ones(H.m, dtype=bool)
@@ -619,6 +639,7 @@ def find_cyclic(H: EndoHomset) -> list[int]:
     return [int(i) for i in np.flatnonzero(alive) if is_cyclic(H, int(i))]
 
 
+@homset_cached("dualizing")
 def find_dualizing(H: EndoHomset) -> list[int]:
     """All dualizing members, by generator prefilter plus a confirming scan."""
     alive = np.ones(H.m, dtype=bool)
@@ -681,6 +702,7 @@ def automorphism_to_dualizing(H: EndoHomset, perm) -> int:
 # -- tight members under composition ---------------------------------------------------
 
 
+@homset_cached("tight_unit")
 def tight_has_unit(H: EndoHomset):
     """Index of a two-sided unit for composition among the tight members,
     or None."""

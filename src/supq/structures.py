@@ -40,6 +40,7 @@ from supq.quantale import (
     NotAutomorphism,
     enumerate_homset,
     enumerate_inf_maps,
+    homset_cached,
     is_completely_distributive,
     is_dualizing,
     star,
@@ -184,9 +185,14 @@ class IrreducibleReport:
 
 def homset_irreducibles(H: EndoHomset, cap: int = 2000) -> IrreducibleReport:
     """Join- and meet-irreducible members of the endomap quantale, compared
-    with the elementary tensors and the e maps."""
+    with the elementary tensors and the e maps; cached per homset after the cap check."""
     if H.m > cap:
         raise CapExceeded(f"irreducible scan of {H.m} maps exceeds cap {cap}", H.m)
+    return _irreducibles(H)
+
+
+@homset_cached("irreducibles")
+def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     L = H.lattice
     leq_q = H.leq_matrix()
     strict = leq_q & ~np.eye(H.m, dtype=bool)
@@ -377,10 +383,10 @@ def _principal_downset_index(P: Poset, masks: list[int], x: int) -> int:
     return masks.index(mask)
 
 
-def wk_from_supmap(P: Poset, f: LatticeMap) -> WeakeningRelation:
+def wk_from_supmap(P: Poset, f: LatticeMap, D: Lattice | None = None) -> WeakeningRelation:
     """The relation (y, x) whenever y lies in the image of the principal
-    downset of x."""
-    D = downset_lattice(P)
+    downset of x.  D, when given, is the already built downset lattice of P."""
+    D = downset_lattice(P) if D is None else D
     if not f.source.same_structure(D) or not f.target.same_structure(D):
         raise MapError("map is not an endomap of the downset lattice of the poset")
     masks = P.downset_masks()
@@ -393,11 +399,11 @@ def wk_from_supmap(P: Poset, f: LatticeMap) -> WeakeningRelation:
     return WeakeningRelation(P, pairs)
 
 
-def supmap_from_wk(R: WeakeningRelation) -> LatticeMap:
+def supmap_from_wk(R: WeakeningRelation, D: Lattice | None = None) -> LatticeMap:
     """The join-preserving downset endomap sending D to the relational image
-    of D."""
+    of D.  D, when given, is the already built downset lattice of R's poset."""
     P = R.poset
-    D = downset_lattice(P)
+    D = downset_lattice(P) if D is None else D
     masks = P.downset_masks()
     index_of = {m: i for i, m in enumerate(masks)}
     row_mask = [0] * P.n  # x -> bitmask of related y
@@ -486,25 +492,16 @@ class NaturalClassification:
 def classify_natural(H: EndoHomset) -> NaturalClassification:
     """Seed every member f0, form psi(y, x) = c_y o f0 o a_x, and keep the
     distinct families satisfying both naturality equations against every
-    member of the homset."""
+    member of the homset.  All m * n^2 composites are one gather and one
+    `index_rows` lookup; families keep the order of their first seed.  The
+    result is not cached on the homset."""
     L = H.lattice
     n = L.n
-    families: dict[bytes, list] = {}
-    for s in range(H.m):
-        f0 = H.tables[s]
-        rows = np.empty((n * n, n), dtype=np.int16)
-        for y in range(n):
-            for x in range(n):
-                comp = c_map(L, L, y).compose(
-                    LatticeMap(L, L, f0).compose(a_map(L, L, x))
-                )
-                rows[y * n + x] = comp.as_array()
-        fam = H.index_rows(rows).reshape(n, n)
-        key = fam.tobytes()
-        if key in families:
-            families[key][1] += 1
-        else:
-            families[key] = [fam, 1]
+    c_tabs = np.array([c_map(L, L, y).table for y in range(n)], dtype=np.int16)
+    a_tabs = np.array([a_map(L, L, x).table for x in range(n)], dtype=np.int64)
+    comp = c_tabs[:, H.tables[:, a_tabs]]  # [y, seed, x, t]
+    fams = H.index_rows(comp.transpose(1, 0, 2, 3).reshape(-1, n)).reshape(H.m, n * n)
+    distinct, first, seeds = np.unique(fams, axis=0, return_index=True, return_counts=True)
 
     e_table = np.empty((n, n), dtype=np.int64)
     for y in range(n):
@@ -512,7 +509,8 @@ def classify_natural(H: EndoHomset) -> NaturalClassification:
             e_table[y, x] = H.index_of(e_map(L, L, y, x))
 
     natural = []
-    for fam, seeds in families.values():
+    for k in np.argsort(first):
+        fam = distinct[k].reshape(n, n)
         if not _family_is_natural(H, fam):
             continue
         if (fam == H.bottom_index).all():
@@ -521,9 +519,9 @@ def classify_natural(H: EndoHomset) -> NaturalClassification:
             label = "raney"
         else:
             label = "other"
-        natural.append(NaturalFamily(label=label, table=fam, seed_count=seeds))
+        natural.append(NaturalFamily(label=label, table=fam, seed_count=int(seeds[k])))
     natural.sort(key=lambda f: f.label != "trivial")
-    return NaturalClassification(natural=tuple(natural), candidate_family_count=len(families))
+    return NaturalClassification(natural=tuple(natural), candidate_family_count=len(distinct))
 
 
 def _family_is_natural(H: EndoHomset, fam: np.ndarray) -> bool:

@@ -711,14 +711,12 @@ def check_abstract_raney(ctx: _Ctx):
 
 
 def check_wk_bijection(ctx: _Ctx):
-    P = ctx.poset
-    D = downset_lattice(P)
-    H = enumerate_homset(D, cap=ctx.config.max_homset)
+    P, D, H = ctx.poset, ctx.L, ctx.homset
     seen = set()
     for i in range(H.m):
         f = LatticeMap(D, D, H.tables[i])
-        R = wk_from_supmap(P, f)
-        if supmap_from_wk(R).table != f.table:
+        R = wk_from_supmap(P, f, D)
+        if supmap_from_wk(R, D).table != f.table:
             return f"relation round trip differs for map {i}"
         seen.add(R.pairs)
     if len(seen) != H.m:
@@ -741,20 +739,18 @@ def check_wk_bijection(ctx: _Ctx):
     if total != H.m:
         return f"{total} weakening relations vs {H.m} maps"
     below = frozenset((y, x) for y in range(n) for x in range(n) if P.leq[y, x])
-    if wk_from_supmap(P, identity_map(D)).pairs != below:
+    if wk_from_supmap(P, identity_map(D), D).pairs != below:
         return "identity map does not give the order relation"
     not_above = frozenset((y, x) for y in range(n) for x in range(n) if not P.leq[x, y])
-    if wk_from_supmap(P, raney_down(identity_map(D))).pairs != not_above:
+    if wk_from_supmap(P, raney_down(identity_map(D)), D).pairs != not_above:
         return "down transform of the identity does not give the complement relation"
     return None
 
 
 def check_wk_composition(ctx: _Ctx):
-    P = ctx.poset
-    D = downset_lattice(P)
-    H = enumerate_homset(D, cap=ctx.config.max_homset)
+    P, D, H = ctx.poset, ctx.L, ctx.homset
     n = P.n
-    relations = [wk_from_supmap(P, LatticeMap(D, D, H.tables[i])) for i in range(H.m)]
+    relations = [wk_from_supmap(P, LatticeMap(D, D, H.tables[i]), D) for i in range(H.m)]
     rels = np.zeros((H.m, n, n), dtype=np.int32)
     for i, R in enumerate(relations):
         for (y, x) in R.pairs:
@@ -780,9 +776,7 @@ def check_wk_composition(ctx: _Ctx):
 
 
 def check_wk_automorphism_dualizing(ctx: _Ctx):
-    P = ctx.poset
-    D = downset_lattice(P)
-    H = enumerate_homset(D, cap=ctx.config.max_homset)
+    P, D, H = ctx.poset, ctx.L, ctx.homset
     duals = set(find_dualizing(H))
     for g in P.automorphisms():
         R = wk_from_automorphism(P, g)
@@ -791,7 +785,7 @@ def check_wk_automorphism_dualizing(ctx: _Ctx):
         )
         if R.pairs != want:
             return f"automorphism relation has wrong pairs for {g}"
-        f = supmap_from_wk(R)
+        f = supmap_from_wk(R, D)
         if H.index_of(f) not in duals:
             return f"relation of automorphism {g} is not dualizing"
         if star(f).table != downset_automorphism(P, g).table:
@@ -873,7 +867,10 @@ def run_suite(
     name: str = "lattice",
     poset: Poset | None = None,
 ) -> Report:
-    """Run the named checks against one lattice and collect a report."""
+    """Run the named checks against one lattice and collect a report.  A
+    poset adds the weakening-relation checks; L must be its downset lattice."""
+    if poset is not None and not downset_lattice(poset).same_structure(L):
+        raise ValueError("the lattice is not the downset lattice of the poset")
     config = config or SuiteConfig()
     ctx = _Ctx(L, config, poset=poset)
     catalog = list(CHECKS)

@@ -443,6 +443,33 @@ def test_dualizing_members_frozen():
     assert find_dualizing(enumerate_homset(make_mk(5))) == []
 
 
+def test_searches_run_once_per_homset(monkeypatch):
+    calls = []
+    original = EndoHomset._rdiv_pairs
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(EndoHomset, "_rdiv_pairs", counted)
+    for search in (find_dualizing, find_cyclic):
+        H = enumerate_homset(make_chain(3))
+        first = search(H)
+        assert calls
+        calls.clear()
+        assert search(H) == first
+        assert calls == []
+
+
+def test_cached_search_results_are_fresh_lists():
+    H = enumerate_homset(make_boolean(2))
+    for search in (find_dualizing, find_cyclic):
+        first = search(H)
+        expected = list(first)
+        first.clear()
+        assert expected and search(H) == expected
+
+
 def test_girard_exactly_on_distributive_lattices():
     for name, H in HOMSETS.items():
         assert is_girard(H) == is_distributive(H.lattice)

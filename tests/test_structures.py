@@ -9,7 +9,9 @@ Oracles used here:
     set-difference counting characterization, both independent of the
     cover-counting implementation;
   * weakening relations are enumerated by filtering all subsets of P x P;
-  * naturality is re-verified by composing actual maps, not index tables.
+  * naturality is re-verified by composing actual maps, not index tables,
+    and the gathered classification is compared with a scalar loop that
+    builds every composite as a LatticeMap.
 """
 import itertools
 
@@ -52,6 +54,8 @@ from supq.quantale import (
 from supq.structures import (
     AbstractRaneyVerdict,
     FiniteQuantale,
+    NaturalClassification,
+    NaturalFamily,
     WeakeningRelation,
     abstract_raney_check,
     autodual_report,
@@ -73,7 +77,9 @@ from supq.structures import (
     wk_compose,
     wk_from_automorphism,
     wk_from_supmap,
+    _family_is_natural,
 )
+from supq.verify import corpus
 
 LATTICES = {
     "chain2": make_chain(2),
@@ -308,6 +314,15 @@ def test_irreducible_counts_and_tensor_structure(name):
 def test_irreducible_scan_respects_cap():
     with pytest.raises(CapExceeded):
         homset_irreducibles(HOMSETS["m5"], cap=1000)
+
+
+def test_cached_irreducible_report_still_respects_a_smaller_cap():
+    H = enumerate_homset(make_n5())
+    first = homset_irreducibles(H, cap=2000)
+    assert "irreducibles" in H._cache
+    with pytest.raises(CapExceeded):
+        homset_irreducibles(H, cap=H.m - 1)
+    assert homset_irreducibles(H, cap=H.m) is first
 
 
 # -- autoduality -----------------------------------------------------------------
@@ -546,6 +561,60 @@ def test_candidate_families_collapse_to_two():
     # every seed induces either the zero family or the e family
     for name in ("chain3", "boolean2", "m3"):
         assert classify_natural(HOMSETS[name]).candidate_family_count == 2
+
+
+def classify_natural_by_maps(H):
+    """The scalar reference: each seed's composites c_y o f0 o a_x are built
+    as LatticeMap objects, one (y, x) at a time."""
+    L = H.lattice
+    n = L.n
+    families: dict[bytes, list] = {}
+    for s in range(H.m):
+        f0 = H.tables[s]
+        rows = np.empty((n * n, n), dtype=np.int16)
+        for y in range(n):
+            for x in range(n):
+                comp = c_map(L, L, y).compose(LatticeMap(L, L, f0).compose(a_map(L, L, x)))
+                rows[y * n + x] = comp.as_array()
+        fam = H.index_rows(rows).reshape(n, n)
+        key = fam.tobytes()
+        if key in families:
+            families[key][1] += 1
+        else:
+            families[key] = [fam, 1]
+    e_table = np.empty((n, n), dtype=np.int64)
+    for y in range(n):
+        for x in range(n):
+            e_table[y, x] = H.index_of(e_map(L, L, y, x))
+    natural = []
+    for fam, seeds in families.values():
+        if not _family_is_natural(H, fam):
+            continue
+        if (fam == H.bottom_index).all():
+            label = "trivial"
+        elif (fam == e_table).all():
+            label = "raney"
+        else:
+            label = "other"
+        natural.append(NaturalFamily(label=label, table=fam, seed_count=seeds))
+    natural.sort(key=lambda f: f.label != "trivial")
+    return NaturalClassification(natural=tuple(natural), candidate_family_count=len(families))
+
+
+# corpus members whose scalar classification stays fast; on m5 it takes
+# seconds, and the families of m5 and boolean3 are checked by count and label
+# above and by the corpus golden of the acceptance gate
+SMALL_CORPUS = [(name, L) for name, L, _ in corpus() if enumerate_homset(L).m <= 108]
+
+
+@pytest.mark.parametrize("name, L", SMALL_CORPUS, ids=[name for name, _ in SMALL_CORPUS])
+def test_gathered_classification_matches_the_scalar_loop(name, L):
+    H = enumerate_homset(L)
+    got, want = classify_natural(H), classify_natural_by_maps(H)
+    assert got.natural == want.natural
+    assert [f.seed_count for f in got.natural] == [f.seed_count for f in want.natural]
+    assert [f.table.dtype for f in got.natural] == [f.table.dtype for f in want.natural]
+    assert got.candidate_family_count == want.candidate_family_count
 
 
 def test_non_natural_family_is_rejected_by_the_oracle():

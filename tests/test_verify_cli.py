@@ -1,5 +1,7 @@
 """Tests for the check suite runner and the command-line interface."""
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +51,11 @@ def test_run_suite_with_a_poset_adds_the_relation_checks():
     ids = [r.check_id for r in report.results]
     assert ids == [cid for cid, _ in CHECKS] + [cid for cid, _ in POSET_CHECKS]
     assert report.failed == 0
+
+
+def test_run_suite_rejects_a_poset_that_does_not_generate_the_lattice():
+    with pytest.raises(ValueError, match="downset lattice"):
+        run_suite(make_chain(4), name="chain4", poset=Poset.from_covers(2, [(0, 1)]))
 
 
 def test_run_suite_skips_capped_checks_on_the_pentagon_family():
@@ -260,6 +267,18 @@ def test_cli_verify_rejects_bad_input(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
     code, _, err = _run(capsys, "verify", str(path), "--corpus")
     assert code == EXIT_BAD_INPUT
+
+
+def test_cli_verify_rejects_booleans_as_cover_indices(tmp_path):
+    path = tmp_path / "bool-covers.json"
+    path.write_text('{"elements": ["a", "b"], "covers": [[false, true]]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "supq.cli", "verify", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_verify_unknown_check_id_is_an_input_error(tmp_path, capsys):
