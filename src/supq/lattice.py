@@ -284,7 +284,7 @@ class Lattice:
         return got
 
     def same_structure(self, other: "Lattice") -> bool:
-        return (
+        return other is self or (
             self.n == other.n
             and bool((self.leq == other.leq).all())
             and bool((self.join == other.join).all())

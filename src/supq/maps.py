@@ -298,7 +298,10 @@ def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) ->
         K = K[None, :]
     jt, mt = target.join, target.meet
     desc = source.descending_order
-    cover_parents = [list(np.flatnonzero(source.covers[x])) for x in range(source.n)]
+    cover_parents = source._cache.get("cover_parents")
+    if cover_parents is None:
+        cover_parents = [list(np.flatnonzero(source.covers[x])) for x in range(source.n)]
+        source._cache["cover_parents"] = cover_parents
     pair_groups = source.incomparable_join_pairs
     while True:
         before = K.copy()

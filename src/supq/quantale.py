@@ -589,16 +589,23 @@ class EndoHomset:
         comp = np.take_along_axis(rho, h_tabs.astype(np.int64), axis=1).astype(np.int16)
         return self._interior(comp)
 
-    def rdiv_indices(self, i: int) -> np.ndarray:
-        """Index of h/g for h = member i and every divisor g."""
-        got = self._rdiv_pairs(np.broadcast_to(self.tables[i], self.tables.shape), self.tables)
-        return self.index_rows(got)
+    def rdiv_indices(self, i) -> np.ndarray:
+        """Index of h/g for every divisor g: one row for h = member i, or
+        shape (len(i), m) for an array i of members."""
+        hs = np.atleast_1d(i)
+        got = self._rdiv_pairs(np.repeat(self.tables[hs], self.m, axis=0),
+                               np.tile(self.tables, (len(hs), 1)))
+        idx = self.index_rows(got).reshape(len(hs), self.m)
+        return idx if np.ndim(i) else idx[0]
 
-    def ldiv_indices(self, i: int) -> np.ndarray:
-        """Index of g\\h for h = member i and every divisor g."""
-        h_tab = self.tables[i]
-        comp = self.rho_tables[:, h_tab]
-        return self.index_rows(self._interior(comp))
+    def ldiv_indices(self, i) -> np.ndarray:
+        """Index of g\\h for every divisor g: one row for h = member i, or
+        shape (len(i), m) for an array i of members."""
+        hs = np.atleast_1d(i)
+        comp = self.rho_tables[:, self.tables[hs]].swapaxes(0, 1)  # [h, g, x] = rho_g(h(x))
+        got = self._interior(comp.reshape(-1, self.lattice.n))
+        idx = self.index_rows(got).reshape(len(hs), self.m)
+        return idx if np.ndim(i) else idx[0]
 
 
 # -- cyclic and dualizing elements ---------------------------------------------------

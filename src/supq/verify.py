@@ -75,6 +75,7 @@ from supq.structures import (
 EXHAUSTIVE_PAIR_CAP = 512      # full (g, h) / (f, g) quantification
 TABLE_SCAN_CAP = 2000          # quadratic table constructions
 MATRIX_CAP = 4096              # order-matrix-sized scans
+BLOCK_ROWS = 1 << 14           # rows per batched residual pass
 
 
 class _Skip(Exception):
@@ -348,12 +349,11 @@ def check_sup_interior_props(ctx: _Ctx):
         if not (join_tab == out[k_i]).all():
             return f"interior differs from the join of maps below input {k_i}"
     rng = np.random.default_rng(7)
-    for _ in range(min(300, len(K) ** 2)):
-        i, j = rng.integers(0, len(K), size=2)
-        upper = L.join[K[i], K[j]]
-        big = sup_interior_tables(L, L, upper)[0]
-        if not all(L.leq[out[i, t], big[t]] for t in range(L.n)):
-            return "interior is not monotone as an operator"
+    pairs = [rng.integers(0, len(K), size=2) for _ in range(min(300, len(K) ** 2))]
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    big = sup_interior_tables(L, L, L.join[K[i], K[j]])
+    if not L.leq[out[i], big].all():
+        return "interior is not monotone as an operator"
     return None
 
 
@@ -414,18 +414,13 @@ def check_naturality_generators(ctx: _Ctx):
 def check_naturality_composite(ctx: _Ctx):
     H = ctx.homset_capped(EXHAUSTIVE_PAIR_CAP, "exhaustive composite naturality")
     L = ctx.L
-    tabs = H.tables.astype(np.int64)
-    rho = H.rho_tables.astype(np.int64)
+    cols = np.ascontiguousarray(H.tables.T)  # [t, f] = f(t)
     for y in range(L.n):
         for x in range(L.n):
             e_tab = np.array(e_map(L, L, y, x).table, dtype=np.int64)
-            mid = e_tab[tabs]                      # e o g, per g
-            got = H.tables[:, mid]                 # f o e o g, per (f, g)
-            fy = tabs[:, y][:, None, None]
-            gx = rho[:, x][None, :, None]
-            t_le = L.leq.T[gx, np.arange(L.n)[None, None, :]]
-            want = np.where(t_le, np.int16(L.bottom), fy.astype(np.int16))
-            if not (got == want).all():
+            got = cols[e_tab[H.tables]]            # [g, t, f] = f(e(g(t)))
+            t_le = L.leq.T[H.rho_tables[:, x]]     # [g, t] = t <= rho g (x)
+            if not ((got[t_le] == L.bottom).all() and (got[~t_le] == cols[y]).all()):
                 return f"composite naturality fails at (y={y}, x={x})"
     return None
 
@@ -469,20 +464,27 @@ def check_cd_raney(ctx: _Ctx):
 def check_residual_adjunction(ctx: _Ctx):
     H = ctx.homset_capped(EXHAUSTIVE_PAIR_CAP, "exhaustive residual adjunction")
     leq = H.leq_matrix()
-    comp = np.empty((H.m, H.m), dtype=np.int64)
-    tabs = H.tables.astype(np.int64)
-    for g in range(H.m):
-        comp[g] = H.index_rows(H.tables[g][tabs])
-    for h in range(H.m):
-        ld = H.ldiv_indices(h)     # g \ h per g
-        rd = H.rdiv_indices(h)     # h / g per g
-        solutions = leq[comp, h]   # [g, f] = (g o f <= h)
-        if not (solutions == leq[:, ld].T).all():
-            g = int(np.argwhere((solutions != leq[:, ld].T).any(axis=1))[0][0])
-            return f"left residual adjunction fails at (g={g}, h={h})"
-        if not (solutions == leq[:, rd]).all():
-            f = int(np.argwhere((solutions != leq[:, rd]).any(axis=0))[0][0])
-            return f"right residual adjunction fails at (f={f}, h={h})"
+    leq_t = np.ascontiguousarray(leq.T)
+    m = H.m
+    step = max(1, BLOCK_ROWS // m)  # members per block of at most BLOCK_ROWS rows
+    dtype = np.min_scalar_type(m)  # narrow tables keep the peak memory of the check low
+    comp = np.empty((m, m), dtype=dtype)  # [g, f] = index of g o f
+    ld = np.empty((m, m), dtype=dtype)    # [g, h] = g \ h
+    rd = np.empty((m, m), dtype=dtype)    # [f, h] = h / f
+    for start in range(0, m, step):
+        block = np.arange(start, min(start + step, m))
+        comp[block] = H.index_rows(H.tables[block][:, H.tables].reshape(-1, ctx.L.n)).reshape(-1, m)
+        ld[:, block] = H.ldiv_indices(block).T
+        rd[:, block] = H.rdiv_indices(block).T
+    # [g, h]: some f has (g o f <= h) != (f <= g \ h);  [f, h]: some g has (g o f <= h) != (g <= h / f)
+    bad_left = np.array([(leq[comp[g]] != leq_t[ld[g]].T).any(axis=0) for g in range(m)])
+    bad_right = np.array([(leq[comp[:, f]] != leq_t[rd[f]].T).any(axis=0) for f in range(m)])
+    failing = np.flatnonzero(bad_left.any(axis=0) | bad_right.any(axis=0))
+    if failing.size:
+        h = int(failing[0])
+        if bad_left[:, h].any():
+            return f"left residual adjunction fails at (g={int(np.argmax(bad_left[:, h]))}, h={h})"
+        return f"right residual adjunction fails at (f={int(np.argmax(bad_right[:, h]))}, h={h})"
     return None
 
 
@@ -535,28 +537,26 @@ def check_division_formulas(ctx: _Ctx):
             if not (got == tensor_rows_varying(x, st[:, y])).all():
                 return f"co-division by the e map fails at (y={y}, x={x})"
             t_tab = np.array(tensor_over(L, L, y, x).table, dtype=np.int16)
-            got = H._rdiv_fixed_divisor(t_tab)
+            t_div = H._rdiv_fixed_divisor(t_tab)
             want = H._interior(L.meet[c_rows(up[:, x]), tensor_rows(up[:, bot], y)].astype(np.int16))
-            if not (got == want).all():
+            if not (t_div == want).all():
                 return f"division by the tensor fails at (y={y}, x={x})"
             t_idx = H.index_rows(t_tab[None, :])[0]
-            got = H._ldiv_fixed_divisor(int(t_idx))
+            t_codiv = H._ldiv_fixed_divisor(int(t_idx))
             want = H._interior(
                 L.meet[a_rows(st[:, y]), tensor_rows_varying(x, st[:, top])].astype(np.int16)
             )
-            if not (got == want).all():
+            if not (t_codiv == want).all():
                 return f"co-division by the tensor fails at (y={y}, x={x})"
             reduced_rows = np.flatnonzero(up[:, bot] == bot)
             if reduced_rows.size:
                 red = np.where(L.leq[:, y][None, :], np.int16(bot), up[reduced_rows, x][:, None].astype(np.int16))
-                full = H._rdiv_fixed_divisor(t_tab)[reduced_rows]
-                if not (full == red).all():
+                if not (t_div[reduced_rows] == red).all():
                     return f"reduced tensor division fails at (y={y}, x={x})"
             reduced_rows = np.flatnonzero(st[:, top] == top)
             if reduced_rows.size:
                 red = np.where(L.leq.T[st[reduced_rows, y].astype(np.int64)], np.int16(bot), np.int16(x))
-                full = H._ldiv_fixed_divisor(int(t_idx))[reduced_rows]
-                if not (full == red).all():
+                if not (t_codiv[reduced_rows] == red).all():
                     return f"reduced tensor co-division fails at (y={y}, x={x})"
     return None
 
@@ -892,6 +892,8 @@ def run_suite(
             status, witness, reason = "skipped", None, s.reason
         except (CapExceeded, SearchCapExceeded) as s:
             status, witness, reason = "skipped", None, str(s)
+        except Exception as e:
+            status, witness, reason = "fail", f"{type(e).__name__}: {e}", None
         results.append(
             CheckResult(
                 check_id=cid,

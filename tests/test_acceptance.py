@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from supq.structures import (
 from supq.verify import _Ctx, SuiteConfig, check_division_formulas, corpus
 
 NON_DISTRIBUTIVE = {"m3", "m5", "n5"}
+GOLDEN_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "corpus.json"
 
 CRITERION_LINES = []
 
@@ -327,6 +329,7 @@ def test_criterion_10_corpus_verification_is_byte_deterministic():
         assert proc.returncode == 0, proc.stderr.decode()
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+    assert runs[0] == GOLDEN_CORPUS.read_bytes()
     doc = json.loads(runs[0])
     assert len(doc["reports"]) == 19
     for entry in doc["reports"]:

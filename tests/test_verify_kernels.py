@@ -1,0 +1,255 @@
+"""The whole-homset residual and naturality passes of the verifier, checked
+against the member-by-member loops they replace."""
+import numpy as np
+import pytest
+
+from supq import verify
+from supq.lattice import make_chain, make_mk, make_n5
+from supq.maps import e_map, sup_interior_tables
+from supq.quantale import EndoHomset, enumerate_homset
+from supq.verify import (
+    BLOCK_ROWS,
+    CHECKS,
+    SuiteConfig,
+    _Ctx,
+    _monotone_inputs,
+    check_naturality_composite,
+    check_residual_adjunction,
+    check_sup_interior_props,
+    corpus,
+    run_suite,
+)
+
+
+@pytest.fixture(scope="module")
+def corpus_homsets():
+    """Every corpus homset with at most 512 members, by name."""
+    out = {}
+    for name, L, _ in corpus():
+        H = enumerate_homset(L)
+        if H.m <= 512:
+            out[name] = H
+    return out
+
+
+# -- oracles: the member-by-member loops ---------------------------------------------
+
+
+def _ldiv_row(H, h):
+    """g \\ h for every g, as one sup-interior of rho_g o h per g."""
+    return H.index_rows(H._interior(H.rho_tables[:, H.tables[h]]))
+
+
+def _rdiv_row(H, h):
+    """h / g for every g, as the meet of tensors per g."""
+    return H.index_rows(H._rdiv_pairs(np.broadcast_to(H.tables[h], H.tables.shape), H.tables))
+
+
+def _residual_witness_h_major(H):
+    """The residual adjunction, one divisor row per member h."""
+    leq = H.leq_matrix()
+    tabs = H.tables.astype(np.int64)
+    comp = np.stack([H.index_rows(H.tables[g][tabs]) for g in range(H.m)])
+    for h in range(H.m):
+        ld = H.ldiv_indices(h)
+        rd = H.rdiv_indices(h)
+        solutions = leq[comp, h]
+        if not (solutions == leq[:, ld].T).all():
+            g = int(np.argwhere((solutions != leq[:, ld].T).any(axis=1))[0][0])
+            return f"left residual adjunction fails at (g={g}, h={h})"
+        if not (solutions == leq[:, rd]).all():
+            f = int(np.argwhere((solutions != leq[:, rd]).any(axis=0))[0][0])
+            return f"right residual adjunction fails at (f={f}, h={h})"
+    return None
+
+
+def _naturality_witness_fgt(H):
+    """Composite naturality with the composites laid out as [f, g, t]."""
+    L = H.lattice
+    tabs = H.tables.astype(np.int64)
+    rho = H.rho_tables.astype(np.int64)
+    for y in range(L.n):
+        for x in range(L.n):
+            e_tab = np.array(e_map(L, L, y, x).table, dtype=np.int64)
+            got = H.tables[:, e_tab[tabs]]
+            fy = tabs[:, y][:, None, None]
+            gx = rho[:, x][None, :, None]
+            t_le = L.leq.T[gx, np.arange(L.n)[None, None, :]]
+            want = np.where(t_le, np.int16(L.bottom), fy.astype(np.int16))
+            if not (got == want).all():
+                return f"composite naturality fails at (y={y}, x={x})"
+    return None
+
+
+# -- block residuals --------------------------------------------------------------------
+
+
+def test_block_residuals_equal_the_stacked_single_member_calls(corpus_homsets):
+    for name, H in corpus_homsets.items():
+        step = max(1, BLOCK_ROWS // H.m)
+        blocks = [np.arange(s, min(s + step, H.m)) for s in range(0, H.m, step)]
+        ld = np.concatenate([H.ldiv_indices(b) for b in blocks])
+        rd = np.concatenate([H.rdiv_indices(b) for b in blocks])
+        assert ld.shape == rd.shape == (H.m, H.m), name
+        assert (ld == np.stack([H.ldiv_indices(h) for h in range(H.m)])).all(), name
+        assert (rd == np.stack([H.rdiv_indices(h) for h in range(H.m)])).all(), name
+
+
+def test_single_member_residuals_match_the_per_member_formulas(corpus_homsets):
+    for name, H in corpus_homsets.items():
+        for h in range(0, H.m, max(1, H.m // 16)):
+            assert H.ldiv_indices(h).shape == (H.m,)
+            assert (H.ldiv_indices(h) == _ldiv_row(H, h)).all(), (name, h)
+            assert (H.rdiv_indices(h) == _rdiv_row(H, h)).all(), (name, h)
+
+
+# -- residual adjunction witnesses -------------------------------------------------------
+
+
+def _corrupt(monkeypatch, method, spots):
+    """Replace `method` so that the divisor rows of the given (h, g) spots
+    point at another member; single and block calls see the same change."""
+    real = getattr(EndoHomset, method)
+
+    def patched(self, i):
+        got = np.array(real(self, i))
+        rows = got.reshape(-1, self.m)
+        hs = np.atleast_1d(i)
+        for h, g in spots:
+            rows[hs == h, g] = (rows[hs == h, g] + 1) % self.m
+        return got
+
+    monkeypatch.setattr(EndoHomset, method, patched)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([(5, 3)], []),
+        ([], [(5, 2)]),
+        ([(7, 1)], [(4, 6)]),
+        ([(4, 6)], [(4, 1)]),
+        ([], [(2, 5), (2, 0)]),
+        ([(9, 8), (9, 2)], [(11, 0)]),
+    ],
+)
+def test_residual_adjunction_reports_the_h_major_witness(monkeypatch, left, right):
+    ctx = _Ctx(make_mk(3), SuiteConfig())
+    H = ctx.homset
+    assert check_residual_adjunction(ctx) is None
+    _corrupt(monkeypatch, "ldiv_indices", left)
+    _corrupt(monkeypatch, "rdiv_indices", right)
+    want = _residual_witness_h_major(H)
+    assert want is not None
+    assert check_residual_adjunction(ctx) == want
+
+
+def test_residual_adjunction_blocks_cover_every_member(monkeypatch):
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 3 * 50)  # three members per block on m3
+    ctx = _Ctx(make_mk(3), SuiteConfig())
+    assert ctx.homset.m == 50
+    assert check_residual_adjunction(ctx) is None
+    _corrupt(monkeypatch, "rdiv_indices", [(49, 7)])
+    assert check_residual_adjunction(ctx) == _residual_witness_h_major(ctx.homset)
+
+
+# -- composite naturality witnesses --------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, g", [(make_n5, 0), (make_n5, 17), (lambda: make_mk(3), 31)])
+def test_naturality_composite_reports_the_fgt_witness(monkeypatch, make, g):
+    ctx = _Ctx(make(), SuiteConfig())
+    H = ctx.homset
+    assert check_naturality_composite(ctx) is None
+    bad = H.rho_tables.copy()
+    bad[g] = H.rho_tables[(g + 1) % H.m]
+    monkeypatch.setitem(H._cache, "rho", bad)
+    want = _naturality_witness_fgt(H)
+    assert want is not None
+    assert check_naturality_composite(ctx) == want
+
+
+# -- batched monotonicity ------------------------------------------------------------------
+
+
+class _RecordingRng:
+    def __init__(self, seed, log):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._log = log
+
+    def integers(self, *args, **kwargs):
+        got = self._rng.integers(*args, **kwargs)
+        self._log.append(np.array(got))
+        return got
+
+
+def _record_interior_calls(monkeypatch, bottom_row=None):
+    """Record each interior call; on the third, the batched pair joins, send
+    row `bottom_row` of the result to the bottom map."""
+    calls = []
+
+    def recording(source, target, tables):
+        calls.append(np.array(tables))
+        out = sup_interior_tables(source, target, tables)
+        if len(calls) == 3 and bottom_row is not None:
+            out[bottom_row] = target.bottom
+        return out
+
+    monkeypatch.setattr(verify, "sup_interior_tables", recording)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: make_chain(3), lambda: make_mk(3)])
+def test_monotonicity_draws_the_pairs_of_the_per_pair_loop(monkeypatch, make):
+    ctx = _Ctx(make(), SuiteConfig())
+    L = ctx.L
+    K = _monotone_inputs(ctx)
+    rng = np.random.default_rng(7)
+    pairs = [rng.integers(0, len(K), size=2) for _ in range(min(300, len(K) ** 2))]
+
+    log = []
+    real_default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed=None: _RecordingRng(seed, log) if seed == 7 else real_default_rng(seed),
+    )
+    calls = _record_interior_calls(monkeypatch)
+    assert check_sup_interior_props(ctx) is None
+    assert len(log) == len(pairs)
+    assert all(a.shape == (2,) and (a == b).all() for a, b in zip(log, pairs))
+    i, j = np.array(pairs).T
+    assert (calls[-1] == L.join[K[i], K[j]]).all()
+
+
+def test_monotonicity_catches_a_non_monotone_interior(monkeypatch):
+    ctx = _Ctx(make_chain(3), SuiteConfig())
+    K = _monotone_inputs(ctx)
+    out = sup_interior_tables(ctx.L, ctx.L, K)
+    rng = np.random.default_rng(7)
+    pairs = [rng.integers(0, len(K), size=2) for _ in range(min(300, len(K) ** 2))]
+    # the last pair whose smaller interior is not the bottom map
+    row = max(r for r, (i, _) in enumerate(pairs) if (out[i] != ctx.L.bottom).any())
+    assert row > len(pairs) // 2
+    _record_interior_calls(monkeypatch, bottom_row=row)
+    assert check_sup_interior_props(ctx) == "interior is not monotone as an operator"
+
+
+# -- fault containment ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value"), IndexError("index 9 is out of bounds")])
+def test_a_crashing_check_fails_and_the_later_checks_still_run(monkeypatch, exc):
+    ids = [cid for cid, _ in CHECKS]
+    k = ids.index("galois-adjunction")
+
+    def crash(ctx):
+        raise exc
+
+    monkeypatch.setattr(verify, "CHECKS", CHECKS[:k] + [("galois-adjunction", crash)] + CHECKS[k + 1:])
+    report = run_suite(make_chain(3), name="chain3")
+    assert [r.check_id for r in report.results] == ids
+    crashed = report.results[k]
+    assert crashed.status == "fail"
+    assert crashed.witness == f"{type(exc).__name__}: {exc}"
+    assert report.failed == 1
+    assert all(r.status == "pass" for r in report.results[k + 1:])
