@@ -136,6 +136,21 @@ class Poset:
         return self.n == other.n and bool((self.leq == other.leq).all())
 
 
+def poset_hash(P: Poset) -> str:
+    """Short digest of the order matrix; equal for equal orders."""
+    h = hashlib.sha256()
+    h.update(P.n.to_bytes(4, "big"))
+    h.update(np.packbits(P.leq).tobytes())
+    return h.hexdigest()[:12]
+
+
+def cover_relation(leq: np.ndarray) -> np.ndarray:
+    """covers[i, j] is True when j covers i in the order `leq`."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    s = strict.astype(np.float32)
+    return strict & ~((s @ s) > 0.5)
+
+
 class Lattice:
     """A finite lattice: a bounded poset with total join and meet tables."""
 
@@ -220,9 +235,7 @@ class Lattice:
         """covers[i, j] is True when j covers i."""
         got = self._cache.get("covers")
         if got is None:
-            strict = self.leq & ~np.eye(self.n, dtype=bool)
-            s = strict.astype(np.float32)
-            got = _freeze(strict & ~((s @ s) > 0.5))
+            got = _freeze(cover_relation(self.leq))
             self._cache["covers"] = got
         return got
 
@@ -276,10 +289,7 @@ class Lattice:
     def hash_id(self) -> str:
         got = self._cache.get("hash")
         if got is None:
-            h = hashlib.sha256()
-            h.update(self.n.to_bytes(4, "big"))
-            h.update(np.packbits(self.leq).tobytes())
-            got = h.hexdigest()[:12]
+            got = poset_hash(self.poset)
             self._cache["hash"] = got
         return got
 
@@ -456,30 +466,36 @@ def is_distributive(L: Lattice) -> bool:
     return True
 
 
-def order_automorphisms(leq: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP) -> list[tuple[int, ...]]:
-    """All order-preserving bijections with order-preserving inverse."""
-    n = leq.shape[0]
-    if n == 0:
-        return [()]
-    down = leq.sum(axis=0)
-    up = leq.sum(axis=1)
-    strict = leq & ~np.eye(n, dtype=bool)
-    s = strict.astype(np.float32)
-    child = strict & ~((s @ s) > 0.5)
-    clow = child.sum(axis=0)
-    cup = child.sum(axis=1)
-    profile = [(int(down[i]), int(up[i]), int(clow[i]), int(cup[i])) for i in range(n)]
-    cands = [[j for j in range(n) if profile[j] == profile[i]] for i in range(n)]
+def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP):
+    """Yield every order isomorphism from `leq1` onto `leq2` by backtracking.
+
+    Each element may only go to an element with the same down-set size,
+    up-set size and numbers of lower and upper covers.  Raises
+    SearchCapExceeded once more than `cap` candidate placements were tried.
+    """
+    leq1, leq2 = np.asarray(leq1, dtype=bool), np.asarray(leq2, dtype=bool)
+    n = leq1.shape[0]
+    if leq2.shape[0] != n:
+        return
+
+    def profiles(leq):
+        covers = cover_relation(leq)
+        return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
+                        covers.sum(axis=0).tolist(), covers.sum(axis=1).tolist()))
+
+    p1, p2 = profiles(leq1), profiles(leq2)
+    if sorted(p1) != sorted(p2):
+        return
+    cands = [[j for j in range(n) if p2[j] == p1[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(cands[i]), i))
     sigma = [-1] * n
     used = [False] * n
-    out: list[tuple[int, ...]] = []
     nodes = 0
 
-    def place(k: int) -> None:
+    def place(k: int):
         nonlocal nodes
         if k == n:
-            out.append(tuple(sigma))
+            yield tuple(sigma)
             return
         i = order[k]
         for j in cands[i]:
@@ -487,23 +503,28 @@ def order_automorphisms(leq: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP) -> li
                 continue
             nodes += 1
             if nodes > cap:
-                raise SearchCapExceeded(f"automorphism search exceeded {cap} nodes")
-            ok = True
-            for t in range(k):
-                p = order[t]
-                if leq[i, p] != leq[j, sigma[p]] or leq[p, i] != leq[sigma[p], j]:
-                    ok = False
-                    break
-            if ok:
+                raise SearchCapExceeded(f"order isomorphism search exceeded {cap} nodes")
+            if all(
+                leq1[i, p] == leq2[j, sigma[p]] and leq1[p, i] == leq2[sigma[p], j]
+                for p in order[:k]
+            ):
                 sigma[i] = j
                 used[j] = True
-                place(k + 1)
+                yield from place(k + 1)
                 sigma[i] = -1
                 used[j] = False
 
-    place(0)
-    out.sort()
-    return out
+    yield from place(0)
+
+
+def order_automorphisms(leq: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP) -> list[tuple[int, ...]]:
+    """All order-preserving bijections with order-preserving inverse, sorted."""
+    return sorted(order_isomorphisms(leq, leq, cap))
+
+
+def find_order_isomorphism(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP):
+    """One order isomorphism from `leq1` onto `leq2`, or None."""
+    return next(order_isomorphisms(leq1, leq2, cap), None)
 
 
 def automorphisms(L: Lattice) -> list[tuple[int, ...]]:

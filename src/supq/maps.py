@@ -251,20 +251,73 @@ def pointwise_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 # -- adjoints ----------------------------------------------------------------
 
 
+def _mask_lookup(L: Lattice):
+    got = L._cache.get("mask_lookup")
+    if got is None:
+        up_order = np.argsort(L.upmask)
+        down_order = np.argsort(L.downmask)
+        got = (
+            L.upmask[up_order],
+            up_order,
+            L.downmask[down_order],
+            down_order,
+        )
+        L._cache["mask_lookup"] = got
+    return got
+
+
+def _elem_of_upmask(L: Lattice, red: np.ndarray) -> np.ndarray:
+    """Each value of `red` is an intersection of up-sets; return the joins."""
+    vals, order, _, _ = _mask_lookup(L)
+    pos = np.searchsorted(vals, red.ravel())
+    return order[pos].reshape(red.shape).astype(np.int16)
+
+
+def _elem_of_downmask(L: Lattice, red: np.ndarray) -> np.ndarray:
+    _, _, vals, order = _mask_lookup(L)
+    pos = np.searchsorted(vals, red.ravel())
+    return order[pos].reshape(red.shape).astype(np.int16)
+
+
+def _as_rows(tables) -> np.ndarray:
+    arr = np.asarray(tables, dtype=np.int16)
+    return arr[None, :] if arr.ndim == 1 else arr
+
+
+def right_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
+    """Rowwise right adjoint of join-preserving tables from source to target:
+    each row becomes the table of y -> join of {x : f(x) <= y} on target."""
+    f = _as_rows(tables)
+    out = np.empty((len(f), target.n), dtype=np.int16)
+    for y in range(target.n):
+        mask = target.leq[:, y][f]  # (m, source.n): f(x) <= y
+        red = np.bitwise_and.reduce(
+            np.where(mask, source.upmask[None, :], source.upmask[source.bottom]), axis=1
+        )
+        out[:, y] = _elem_of_upmask(source, red)
+    return out
+
+
+def left_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
+    """Rowwise left adjoint of meet-preserving tables from source to target:
+    each row becomes the table of y -> meet of {x : y <= g(x)} on target."""
+    g = _as_rows(tables)
+    out = np.empty((len(g), target.n), dtype=np.int16)
+    for y in range(target.n):
+        mask = target.leq[y][g]  # (m, source.n): y <= g(x)
+        red = np.bitwise_and.reduce(
+            np.where(mask, source.downmask[None, :], source.downmask[source.top]), axis=1
+        )
+        out[:, y] = _elem_of_downmask(source, red)
+    return out
+
+
 def right_adjoint(f: LatticeMap) -> LatticeMap:
     """For sup-preserving f, the map y -> join of {x : f(x) <= y}."""
     w = sup_witness(f)
     if w is not None:
         raise MapError(f"right adjoint needs a join-preserving map, witness {w}")
-    tl = f.target.leq
-    tab = []
-    for y in range(f.target.n):
-        acc = f.source.bottom
-        for x in range(f.source.n):
-            if tl[f.table[x], y]:
-                acc = int(f.source.join[acc, x])
-        tab.append(acc)
-    return LatticeMap(f.target, f.source, tab)
+    return LatticeMap(f.target, f.source, right_adjoint_tables(f.source, f.target, f.as_array())[0])
 
 
 def left_adjoint(g: LatticeMap) -> LatticeMap:
@@ -272,15 +325,7 @@ def left_adjoint(g: LatticeMap) -> LatticeMap:
     w = inf_witness(g)
     if w is not None:
         raise MapError(f"left adjoint needs a meet-preserving map, witness {w}")
-    tl = g.target.leq
-    tab = []
-    for y in range(g.target.n):
-        acc = g.source.top
-        for x in range(g.source.n):
-            if tl[y, g.table[x]]:
-                acc = int(g.source.meet[acc, x])
-        tab.append(acc)
-    return LatticeMap(g.target, g.source, tab)
+    return LatticeMap(g.target, g.source, left_adjoint_tables(g.source, g.target, g.as_array())[0])
 
 
 # -- greatest sup-preserving map below a monotone one ------------------------

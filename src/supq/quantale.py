@@ -15,13 +15,18 @@ from supq.lattice import Lattice, LatticeError, dual, join_irreducibles
 from supq.maps import (
     LatticeMap,
     MapError,
+    _as_rows,
+    _elem_of_downmask,
+    _elem_of_upmask,
     a_map,
     c_map,
     e_map,
     identity_map,
+    left_adjoint_tables,
     pointwise_join,
     pointwise_meet,
     right_adjoint,
+    right_adjoint_tables,
     sup_interior,
     sup_interior_tables,
     sup_witness,
@@ -30,6 +35,7 @@ from supq.maps import (
 )
 
 DEFAULT_HOMSET_CAP = 100_000
+MATRIX_CAP = 4096  # members of a homset whose full order matrix may be built
 
 
 class CapExceeded(LatticeError):
@@ -66,42 +72,6 @@ def homset_cached(key: str):
     return decorate
 
 
-# -- rowwise join/meet of element sets via packed order masks -----------------
-
-
-def _mask_lookup(L: Lattice):
-    got = L._cache.get("mask_lookup")
-    if got is None:
-        up_order = np.argsort(L.upmask)
-        down_order = np.argsort(L.downmask)
-        got = (
-            L.upmask[up_order],
-            up_order,
-            L.downmask[down_order],
-            down_order,
-        )
-        L._cache["mask_lookup"] = got
-    return got
-
-
-def _elem_of_upmask(L: Lattice, red: np.ndarray) -> np.ndarray:
-    """Each value of `red` is an intersection of up-sets; return the joins."""
-    vals, order, _, _ = _mask_lookup(L)
-    pos = np.searchsorted(vals, red.ravel())
-    return order[pos].reshape(red.shape).astype(np.int16)
-
-
-def _elem_of_downmask(L: Lattice, red: np.ndarray) -> np.ndarray:
-    _, _, vals, order = _mask_lookup(L)
-    pos = np.searchsorted(vals, red.ravel())
-    return order[pos].reshape(red.shape).astype(np.int16)
-
-
-def _as_rows(tables) -> np.ndarray:
-    arr = np.asarray(tables, dtype=np.int16)
-    return arr[None, :] if arr.ndim == 1 else arr
-
-
 # -- transforms on raw tables --------------------------------------------------
 
 
@@ -128,34 +98,6 @@ def raney_up_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
         cols = np.flatnonzero(~L.leq[:, x])
         red = np.bitwise_and.reduce(sel[:, cols], axis=1) if cols.size else np.full(len(f), neutral)
         out[:, x] = _elem_of_downmask(L, red)
-    return out
-
-
-def right_adjoint_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
-    """Rowwise right adjoint of join-preserving tables."""
-    f = _as_rows(tables)
-    out = np.empty_like(f)
-    elem_up = L.upmask[np.arange(L.n)]
-    for y in range(L.n):
-        mask = L.leq[:, y][f]  # (m, n): f(x) <= y
-        red = np.bitwise_and.reduce(
-            np.where(mask, elem_up[None, :], L.upmask[L.bottom]), axis=1
-        )
-        out[:, y] = _elem_of_upmask(L, red)
-    return out
-
-
-def left_adjoint_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
-    """Rowwise left adjoint of meet-preserving tables."""
-    g = _as_rows(tables)
-    out = np.empty_like(g)
-    elem_down = L.downmask[np.arange(L.n)]
-    for y in range(L.n):
-        mask = L.leq[y][g]  # (m, n): y <= g(x)
-        red = np.bitwise_and.reduce(
-            np.where(mask, elem_down[None, :], L.downmask[L.top]), axis=1
-        )
-        out[:, y] = _elem_of_downmask(L, red)
     return out
 
 
@@ -212,10 +154,7 @@ def q_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 def right_residual(h: LatticeMap, f: LatticeMap) -> LatticeMap:
     """Largest g with g o f <= h: the quantale meet of h(x) tensor f(x)."""
     L = _endo(h)
-    acc = top_q_map(L, L)
-    for x in range(L.n):
-        acc = pointwise_meet(acc, tensor_over(L, L, h.table[x], f.table[x]))
-    return sup_interior(acc)
+    return LatticeMap(L, L, rdiv_tables(L, h.as_array(), f.as_array())[0])
 
 
 def left_residual(g: LatticeMap, h: LatticeMap) -> LatticeMap:
@@ -316,6 +255,37 @@ def division_formulas(f: LatticeMap, y: int, x: int) -> dict[str, LatticeMap]:
         if reduced != generic["tensor_under_f"]:
             raise AssertionError(f"reduced tensor co-division failed at (y={y}, x={x})")
     return closed
+
+
+# -- batched residuals ----------------------------------------------------------------
+
+
+def tensor_meet_tables(L: Lattice, h_tabs: np.ndarray, f_tabs: np.ndarray) -> np.ndarray:
+    """Rowwise pointwise meet over x of the tensors h(x) over f(x).  A one-row
+    side broadcasts against the other."""
+    h, f = _as_rows(h_tabs), _as_rows(f_tabs)
+    acc = np.full((max(len(h), len(f)), L.n), L.top, dtype=np.int16)
+    leq_t = L.leq.T
+    for x in range(L.n):
+        mask = leq_t[f[:, x]]  # (len(f), n): t <= f(x)
+        val = np.where(mask, h[:, x][:, None], np.int16(L.top))
+        val[:, L.bottom] = L.bottom
+        acc = L.meet[acc, val]
+    return acc
+
+
+def rdiv_tables(L: Lattice, h_tabs: np.ndarray, f_tabs: np.ndarray) -> np.ndarray:
+    """Rowwise h / f, the largest g with g o f <= h: the sup-interior of the
+    meet of tensors.  A one-row side broadcasts against the other."""
+    return sup_interior_tables(L, L, tensor_meet_tables(L, h_tabs, f_tabs))
+
+
+def ldiv_tables(L: Lattice, rho_tabs: np.ndarray, h_tabs: np.ndarray) -> np.ndarray:
+    """Rowwise g \\ h, the largest f with g o f <= h, given the right adjoint
+    rows of the divisors g: the sup-interior of rho_g o h.  A one-row side
+    broadcasts against the other."""
+    rho, h = _as_rows(rho_tabs), _as_rows(h_tabs)
+    return sup_interior_tables(L, L, rho[np.arange(len(rho))[:, None], h])
 
 
 # -- homset enumeration ------------------------------------------------------------
@@ -470,7 +440,7 @@ class EndoHomset:
     def rho_tables(self) -> np.ndarray:
         got = self._cache.get("rho")
         if got is None:
-            got = right_adjoint_tables(self.lattice, self.tables)
+            got = right_adjoint_tables(self.lattice, self.lattice, self.tables)
             self._cache["rho"] = got
         return got
 
@@ -533,11 +503,13 @@ class EndoHomset:
         return ok
 
     def leq_matrix(self) -> np.ndarray:
-        """Full pointwise order between members (guarded to 4096 members)."""
+        """Full pointwise order between members (guarded to MATRIX_CAP members)."""
         got = self._cache.get("leq_q")
         if got is None:
-            if self.m > 4096:
-                raise CapExceeded(f"order matrix for {self.m} maps exceeds the 4096 cap", self.m)
+            if self.m > MATRIX_CAP:
+                raise CapExceeded(
+                    f"order matrix for {self.m} maps exceeds the {MATRIX_CAP} cap", self.m
+                )
             L = self.lattice
             got = np.ones((self.m, self.m), dtype=bool)
             for k in range(L.n):
@@ -547,54 +519,14 @@ class EndoHomset:
             self._cache["leq_q"] = got
         return got
 
-    # -- batched residuals ---------------------------------------------------
-
-    def _interior(self, tables: np.ndarray) -> np.ndarray:
-        return sup_interior_tables(self.lattice, self.lattice, tables)
-
-    def _rdiv_fixed_divisor(self, g_tab: np.ndarray) -> np.ndarray:
-        """Tables of h/g for every member h and the fixed divisor g."""
-        L = self.lattice
-        acc = np.full((self.m, L.n), L.top, dtype=np.int16)
-        leq_t = L.leq.T
-        for x in range(L.n):
-            mask = leq_t[int(g_tab[x])]  # (n,) profile of t <= g(x)
-            val = np.where(mask[None, :], self.tables[:, x][:, None], np.int16(L.top))
-            val[:, L.bottom] = L.bottom
-            acc = L.meet[acc, val].astype(np.int16)
-        return self._interior(acc)
-
-    def _ldiv_fixed_divisor(self, g_idx: int) -> np.ndarray:
-        """Tables of g\\h for every member h and the fixed divisor g."""
-        rho_g = self.rho_tables[g_idx]
-        comp = rho_g[self.tables]
-        return self._interior(comp)
-
-    def _rdiv_pairs(self, h_tabs: np.ndarray, f_tabs: np.ndarray) -> np.ndarray:
-        """Rowwise h_i / f_i."""
-        L = self.lattice
-        m = len(h_tabs)
-        acc = np.full((m, L.n), L.top, dtype=np.int16)
-        leq_t = L.leq.T
-        for x in range(L.n):
-            mask = leq_t[f_tabs[:, x]]  # (m, n)
-            val = np.where(mask, h_tabs[:, x][:, None], np.int16(L.top))
-            val[:, L.bottom] = L.bottom
-            acc = L.meet[acc, val].astype(np.int16)
-        return self._interior(acc)
-
-    def _ldiv_pairs(self, g_tabs: np.ndarray, h_tabs: np.ndarray) -> np.ndarray:
-        """Rowwise g_i \\ h_i."""
-        rho = right_adjoint_tables(self.lattice, g_tabs)
-        comp = np.take_along_axis(rho, h_tabs.astype(np.int64), axis=1).astype(np.int16)
-        return self._interior(comp)
+    # -- residuals by every divisor --------------------------------------------
 
     def rdiv_indices(self, i) -> np.ndarray:
         """Index of h/g for every divisor g: one row for h = member i, or
         shape (len(i), m) for an array i of members."""
         hs = np.atleast_1d(i)
-        got = self._rdiv_pairs(np.repeat(self.tables[hs], self.m, axis=0),
-                               np.tile(self.tables, (len(hs), 1)))
+        got = rdiv_tables(self.lattice, np.repeat(self.tables[hs], self.m, axis=0),
+                          np.tile(self.tables, (len(hs), 1)))
         idx = self.index_rows(got).reshape(len(hs), self.m)
         return idx if np.ndim(i) else idx[0]
 
@@ -602,8 +534,8 @@ class EndoHomset:
         """Index of g\\h for every divisor g: one row for h = member i, or
         shape (len(i), m) for an array i of members."""
         hs = np.atleast_1d(i)
-        comp = self.rho_tables[:, self.tables[hs]].swapaxes(0, 1)  # [h, g, x] = rho_g(h(x))
-        got = self._interior(comp.reshape(-1, self.lattice.n))
+        got = ldiv_tables(self.lattice, np.tile(self.rho_tables, (len(hs), 1)),
+                          np.repeat(self.tables[hs], self.m, axis=0))
         idx = self.index_rows(got).reshape(len(hs), self.m)
         return idx if np.ndim(i) else idx[0]
 
@@ -636,10 +568,11 @@ def _generator_indices(H: EndoHomset) -> list[int]:
 @homset_cached("cyclic")
 def find_cyclic(H: EndoHomset) -> list[int]:
     """All cyclic members, by generator prefilter plus a full confirming scan."""
+    L = H.lattice
     alive = np.ones(H.m, dtype=bool)
     for gi in _generator_indices(H):
-        lhs = H._rdiv_fixed_divisor(H.tables[gi])
-        rhs = H._ldiv_fixed_divisor(gi)
+        lhs = rdiv_tables(L, H.tables, H.tables[gi])
+        rhs = ldiv_tables(L, H.rho_tables[gi], H.tables)
         alive &= (lhs == rhs).all(axis=1)
         if not alive.any():
             return []
@@ -649,16 +582,18 @@ def find_cyclic(H: EndoHomset) -> list[int]:
 @homset_cached("dualizing")
 def find_dualizing(H: EndoHomset) -> list[int]:
     """All dualizing members, by generator prefilter plus a confirming scan."""
+    L = H.lattice
     alive = np.ones(H.m, dtype=bool)
     for gi in _generator_indices(H):
         g_tab = H.tables[gi]
         # h / (g \ h) must be g again
-        back = H._rdiv_pairs(H.tables, H._ldiv_fixed_divisor(gi))
+        back = rdiv_tables(L, H.tables, ldiv_tables(L, H.rho_tables[gi], H.tables))
         alive &= (back == g_tab).all(axis=1)
         if not alive.any():
             return []
-        # (h / g) \ h must be g again
-        back = H._ldiv_pairs(H._rdiv_fixed_divisor(g_tab), H.tables)
+        # (h / g) \ h must be g again; each h / g is a member, so its adjoint is cached
+        over = H.index_rows(rdiv_tables(L, H.tables, g_tab))
+        back = ldiv_tables(L, H.rho_tables[over], H.tables)
         alive &= (back == g_tab).all(axis=1)
         if not alive.any():
             return []

@@ -3,7 +3,6 @@ and the classification of natural two-parameter families.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -12,13 +11,15 @@ import numpy as np
 from supq.lattice import (
     Lattice,
     Poset,
+    cover_relation,
     downset_lattice,
+    find_order_isomorphism,
     is_distributive,
     join_irreducibles,
     make_mk,
     meet_irreducibles,
-    order_automorphisms,
     parse_lattice,
+    poset_hash,
     serialize_lattice,
 )
 from supq.maps import (
@@ -194,10 +195,7 @@ def homset_irreducibles(H: EndoHomset, cap: int = 2000) -> IrreducibleReport:
 @homset_cached("irreducibles")
 def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     L = H.lattice
-    leq_q = H.leq_matrix()
-    strict = leq_q & ~np.eye(H.m, dtype=bool)
-    s = strict.astype(np.float32)
-    covers = strict & ~((s @ s) > 0.5)
+    covers = cover_relation(H.leq_matrix())
     j_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=0) == 1))
     m_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=1) == 1))
     jl, ml = join_irreducibles(L), meet_irreducibles(L)
@@ -229,53 +227,6 @@ class AutodualReport:
     witness: tuple[int, ...] | None = None
     join_irreducible_count: int | None = None
     meet_irreducible_count: int | None = None
-
-
-def find_order_isomorphism(leq1: np.ndarray, leq2: np.ndarray, cap: int = 2_000_000):
-    """One order isomorphism between two finite orders, or None."""
-    n = leq1.shape[0]
-    if leq2.shape[0] != n:
-        return None
-
-    def profiles(leq):
-        down = leq.sum(axis=0)
-        up = leq.sum(axis=1)
-        return [(int(down[i]), int(up[i])) for i in range(n)]
-
-    p1, p2 = profiles(leq1), profiles(leq2)
-    if sorted(p1) != sorted(p2):
-        return None
-    cands = [[j for j in range(n) if p2[j] == p1[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    sigma = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def place(k: int):
-        nonlocal nodes
-        if k == n:
-            return tuple(sigma)
-        i = order[k]
-        for j in cands[i]:
-            if used[j]:
-                continue
-            nodes += 1
-            if nodes > cap:
-                raise CapExceeded(f"isomorphism search exceeded {cap} nodes", 0)
-            if all(
-                leq1[i, p] == leq2[j, sigma[p]] and leq1[p, i] == leq2[sigma[p], j]
-                for p in order[:k]
-            ):
-                sigma[i] = j
-                used[j] = True
-                found = place(k + 1)
-                sigma[i] = -1
-                used[j] = False
-                if found is not None:
-                    return found
-        return None
-
-    return place(0)
 
 
 def autodual_report(H: EndoHomset, cap: int = 2000) -> AutodualReport:
@@ -328,13 +279,6 @@ def autodual_report(H: EndoHomset, cap: int = 2000) -> AutodualReport:
 
 
 # -- weakening relations -----------------------------------------------------------------
-
-
-def poset_hash(P: Poset) -> str:
-    h = hashlib.sha256()
-    h.update(P.n.to_bytes(4, "big"))
-    h.update(np.packbits(P.leq).tobytes())
-    return h.hexdigest()[:12]
 
 
 class WeakeningRelation:

@@ -16,6 +16,7 @@ from supq.lattice import (
     automorphisms,
     downset_lattice,
     dual,
+    find_order_isomorphism,
     is_distributive,
     join_irreducibles,
     make_boolean,
@@ -25,6 +26,7 @@ from supq.lattice import (
 )
 from supq.maps import (
     LatticeMap,
+    _elem_of_upmask,
     a_map,
     c_map,
     e_map,
@@ -35,8 +37,8 @@ from supq.maps import (
     tensor_over,
 )
 from supq.quantale import (
+    MATRIX_CAP,
     CapExceeded,
-    _elem_of_upmask,
     EndoHomset,
     automorphism_to_dualizing,
     conucleus_gap,
@@ -47,12 +49,15 @@ from supq.quantale import (
     find_dualizing,
     is_completely_distributive,
     is_girard,
+    ldiv_tables,
     left_adjoint_tables,
     raney_down,
     raney_down_tables,
     raney_up_tables,
+    rdiv_tables,
     right_adjoint_tables,
     star,
+    tensor_meet_tables,
     tight_has_unit,
 )
 from supq.structures import (
@@ -60,7 +65,6 @@ from supq.structures import (
     autodual_report,
     classify_natural,
     downset_automorphism,
-    find_order_isomorphism,
     homset_irreducibles,
     m5_quantale,
     q_cyclic,
@@ -74,7 +78,6 @@ from supq.structures import (
 
 EXHAUSTIVE_PAIR_CAP = 512      # full (g, h) / (f, g) quantification
 TABLE_SCAN_CAP = 2000          # quadratic table constructions
-MATRIX_CAP = 4096              # order-matrix-sized scans
 BLOCK_ROWS = 1 << 14           # rows per batched residual pass
 
 
@@ -248,11 +251,11 @@ def check_galois_adjunction(ctx: _Ctx):
         if not (lhs == rhs).all():
             i = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0]) + start
             return f"adjunction fails for member {i}"
-    back = left_adjoint_tables(L, rho)
+    back = left_adjoint_tables(L, L, rho)
     if not (back == H.tables).all():
         return "lower adjoint does not invert the upper adjoint"
     inf = ctx.inf_tables
-    if not (right_adjoint_tables(L, left_adjoint_tables(L, inf)) == inf).all():
+    if not (right_adjoint_tables(L, L, left_adjoint_tables(L, L, inf)) == inf).all():
         return "upper adjoint does not invert the lower adjoint"
     if len(np.unique(rho, axis=0)) != H.m:
         return "adjoint assignment is not injective"
@@ -280,12 +283,7 @@ def check_generator_relations(ctx: _Ctx):
 def check_tensor_meet_decomposition(ctx: _Ctx):
     H = ctx.homset
     L = ctx.L
-    acc = np.full(H.tables.shape, L.top, dtype=np.int16)
-    for x in range(L.n):
-        col = H.tables[:, x]
-        val = np.where(L.leq[:, x][None, :], col[:, None], np.int16(L.top))
-        val[:, L.bottom] = L.bottom
-        acc = L.meet[acc, val].astype(np.int16)
+    acc = tensor_meet_tables(L, H.tables, np.arange(L.n))
     if not (acc == H.tables).all():
         i = int(np.argwhere((acc != H.tables).any(axis=1))[0][0])
         return f"canonical meet of tensors differs from member {i}"
@@ -381,10 +379,10 @@ def check_raney_transform_exchange(ctx: _Ctx):
     L = ctx.L
     H = ctx.homset
     inf = ctx.inf_tables
-    if not (right_adjoint_tables(L, raney_down_tables(L, inf))
-            == raney_up_tables(L, left_adjoint_tables(L, inf))).all():
+    if not (right_adjoint_tables(L, L, raney_down_tables(L, inf))
+            == raney_up_tables(L, left_adjoint_tables(L, L, inf))).all():
         return "upper adjoint of the down transform differs from the up transform of the lower adjoint"
-    if not (left_adjoint_tables(L, raney_up_tables(L, H.tables))
+    if not (left_adjoint_tables(L, L, raney_up_tables(L, H.tables))
             == raney_down_tables(L, H.rho_tables)).all():
         return "lower adjoint of the up transform differs from the down transform of the upper adjoint"
     return None
@@ -514,37 +512,39 @@ def check_division_formulas(ctx: _Ctx):
 
     for x in range(n):
         a_tab = np.array(a_map(L, L, x).table, dtype=np.int16)
-        if not (H._rdiv_fixed_divisor(a_tab) == c_rows(up[:, x])).all():
+        if not (rdiv_tables(L, H.tables, a_tab) == c_rows(up[:, x])).all():
             return f"division by the step map fails at x={x}"
         a_idx = H.index_of(a_map(L, L, x))
-        got = H._ldiv_fixed_divisor(a_idx)
+        got = ldiv_tables(L, H.rho_tables[a_idx], H.tables)
         if not (got == tensor_rows_varying(x, st[:, top])).all():
             return f"co-division by the step map fails at x={x}"
     for y in range(n):
         c_tab = np.array(c_map(L, L, y).table, dtype=np.int16)
-        if not (H._rdiv_fixed_divisor(c_tab) == tensor_rows(up[:, bot], y)).all():
+        if not (rdiv_tables(L, H.tables, c_tab) == tensor_rows(up[:, bot], y)).all():
             return f"division by the constant-style map fails at y={y}"
         c_idx = H.index_of(c_map(L, L, y))
-        if not (H._ldiv_fixed_divisor(c_idx) == a_rows(st[:, y])).all():
+        if not (ldiv_tables(L, H.rho_tables[c_idx], H.tables) == a_rows(st[:, y])).all():
             return f"co-division by the constant-style map fails at y={y}"
     for y in range(n):
         for x in range(n):
             e_tab = np.array(e_map(L, L, y, x).table, dtype=np.int16)
-            if not (H._rdiv_fixed_divisor(e_tab) == tensor_rows(up[:, x], y)).all():
+            if not (rdiv_tables(L, H.tables, e_tab) == tensor_rows(up[:, x], y)).all():
                 return f"division by the e map fails at (y={y}, x={x})"
             e_idx = H.index_of(e_map(L, L, y, x))
-            got = H._ldiv_fixed_divisor(e_idx)
+            got = ldiv_tables(L, H.rho_tables[e_idx], H.tables)
             if not (got == tensor_rows_varying(x, st[:, y])).all():
                 return f"co-division by the e map fails at (y={y}, x={x})"
             t_tab = np.array(tensor_over(L, L, y, x).table, dtype=np.int16)
-            t_div = H._rdiv_fixed_divisor(t_tab)
-            want = H._interior(L.meet[c_rows(up[:, x]), tensor_rows(up[:, bot], y)].astype(np.int16))
+            t_div = rdiv_tables(L, H.tables, t_tab)
+            want = sup_interior_tables(
+                L, L, L.meet[c_rows(up[:, x]), tensor_rows(up[:, bot], y)].astype(np.int16)
+            )
             if not (t_div == want).all():
                 return f"division by the tensor fails at (y={y}, x={x})"
             t_idx = H.index_rows(t_tab[None, :])[0]
-            t_codiv = H._ldiv_fixed_divisor(int(t_idx))
-            want = H._interior(
-                L.meet[a_rows(st[:, y]), tensor_rows_varying(x, st[:, top])].astype(np.int16)
+            t_codiv = ldiv_tables(L, H.rho_tables[t_idx], H.tables)
+            want = sup_interior_tables(
+                L, L, L.meet[a_rows(st[:, y]), tensor_rows_varying(x, st[:, top])].astype(np.int16)
             )
             if not (t_codiv == want).all():
                 return f"co-division by the tensor fails at (y={y}, x={x})"
@@ -861,31 +861,20 @@ def _summary_flags(ctx: _Ctx) -> dict:
     return flags
 
 
-def run_suite(
-    L: Lattice,
-    config: SuiteConfig | None = None,
-    name: str = "lattice",
-    poset: Poset | None = None,
-) -> Report:
-    """Run the named checks against one lattice and collect a report.  A
-    poset adds the weakening-relation checks; L must be its downset lattice."""
-    if poset is not None and not downset_lattice(poset).same_structure(L):
-        raise ValueError("the lattice is not the downset lattice of the poset")
-    config = config or SuiteConfig()
-    ctx = _Ctx(L, config, poset=poset)
-    catalog = list(CHECKS)
-    if poset is not None:
-        catalog += POSET_CHECKS
-    if config.checks is not None:
-        unknown = [c for c in config.checks if c not in ALL_CHECK_IDS]
+def _run_checks(catalog, checks, known, *args) -> list[CheckResult]:
+    """Run each catalog entry named in `checks` (every entry when None) as
+    fn(*args).  A check that raises fails with the typed error as witness; a
+    cap skips it.  Names outside `known` raise ValueError."""
+    if checks is not None:
+        unknown = [c for c in checks if c not in known]
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-        catalog = [(cid, fn) for cid, fn in catalog if cid in config.checks]
+        catalog = [(cid, fn) for cid, fn in catalog if cid in checks]
     results = []
     for cid, fn in catalog:
         t0 = time.perf_counter()
         try:
-            witness = fn(ctx)
+            witness = fn(*args)
             status = "pass" if witness is None else "fail"
             reason = None
         except _Skip as s:
@@ -903,6 +892,25 @@ def run_suite(
                 elapsed=time.perf_counter() - t0,
             )
         )
+    return results
+
+
+def run_suite(
+    L: Lattice,
+    config: SuiteConfig | None = None,
+    name: str = "lattice",
+    poset: Poset | None = None,
+) -> Report:
+    """Run the named checks against one lattice and collect a report.  A
+    poset adds the weakening-relation checks; L must be its downset lattice."""
+    if poset is not None and not downset_lattice(poset).same_structure(L):
+        raise ValueError("the lattice is not the downset lattice of the poset")
+    config = config or SuiteConfig()
+    ctx = _Ctx(L, config, poset=poset)
+    catalog = list(CHECKS)
+    if poset is not None:
+        catalog += POSET_CHECKS
+    results = _run_checks(catalog, config.checks, ALL_CHECK_IDS, ctx)
     return Report(
         name=name,
         size=L.n,
@@ -974,26 +982,8 @@ M5_CHECKS: list[tuple[str, object]] = [
 
 def run_m5_suite(checks: tuple[str, ...] | None = None) -> Report:
     """Checks for the hard-coded seven-element quantale."""
-    catalog = list(M5_CHECKS)
-    if checks is not None:
-        unknown = [c for c in checks if c not in {cid for cid, _ in M5_CHECKS}]
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-        catalog = [(cid, fn) for cid, fn in catalog if cid in checks]
+    results = _run_checks(M5_CHECKS, checks, [cid for cid, _ in M5_CHECKS])
     Q = m5_quantale()
-    results = []
-    for cid, fn in catalog:
-        t0 = time.perf_counter()
-        try:
-            witness = fn()
-            status = "pass" if witness is None else "fail"
-            reason = None
-        except Exception as e:  # validation errors are failures with witnesses
-            status, witness, reason = "fail", str(e), None
-        results.append(
-            CheckResult(cid, status, witness=witness, reason=reason,
-                        elapsed=time.perf_counter() - t0)
-        )
     d = list(Q.carrier.names).index("d")
     summary = {
         "unit": Q.unit(),

@@ -221,8 +221,8 @@ def test_criterion_06_transform_adjunction_and_exchange(world):
             lhs &= L.leq[down[:, t][:, None], H.tables[:, t][None, :]]
             rhs &= L.leq[inf[:, t][:, None], up[:, t][None, :]]
         assert (lhs == rhs).all(), "down transform must be left adjoint to the up transform"
-        assert (left_adjoint_tables(L, up) == raney_down_tables(L, H.rho_tables)).all()
-        assert (right_adjoint_tables(L, down) == raney_up_tables(L, left_adjoint_tables(L, inf))).all()
+        assert (left_adjoint_tables(L, L, up) == raney_down_tables(L, H.rho_tables)).all()
+        assert (right_adjoint_tables(L, L, down) == raney_up_tables(L, left_adjoint_tables(L, L, inf))).all()
         ident = np.arange(L.n, dtype=np.int16)
         tight_id = raney_down_tables(L, raney_up_tables(L, ident))[0]
         assert ((tight_id == ident).all()) == is_distributive(L)

@@ -476,6 +476,11 @@ def test_weakening_relation_serializes_with_poset_hash():
     assert doc["pairs"] == sorted(R.pairs)
 
 
+def test_poset_hash_is_the_lattice_hash_id():
+    for name, L, _ in corpus():
+        assert poset_hash(L.poset) == L.hash_id, name
+
+
 @pytest.mark.parametrize("name", sorted(POSETS))
 def test_automorphism_relations_give_dualizing_maps(name):
     P = POSETS[name]

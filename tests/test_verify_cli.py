@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from supq.lattice import Poset, make_chain, make_mk, parse_lattice
+from supq.lattice import Poset, SearchCapExceeded, make_chain, make_mk, parse_lattice
 from supq.verify import (
     ALL_CHECK_IDS,
     CHECKS,
@@ -168,6 +168,30 @@ def test_m5_suite_honors_the_check_filter():
     assert [r.check_id for r in report.results] == ["m5-unit"]
     with pytest.raises(ValueError, match="unknown check ids"):
         run_m5_suite(checks=("m5-nope",))
+
+
+def test_m5_suite_contains_a_crashing_or_capped_check(monkeypatch):
+    ids = [cid for cid, _ in M5_CHECKS]
+    k = ids.index("m5-unit")
+
+    def crash():
+        raise ValueError("bad unit")
+
+    monkeypatch.setattr("supq.verify.M5_CHECKS", M5_CHECKS[:k] + [("m5-unit", crash)] + M5_CHECKS[k + 1:])
+    report = run_m5_suite()
+    assert [r.check_id for r in report.results] == ids
+    assert report.results[k].status == "fail"
+    assert report.results[k].witness == "ValueError: bad unit"
+    assert all(r.status == "pass" for r in report.results[k + 1:])
+
+    def capped():
+        raise SearchCapExceeded("search exceeded 3 nodes")
+
+    monkeypatch.setattr("supq.verify.M5_CHECKS", M5_CHECKS[:k] + [("m5-unit", capped)] + M5_CHECKS[k + 1:])
+    report = run_m5_suite()
+    assert report.results[k].status == "skipped"
+    assert report.results[k].reason == "search exceeded 3 nodes"
+    assert report.failed == 0
 
 
 # -- report rendering ----------------------------------------------------------------
@@ -338,6 +362,7 @@ def test_cli_m5_subcommand(capsys):
     assert all(c["status"] == "pass" for c in entry["checks"])
     code, _, err = _run(capsys, "m5", "--checks", "m5-nope")
     assert code == EXIT_BAD_INPUT
+    assert "unknown check ids" in err
 
 
 def test_cli_unknown_subcommand_is_an_input_error(capsys):

@@ -1,12 +1,30 @@
 """The whole-homset residual and naturality passes of the verifier, checked
-against the member-by-member loops they replace."""
+against the member-by-member loops they replace, and the batched kernels
+that the single-map functions are one-row views of."""
+import itertools
+
 import numpy as np
 import pytest
 
 from supq import verify
-from supq.lattice import make_chain, make_mk, make_n5
-from supq.maps import e_map, sup_interior_tables
-from supq.quantale import EndoHomset, enumerate_homset
+from supq.lattice import (
+    SearchCapExceeded,
+    find_order_isomorphism,
+    make_chain,
+    make_mk,
+    make_n5,
+    order_automorphisms,
+)
+from supq.maps import (
+    LatticeMap,
+    e_map,
+    is_inf_preserving,
+    is_sup_preserving,
+    left_adjoint_tables,
+    right_adjoint_tables,
+    sup_interior_tables,
+)
+from supq.quantale import EndoHomset, enumerate_homset, ldiv_tables, rdiv_tables
 from supq.verify import (
     BLOCK_ROWS,
     CHECKS,
@@ -37,12 +55,12 @@ def corpus_homsets():
 
 def _ldiv_row(H, h):
     """g \\ h for every g, as one sup-interior of rho_g o h per g."""
-    return H.index_rows(H._interior(H.rho_tables[:, H.tables[h]]))
+    return H.index_rows(sup_interior_tables(H.lattice, H.lattice, H.rho_tables[:, H.tables[h]]))
 
 
 def _rdiv_row(H, h):
     """h / g for every g, as the meet of tensors per g."""
-    return H.index_rows(H._rdiv_pairs(np.broadcast_to(H.tables[h], H.tables.shape), H.tables))
+    return H.index_rows(rdiv_tables(H.lattice, np.broadcast_to(H.tables[h], H.tables.shape), H.tables))
 
 
 def _residual_witness_h_major(H):
@@ -253,3 +271,52 @@ def test_a_crashing_check_fails_and_the_later_checks_still_run(monkeypatch, exc)
     assert crashed.witness == f"{type(exc).__name__}: {exc}"
     assert report.failed == 1
     assert all(r.status == "pass" for r in report.results[k + 1:])
+
+
+# -- merged kernels ------------------------------------------------------------------------
+
+
+def test_one_row_residual_sides_equal_their_broadcast_rows(corpus_homsets):
+    for name, H in corpus_homsets.items():
+        L, shape = H.lattice, H.tables.shape
+        for g in range(0, H.m, max(1, H.m // 8)):
+            assert (rdiv_tables(L, H.tables, H.tables[g])
+                    == rdiv_tables(L, H.tables, np.broadcast_to(H.tables[g], shape))).all(), (name, g)
+            assert (rdiv_tables(L, H.tables[g], H.tables)
+                    == rdiv_tables(L, np.broadcast_to(H.tables[g], shape), H.tables)).all(), (name, g)
+            assert (ldiv_tables(L, H.rho_tables[g], H.tables)
+                    == ldiv_tables(L, np.broadcast_to(H.rho_tables[g], shape), H.tables)).all(), (name, g)
+            assert (ldiv_tables(L, H.rho_tables, H.tables[g])
+                    == ldiv_tables(L, H.rho_tables, np.broadcast_to(H.tables[g], shape))).all(), (name, g)
+
+
+@pytest.mark.parametrize("source, target", [(make_mk(3), make_chain(2)), (make_chain(2), make_mk(3))])
+def test_adjoint_kernels_between_different_lattices(source, target):
+    tables = np.array(list(itertools.product(range(target.n), repeat=source.n)), dtype=np.int16)
+    sup = np.array([t for t in tables if is_sup_preserving(LatticeMap(source, target, t))])
+    inf = np.array([t for t in tables if is_inf_preserving(LatticeMap(source, target, t))])
+    rho = right_adjoint_tables(source, target, sup)
+    lam = left_adjoint_tables(source, target, inf)
+    assert rho.shape == (len(sup), target.n) and lam.shape == (len(inf), target.n)
+    for f, r in zip(sup, rho):
+        # f(x) <= y exactly when x <= rho(y)
+        assert (target.leq[f] == source.leq[:, r]).all()
+    for g, l in zip(inf, lam):
+        # y <= g(x) exactly when lam(y) <= x
+        assert (target.leq[:, g] == source.leq[l, :]).all()
+
+
+def test_one_search_serves_automorphisms_and_isomorphisms():
+    rng = np.random.default_rng(5)
+    for name, L, _ in corpus():
+        auts = order_automorphisms(L.leq)
+        assert find_order_isomorphism(L.leq, L.leq) in auts, name
+        perm = rng.permutation(L.n)
+        relabelled = np.empty_like(L.leq)
+        relabelled[np.ix_(perm, perm)] = L.leq  # element i becomes perm[i]
+        sigma = np.array(find_order_isomorphism(L.leq, relabelled))
+        assert (relabelled[np.ix_(sigma, sigma)] == L.leq).all(), name
+    with pytest.raises(SearchCapExceeded):
+        order_automorphisms(make_mk(5).leq, cap=3)
+    with pytest.raises(SearchCapExceeded):
+        find_order_isomorphism(make_mk(5).leq, make_mk(5).leq, cap=3)
