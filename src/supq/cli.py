@@ -58,9 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--max-homset", type=int, default=100_000,
+    p.add_argument("--max-homset", type=int, default=SuiteConfig.max_homset,
                    help="skip homset checks beyond this many maps")
-    p.add_argument("--max-autodual", type=int, default=2000,
+    p.add_argument("--max-autodual", type=int, default=SuiteConfig.max_autodual,
                    help="skip the autoduality search beyond this many maps")
     p.add_argument("--checks", default=None,
                    help="comma-separated list of check ids to run")
@@ -115,14 +115,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from supq.verify import _Ctx, _summary_flags
-
     L = _load_lattice(args.file)
-    config = SuiteConfig(max_homset=args.max_homset, max_autodual=args.max_autodual)
+    config = SuiteConfig(max_homset=args.max_homset, max_autodual=args.max_autodual, checks=())
     name = args.file.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    report = Report(name=name, size=L.n, hash=L.hash_id, results=[],
-                    summary=_summary_flags(_Ctx(L, config)))
-    _emit([report], args.format)
+    _emit([run_suite(L, config, name=name)], args.format)
     return EXIT_OK
 
 

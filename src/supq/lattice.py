@@ -6,6 +6,7 @@ exhaustive checks elsewhere in the package pay O(1) per operation.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -36,8 +37,32 @@ class SizeGuardExceeded(LatticeError):
     """A construction exceeded its configured size cap."""
 
 
-class SearchCapExceeded(LatticeError):
+class CapExceeded(LatticeError):
+    """A search or construction grew past its configured cap.  The verifier
+    reports the check that needed it as skipped, with this message."""
+
+    def __init__(self, message: str, partial_count: int = 0):
+        super().__init__(message)
+        self.partial_count = partial_count
+
+
+class SearchCapExceeded(CapExceeded):
     """An exhaustive search exceeded its node budget."""
+
+
+def cached(key: str):
+    """Compute a derived value once per object and keep it in
+    `obj._cache[key]`.  A build that raises stores nothing; a list result
+    comes back as a fresh copy."""
+    def decorate(build):
+        @functools.wraps(build)
+        def get(obj):
+            if key not in obj._cache:
+                obj._cache[key] = build(obj)
+            got = obj._cache[key]
+            return list(got) if isinstance(got, list) else got
+        return get
+    return decorate
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -151,6 +176,14 @@ def cover_relation(leq: np.ndarray) -> np.ndarray:
     return strict & ~((s @ s) > 0.5)
 
 
+def _pack_rows(rel: np.ndarray) -> np.ndarray:
+    """Row i of a boolean relation packed into one uint64 (n <= 64 only)."""
+    if len(rel) > 64:
+        raise SizeGuardExceeded("bitmask tables need n <= 64")
+    weights = (np.uint64(1) << np.arange(len(rel), dtype=np.uint64))
+    return (rel * weights[None, :]).sum(axis=1, dtype=np.uint64)
+
+
 class Lattice:
     """A finite lattice: a bounded poset with total join and meet tables."""
 
@@ -231,67 +264,44 @@ class Lattice:
     # -- derived structure ------------------------------------------------
 
     @property
+    @cached("covers")
     def covers(self) -> np.ndarray:
         """covers[i, j] is True when j covers i."""
-        got = self._cache.get("covers")
-        if got is None:
-            got = _freeze(cover_relation(self.leq))
-            self._cache["covers"] = got
-        return got
+        return _freeze(cover_relation(self.leq))
 
     @property
+    @cached("upmask")
     def upmask(self) -> np.ndarray:
         """upmask[i] packs the up-set of i into a uint64 (n <= 64 only)."""
-        got = self._cache.get("upmask")
-        if got is None:
-            if self.n > 64:
-                raise SizeGuardExceeded("bitmask tables need n <= 64")
-            weights = (np.uint64(1) << np.arange(self.n, dtype=np.uint64))
-            got = _freeze((self.leq * weights[None, :]).sum(axis=1, dtype=np.uint64))
-            self._cache["upmask"] = got
-        return got
+        return _freeze(_pack_rows(self.leq))
 
     @property
+    @cached("downmask")
     def downmask(self) -> np.ndarray:
-        got = self._cache.get("downmask")
-        if got is None:
-            if self.n > 64:
-                raise SizeGuardExceeded("bitmask tables need n <= 64")
-            weights = (np.uint64(1) << np.arange(self.n, dtype=np.uint64))
-            got = _freeze((self.leq.T * weights[None, :]).sum(axis=1, dtype=np.uint64))
-            self._cache["downmask"] = got
-        return got
+        return _freeze(_pack_rows(self.leq.T))
 
     @property
+    @cached("ijp")
     def incomparable_join_pairs(self) -> dict[int, list[tuple[int, int]]]:
         """For each x, the incomparable pairs (a, b), a < b, with a v b = x."""
-        got = self._cache.get("ijp")
-        if got is None:
-            got = {x: [] for x in range(self.n)}
-            for a in range(self.n):
-                for b in range(a + 1, self.n):
-                    if not self.leq[a, b] and not self.leq[b, a]:
-                        got[int(self.join[a, b])].append((a, b))
-            self._cache["ijp"] = got
+        got = {x: [] for x in range(self.n)}
+        for a in range(self.n):
+            for b in range(a + 1, self.n):
+                if not self.leq[a, b] and not self.leq[b, a]:
+                    got[int(self.join[a, b])].append((a, b))
         return got
 
     @property
+    @cached("desc")
     def descending_order(self) -> list[int]:
         """Elements sorted from top to bottom (by decreasing down-set size)."""
-        got = self._cache.get("desc")
-        if got is None:
-            sizes = self.leq.sum(axis=0)
-            got = sorted(range(self.n), key=lambda i: (-int(sizes[i]), i))
-            self._cache["desc"] = got
-        return got
+        sizes = self.leq.sum(axis=0)
+        return sorted(range(self.n), key=lambda i: (-int(sizes[i]), i))
 
     @property
+    @cached("hash")
     def hash_id(self) -> str:
-        got = self._cache.get("hash")
-        if got is None:
-            got = poset_hash(self.poset)
-            self._cache["hash"] = got
-        return got
+        return poset_hash(self.poset)
 
     def same_structure(self, other: "Lattice") -> bool:
         return other is self or (

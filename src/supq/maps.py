@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from supq.lattice import Lattice
+from supq.lattice import Lattice, cached
 
 
 class MapError(ValueError):
@@ -248,22 +248,24 @@ def pointwise_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     return LatticeMap(f.source, f.target, tuple(mt[a, b] for a, b in zip(f.table, g.table)))
 
 
+def leq_tables(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[i, j] holds when row A[i] <= row B[j] pointwise in L; rows are value
+    tables of maps into L."""
+    A, B = _as_rows(A), _as_rows(B)
+    out = np.ones((len(A), len(B)), dtype=bool)
+    for t in range(A.shape[1]):
+        out &= L.leq[A[:, t]][:, B[:, t]]  # two 1-d gathers: faster than one np.ix_ gather
+    return out
+
+
 # -- adjoints ----------------------------------------------------------------
 
 
+@cached("mask_lookup")
 def _mask_lookup(L: Lattice):
-    got = L._cache.get("mask_lookup")
-    if got is None:
-        up_order = np.argsort(L.upmask)
-        down_order = np.argsort(L.downmask)
-        got = (
-            L.upmask[up_order],
-            up_order,
-            L.downmask[down_order],
-            down_order,
-        )
-        L._cache["mask_lookup"] = got
-    return got
+    up_order = np.argsort(L.upmask)
+    down_order = np.argsort(L.downmask)
+    return L.upmask[up_order], up_order, L.downmask[down_order], down_order
 
 
 def _elem_of_upmask(L: Lattice, red: np.ndarray) -> np.ndarray:
@@ -331,6 +333,11 @@ def left_adjoint(g: LatticeMap) -> LatticeMap:
 # -- greatest sup-preserving map below a monotone one ------------------------
 
 
+@cached("cover_parents")
+def _cover_parents(L: Lattice) -> list[list[int]]:
+    return [list(np.flatnonzero(L.covers[x])) for x in range(L.n)]
+
+
 def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
     """Batched core of sup_interior: one map per row of `tables`.
 
@@ -343,10 +350,7 @@ def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) ->
         K = K[None, :]
     jt, mt = target.join, target.meet
     desc = source.descending_order
-    cover_parents = source._cache.get("cover_parents")
-    if cover_parents is None:
-        cover_parents = [list(np.flatnonzero(source.covers[x])) for x in range(source.n)]
-        source._cache["cover_parents"] = cover_parents
+    cover_parents = _cover_parents(source)
     pair_groups = source.incomparable_join_pairs
     while True:
         before = K.copy()

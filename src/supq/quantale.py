@@ -7,11 +7,9 @@ cyclic and dualizing elements run as batched numpy passes.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from supq.lattice import Lattice, LatticeError, dual, join_irreducibles
+from supq.lattice import CapExceeded, Lattice, LatticeError, _freeze, cached, dual, join_irreducibles
 from supq.maps import (
     LatticeMap,
     MapError,
@@ -23,6 +21,7 @@ from supq.maps import (
     e_map,
     identity_map,
     left_adjoint_tables,
+    leq_tables,
     pointwise_join,
     pointwise_meet,
     right_adjoint,
@@ -34,16 +33,9 @@ from supq.maps import (
     top_q_map,
 )
 
-DEFAULT_HOMSET_CAP = 100_000
+DEFAULT_HOMSET_CAP = 100_000  # members of an enumerated homset
 MATRIX_CAP = 4096  # members of a homset whose full order matrix may be built
-
-
-class CapExceeded(LatticeError):
-    """Homset enumeration or search grew past its configured cap."""
-
-    def __init__(self, message: str, partial_count: int = 0):
-        super().__init__(message)
-        self.partial_count = partial_count
+TABLE_SCAN_CAP = 2000  # members of a homset for quadratic table scans and the autoduality search
 
 
 class NotDualizing(LatticeError):
@@ -56,20 +48,6 @@ class NotAutomorphism(LatticeError):
 
 class NotCompletelyDistributive(LatticeError):
     """The construction needs a completely distributive lattice."""
-
-
-def homset_cached(key: str):
-    """Run a search once per homset and keep its result in
-    `EndoHomset._cache[key]`; a list result comes back as a fresh copy."""
-    def decorate(search):
-        @functools.wraps(search)
-        def cached(H: "EndoHomset"):
-            if key not in H._cache:
-                H._cache[key] = search(H)
-            got = H._cache[key]
-            return list(got) if isinstance(got, list) else got
-        return cached
-    return decorate
 
 
 # -- transforms on raw tables --------------------------------------------------
@@ -351,33 +329,27 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
 
 class EndoHomset:
     """The lex-sorted table of every join-preserving endomap of a lattice.
-    Derived tables and search results are computed once into `_cache`:
-    `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
+    Derived tables and search results are computed once into `_cache` by
+    `lattice.cached`: `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
     `tight_has_unit` under "tight_unit", `homset_irreducibles` under "irreducibles"."""
 
     def __init__(self, L: Lattice, tables: np.ndarray):
         self.lattice = L
-        tables = np.array(tables, dtype=np.int16)
-        tables.flags.writeable = False
-        self.tables = tables
+        self.tables = _freeze(np.array(tables, dtype=np.int16))
         self.m = len(tables)
         self._cache: dict = {}
 
     # -- lookup ---------------------------------------------------------
 
+    @cached("keys")
     def _keys(self):
-        got = self._cache.get("keys")
-        if got is None:
-            n = self.lattice.n
-            if n ** n < 2**62:
-                radix = (np.int64(n) ** np.arange(n, dtype=np.int64))[None, :]
-                keys = (self.tables.astype(np.int64) * radix).sum(axis=1)
-                order = np.argsort(keys)
-                got = ("radix", radix, keys[order], order)
-            else:
-                got = ("dict", {t.tobytes(): i for i, t in enumerate(self.tables)})
-            self._cache["keys"] = got
-        return got
+        n = self.lattice.n
+        if n ** n < 2**62:
+            radix = (np.int64(n) ** np.arange(n, dtype=np.int64))[None, :]
+            keys = (self.tables.astype(np.int64) * radix).sum(axis=1)
+            order = np.argsort(keys)
+            return ("radix", radix, keys[order], order)
+        return ("dict", {t.tobytes(): i for i, t in enumerate(self.tables)})
 
     def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
         """Index of each row in the homset table; -1 for absent rows when
@@ -410,114 +382,60 @@ class EndoHomset:
     # -- distinguished members -------------------------------------------
 
     @property
+    @cached("id_idx")
     def identity_index(self) -> int:
-        got = self._cache.get("id_idx")
-        if got is None:
-            got = int(self.index_rows(np.arange(self.lattice.n, dtype=np.int16))[0])
-            self._cache["id_idx"] = got
-        return got
+        return int(self.index_rows(np.arange(self.lattice.n, dtype=np.int16))[0])
 
     @property
+    @cached("bot_idx")
     def bottom_index(self) -> int:
-        got = self._cache.get("bot_idx")
-        if got is None:
-            got = self.index_of(LatticeMap(self.lattice, self.lattice,
-                                           [self.lattice.bottom] * self.lattice.n))
-            self._cache["bot_idx"] = got
-        return got
+        L = self.lattice
+        return self.index_of(LatticeMap(L, L, [L.bottom] * L.n))
 
     @property
+    @cached("top_idx")
     def top_index(self) -> int:
-        got = self._cache.get("top_idx")
-        if got is None:
-            got = self.index_of(top_q_map(self.lattice, self.lattice))
-            self._cache["top_idx"] = got
-        return got
+        return self.index_of(top_q_map(self.lattice, self.lattice))
 
     # -- cached batch transforms ------------------------------------------
 
     @property
+    @cached("rho")
     def rho_tables(self) -> np.ndarray:
-        got = self._cache.get("rho")
-        if got is None:
-            got = right_adjoint_tables(self.lattice, self.lattice, self.tables)
-            self._cache["rho"] = got
-        return got
+        return right_adjoint_tables(self.lattice, self.lattice, self.tables)
 
     @property
+    @cached("up_t")
     def up_transform_tables(self) -> np.ndarray:
-        got = self._cache.get("up_t")
-        if got is None:
-            got = raney_up_tables(self.lattice, self.tables)
-            self._cache["up_t"] = got
-        return got
+        return raney_up_tables(self.lattice, self.tables)
 
     @property
+    @cached("tight_t")
     def tight_interior_tables(self) -> np.ndarray:
-        got = self._cache.get("tight_t")
-        if got is None:
-            got = raney_down_tables(self.lattice, self.up_transform_tables)
-            self._cache["tight_t"] = got
-        return got
+        return raney_down_tables(self.lattice, self.up_transform_tables)
 
     @property
+    @cached("tight_mask")
     def tight_mask(self) -> np.ndarray:
-        got = self._cache.get("tight_mask")
-        if got is None:
-            got = (self.tight_interior_tables == self.tables).all(axis=1)
-            got.flags.writeable = False
-            self._cache["tight_mask"] = got
-        return got
+        return _freeze((self.tight_interior_tables == self.tables).all(axis=1))
 
     def tight_indices(self) -> np.ndarray:
         return np.flatnonzero(self.tight_mask)
 
     @property
+    @cached("star_idx")
     def star_indices(self) -> np.ndarray:
         """Index of the star of each member (down-transform of its adjoint)."""
-        got = self._cache.get("star_idx")
-        if got is None:
-            got = self.index_rows(raney_down_tables(self.lattice, self.rho_tables))
-            got.flags.writeable = False
-            self._cache["star_idx"] = got
-        return got
+        return _freeze(self.index_rows(raney_down_tables(self.lattice, self.rho_tables)))
 
     # -- pointwise order ----------------------------------------------------
 
-    def leq_mask_above(self, tab: np.ndarray) -> np.ndarray:
-        """mask[i] holds when tab <= tables[i] pointwise."""
-        L = self.lattice
-        ok = np.ones(self.m, dtype=bool)
-        one = np.uint64(1)
-        for k in range(L.n):
-            ok &= (L.upmask[int(tab[k])] >> self.tables[:, k].astype(np.uint64) & one).astype(bool)
-        return ok
-
-    def leq_mask_below(self, tab: np.ndarray) -> np.ndarray:
-        """mask[i] holds when tables[i] <= tab pointwise."""
-        L = self.lattice
-        ok = np.ones(self.m, dtype=bool)
-        one = np.uint64(1)
-        for k in range(L.n):
-            ok &= (L.downmask[int(tab[k])] >> self.tables[:, k].astype(np.uint64) & one).astype(bool)
-        return ok
-
+    @cached("leq_q")
     def leq_matrix(self) -> np.ndarray:
         """Full pointwise order between members (guarded to MATRIX_CAP members)."""
-        got = self._cache.get("leq_q")
-        if got is None:
-            if self.m > MATRIX_CAP:
-                raise CapExceeded(
-                    f"order matrix for {self.m} maps exceeds the {MATRIX_CAP} cap", self.m
-                )
-            L = self.lattice
-            got = np.ones((self.m, self.m), dtype=bool)
-            for k in range(L.n):
-                col = self.tables[:, k]
-                got &= L.leq[np.ix_(col, col)]
-            got.flags.writeable = False
-            self._cache["leq_q"] = got
-        return got
+        if self.m > MATRIX_CAP:
+            raise CapExceeded(f"order matrix for {self.m} maps exceeds the {MATRIX_CAP} cap", self.m)
+        return _freeze(leq_tables(self.lattice, self.tables, self.tables))
 
     # -- residuals by every divisor --------------------------------------------
 
@@ -565,7 +483,7 @@ def _generator_indices(H: EndoHomset) -> list[int]:
     return sorted(gens)
 
 
-@homset_cached("cyclic")
+@cached("cyclic")
 def find_cyclic(H: EndoHomset) -> list[int]:
     """All cyclic members, by generator prefilter plus a full confirming scan."""
     L = H.lattice
@@ -579,7 +497,7 @@ def find_cyclic(H: EndoHomset) -> list[int]:
     return [int(i) for i in np.flatnonzero(alive) if is_cyclic(H, int(i))]
 
 
-@homset_cached("dualizing")
+@cached("dualizing")
 def find_dualizing(H: EndoHomset) -> list[int]:
     """All dualizing members, by generator prefilter plus a confirming scan."""
     L = H.lattice
@@ -644,7 +562,7 @@ def automorphism_to_dualizing(H: EndoHomset, perm) -> int:
 # -- tight members under composition ---------------------------------------------------
 
 
-@homset_cached("tight_unit")
+@cached("tight_unit")
 def tight_has_unit(H: EndoHomset):
     """Index of a two-sided unit for composition among the tight members,
     or None."""

@@ -9,8 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from supq.lattice import (
+    CapExceeded,
     Lattice,
     Poset,
+    cached,
     cover_relation,
     downset_lattice,
     find_order_isomorphism,
@@ -36,12 +38,11 @@ from supq.maps import (
     tensor_over,
 )
 from supq.quantale import (
-    CapExceeded,
+    TABLE_SCAN_CAP,
     EndoHomset,
     NotAutomorphism,
     enumerate_homset,
     enumerate_inf_maps,
-    homset_cached,
     is_completely_distributive,
     is_dualizing,
     star,
@@ -184,15 +185,15 @@ class IrreducibleReport:
     e_pairwise_distinct: bool
 
 
-def homset_irreducibles(H: EndoHomset, cap: int = 2000) -> IrreducibleReport:
+def homset_irreducibles(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> IrreducibleReport:
     """Join- and meet-irreducible members of the endomap quantale, compared
     with the elementary tensors and the e maps; cached per homset after the cap check."""
     if H.m > cap:
-        raise CapExceeded(f"irreducible scan of {H.m} maps exceeds cap {cap}", H.m)
+        raise CapExceeded(f"homset has {H.m} members; irreducible scan capped at {cap}", H.m)
     return _irreducibles(H)
 
 
-@homset_cached("irreducibles")
+@cached("irreducibles")
 def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     L = H.lattice
     covers = cover_relation(H.leq_matrix())
@@ -222,20 +223,18 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
 
 @dataclass(frozen=True)
 class AutodualReport:
-    verdict: str  # "autodual" | "not-autodual" | "inconclusive"
+    verdict: str  # "autodual" | "not-autodual"
     reason: str
     witness: tuple[int, ...] | None = None
     join_irreducible_count: int | None = None
     meet_irreducible_count: int | None = None
 
 
-def autodual_report(H: EndoHomset, cap: int = 2000) -> AutodualReport:
-    """Is the endomap quantale order-isomorphic to its own opposite?"""
+def autodual_report(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> AutodualReport:
+    """Is the endomap quantale order-isomorphic to its own opposite?  Raises
+    CapExceeded for a homset of more than `cap` members."""
     if H.m > cap:
-        return AutodualReport(
-            verdict="inconclusive",
-            reason=f"{H.m} maps exceed the search cap {cap}",
-        )
+        raise CapExceeded(f"{H.m} maps exceed the search cap {cap}", H.m)
     report = homset_irreducibles(H, cap=cap)
     nj = len(report.join_irreducible_indices)
     nm = len(report.meet_irreducible_indices)

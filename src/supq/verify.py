@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from supq.lattice import (
+    CapExceeded,
     Lattice,
     Poset,
-    SearchCapExceeded,
     automorphisms,
     downset_lattice,
     dual,
@@ -31,14 +31,16 @@ from supq.maps import (
     c_map,
     e_map,
     identity_map,
+    leq_tables,
     pointwise_join,
     pointwise_meet,
     sup_interior_tables,
     tensor_over,
 )
 from supq.quantale import (
+    DEFAULT_HOMSET_CAP,
     MATRIX_CAP,
-    CapExceeded,
+    TABLE_SCAN_CAP,
     EndoHomset,
     automorphism_to_dualizing,
     conucleus_gap,
@@ -77,14 +79,7 @@ from supq.structures import (
 )
 
 EXHAUSTIVE_PAIR_CAP = 512      # full (g, h) / (f, g) quantification
-TABLE_SCAN_CAP = 2000          # quadratic table constructions
 BLOCK_ROWS = 1 << 14           # rows per batched residual pass
-
-
-class _Skip(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -106,9 +101,15 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    max_homset: int = 100_000
-    max_autodual: int = 2000
+    max_homset: int = DEFAULT_HOMSET_CAP
+    max_autodual: int = TABLE_SCAN_CAP
     checks: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("max_homset", "max_autodual"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -136,41 +137,39 @@ class Report:
 
 
 class _Ctx:
-    """Lazy, cached access to the expensive artifacts a check may need."""
+    """Lazy, cached access to the expensive artifacts a check may need.  An
+    enumeration that exceeds its cap is kept as its CapExceeded and raised
+    again on every later access."""
 
     def __init__(self, L: Lattice, config: SuiteConfig, poset: Poset | None = None):
         self.L = L
         self.config = config
         self.poset = poset
-        self._homset: EndoHomset | str | None = None
-        self._inf: np.ndarray | str | None = None
+        self._built: dict = {}
+
+    def _enumerated(self, enumerate_fn):
+        if enumerate_fn not in self._built:
+            try:
+                self._built[enumerate_fn] = enumerate_fn(self.L, cap=self.config.max_homset)
+            except CapExceeded as e:
+                self._built[enumerate_fn] = e
+        got = self._built[enumerate_fn]
+        if isinstance(got, CapExceeded):
+            raise got.with_traceback(None)
+        return got
 
     @property
     def homset(self) -> EndoHomset:
-        if self._homset is None:
-            try:
-                self._homset = enumerate_homset(self.L, cap=self.config.max_homset)
-            except CapExceeded as e:
-                self._homset = str(e)
-        if isinstance(self._homset, str):
-            raise _Skip(self._homset)
-        return self._homset
+        return self._enumerated(enumerate_homset)
 
     @property
     def inf_tables(self) -> np.ndarray:
-        if self._inf is None:
-            try:
-                self._inf = enumerate_inf_maps(self.L, cap=self.config.max_homset)
-            except CapExceeded as e:
-                self._inf = str(e)
-        if isinstance(self._inf, str):
-            raise _Skip(self._inf)
-        return self._inf
+        return self._enumerated(enumerate_inf_maps)
 
     def homset_capped(self, cap: int, what: str) -> EndoHomset:
         H = self.homset
         if H.m > cap:
-            raise _Skip(f"homset has {H.m} members; {what} capped at {cap}")
+            raise CapExceeded(f"homset has {H.m} members; {what} capped at {cap}", H.m)
         return H
 
 
@@ -335,10 +334,9 @@ def check_sup_interior_props(ctx: _Ctx):
     idx = H.index_rows(out, strict=False)
     if (idx < 0).any():
         return "interior produced a map outside the homset"
+    below_all = leq_tables(L, H.tables, K)  # [f, k] = member f <= input k
     for k_i in range(len(K)):
-        below = np.ones(H.m, dtype=bool)
-        for t in range(L.n):
-            below &= L.leq[H.tables[:, t], K[k_i, t]]
+        below = below_all[:, k_i]
         if below.any():
             red = np.bitwise_and.reduce(L.upmask[H.tables[below].astype(np.int64)], axis=0)
             join_tab = _elem_of_upmask(L, red)
@@ -362,13 +360,8 @@ def check_raney_adjunction(ctx: _Ctx):
     H = ctx.homset_capped(MATRIX_CAP, "transform adjunction scan")
     L = ctx.L
     inf = ctx.inf_tables
-    down = raney_down_tables(L, inf)
-    up = raney_up_tables(L, H.tables)
-    lhs = np.ones((len(inf), H.m), dtype=bool)
-    rhs = np.ones((len(inf), H.m), dtype=bool)
-    for t in range(L.n):
-        lhs &= L.leq[down[:, t][:, None], H.tables[:, t][None, :]]
-        rhs &= L.leq[inf[:, t][:, None], up[:, t][None, :]]
+    lhs = leq_tables(L, raney_down_tables(L, inf), H.tables)
+    rhs = leq_tables(L, inf, raney_up_tables(L, H.tables))
     if not (lhs == rhs).all():
         g, f = np.argwhere(lhs != rhs)[0]
         return f"transform adjunction fails at pair ({g}, {f})"
@@ -596,10 +589,7 @@ def check_dualizing_structure(ctx: _Ctx):
     if cd:
         if set(duals) != set(int(i) for i in np.flatnonzero(perm)):
             return "dualizing members differ from those whose star is invertible"
-        try:
-            auts = automorphisms(L)
-        except SearchCapExceeded as e:
-            raise _Skip(str(e))
+        auts = automorphisms(L)
         if len(duals) != len(auts):
             return f"{len(duals)} dualizing members vs {len(auts)} automorphisms"
         for i in duals:
@@ -642,8 +632,7 @@ def check_tight_unitality(ctx: _Ctx):
 
 
 def check_homset_irreducibles(ctx: _Ctx):
-    H = ctx.homset_capped(TABLE_SCAN_CAP, "irreducible scan")
-    rep = homset_irreducibles(H, cap=TABLE_SCAN_CAP)
+    rep = homset_irreducibles(ctx.homset)
     if not rep.meet_equals_tensors:
         return "meet-irreducibles differ from the elementary tensors"
     if not rep.e_within_join_irreducibles:
@@ -665,8 +654,6 @@ def check_homset_irreducibles(ctx: _Ctx):
 def check_autodual(ctx: _Ctx):
     H = ctx.homset
     rep = autodual_report(H, cap=ctx.config.max_autodual)
-    if rep.verdict == "inconclusive":
-        raise _Skip(rep.reason)
     cd = is_distributive(ctx.L)
     if rep.verdict == "autodual":
         if not cd:
@@ -832,33 +819,25 @@ POSET_CHECKS: list[tuple[str, object]] = [
 ALL_CHECK_IDS = [cid for cid, _ in CHECKS] + [cid for cid, _ in POSET_CHECKS]
 
 
+def _unless_capped(flag, default=None):
+    """flag(), or `default` when it raises CapExceeded."""
+    try:
+        return flag()
+    except CapExceeded:
+        return default
+
+
 def _summary_flags(ctx: _Ctx) -> dict:
-    L = ctx.L
-    flags: dict = {"is_CD": is_distributive(L)}
-    try:
-        H = ctx.homset
-        flags["is_girard"] = is_girard(H)
-        flags["dualizing_count"] = len(find_dualizing(H))
-    except _Skip:
-        flags["is_girard"] = None
-        flags["dualizing_count"] = None
-    try:
-        flags["automorphism_count"] = len(automorphisms(L))
-    except SearchCapExceeded:
-        flags["automorphism_count"] = None
-    try:
-        H = ctx.homset
-        if H.m <= MATRIX_CAP:
-            flags["tight_unital"] = tight_has_unit(H) is not None
-        else:
-            flags["tight_unital"] = None
-    except _Skip:
-        flags["tight_unital"] = None
-    try:
-        flags["autodual_verdict"] = autodual_report(ctx.homset, cap=ctx.config.max_autodual).verdict
-    except _Skip:
-        flags["autodual_verdict"] = "inconclusive"
-    return flags
+    return {
+        "is_CD": is_distributive(ctx.L),
+        "is_girard": _unless_capped(lambda: is_girard(ctx.homset)),
+        "dualizing_count": _unless_capped(lambda: len(find_dualizing(ctx.homset))),
+        "automorphism_count": _unless_capped(lambda: len(automorphisms(ctx.L))),
+        "tight_unital": _unless_capped(
+            lambda: tight_has_unit(ctx.homset_capped(MATRIX_CAP, "tight unit scan")) is not None),
+        "autodual_verdict": _unless_capped(
+            lambda: autodual_report(ctx.homset, cap=ctx.config.max_autodual).verdict, "inconclusive"),
+    }
 
 
 def _run_checks(catalog, checks, known, *args) -> list[CheckResult]:
@@ -877,9 +856,7 @@ def _run_checks(catalog, checks, known, *args) -> list[CheckResult]:
             witness = fn(*args)
             status = "pass" if witness is None else "fail"
             reason = None
-        except _Skip as s:
-            status, witness, reason = "skipped", None, s.reason
-        except (CapExceeded, SearchCapExceeded) as s:
+        except CapExceeded as s:
             status, witness, reason = "skipped", None, str(s)
         except Exception as e:
             status, witness, reason = "fail", f"{type(e).__name__}: {e}", None

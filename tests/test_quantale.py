@@ -23,6 +23,7 @@ from supq import (
     is_inf_preserving,
     is_sup_preserving,
     left_adjoint,
+    leq_tables,
     make_boolean,
     make_chain,
     make_mk,
@@ -179,8 +180,8 @@ def test_distinguished_members():
         assert tuple(H.tables[H.bottom_index]) == (L.bottom,) * L.n
         assert H.map_at(H.top_index) == top_q_map(L, L)
         # extremes really bound the homset
-        assert H.leq_mask_above(H.tables[H.bottom_index]).all()
-        assert H.leq_mask_below(H.tables[H.top_index]).all()
+        assert leq_tables(L, H.tables[H.bottom_index], H.tables).all()
+        assert leq_tables(L, H.tables, H.tables[H.top_index]).all()
 
 
 def test_homset_closed_under_the_quantale_operations():
@@ -210,6 +211,7 @@ def test_leq_matrix_matches_pointwise_scan():
             for j in range(H.m):
                 expect = all(L.leq[H.tables[i][k], H.tables[j][k]] for k in range(L.n))
                 assert bool(M[i, j]) == expect
+        assert (leq_tables(L, H.tables[::2], H.tables[1::3]) == M[::2, 1::3]).all()
 
 
 # -- transforms ------------------------------------------------------------------
@@ -358,8 +360,8 @@ def test_q_meet_is_the_greatest_lower_bound():
                 f, g = H.map_at(i), H.map_at(j)
                 w = q_meet(f, g)
                 assert w.leq(f) and w.leq(g)
-                below_both = H.leq_mask_below(H.tables[i]) & H.leq_mask_below(H.tables[j])
-                below_meet = H.leq_mask_below(w.as_array())
+                below_both = leq_tables(H.lattice, H.tables, H.tables[[i, j]]).all(axis=1)
+                below_meet = leq_tables(H.lattice, H.tables, w.as_array())[:, 0]
                 assert (below_both == below_meet).all()
 
 
@@ -459,6 +461,32 @@ def test_searches_run_once_per_homset(monkeypatch):
         calls.clear()
         assert search(H) == first
         assert calls == []
+
+
+def test_cached_table_is_built_once(monkeypatch):
+    calls = []
+    original = quantale.right_adjoint_tables
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(quantale, "right_adjoint_tables", counted)
+    H = enumerate_homset(make_chain(3))
+    first = H.rho_tables
+    assert H.rho_tables is first
+    assert len(calls) == 1
+
+
+def test_cached_table_stores_nothing_when_its_build_raises(monkeypatch):
+    H = enumerate_homset(make_chain(3))
+    monkeypatch.setattr(quantale, "MATRIX_CAP", H.m - 1)
+    with pytest.raises(CapExceeded, match="exceeds the 5 cap"):
+        H.leq_matrix()
+    assert "leq_q" not in H._cache
+    monkeypatch.undo()
+    assert H.leq_matrix().shape == (H.m, H.m)
+    assert "leq_q" in H._cache
 
 
 def test_cached_search_results_are_fresh_lists():

@@ -363,10 +363,9 @@ def test_autodual_witness_is_the_star_permutation_on_distributive_members():
     assert rep.witness == tuple(int(v) for v in H.star_indices)
 
 
-def test_autodual_cap_gives_inconclusive():
-    rep = autodual_report(HOMSETS["m5"], cap=100)
-    assert rep.verdict == "inconclusive"
-    assert "cap" in rep.reason
+def test_autodual_cap_raises():
+    with pytest.raises(CapExceeded, match="cap"):
+        autodual_report(HOMSETS["m5"], cap=100)
 
 
 def test_autodual_members_are_distributive_on_this_corpus():

@@ -2,10 +2,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from supq.lattice import Poset, SearchCapExceeded, make_chain, make_mk, parse_lattice
+from supq import quantale, verify
+from supq.lattice import Poset, SearchCapExceeded, make_boolean, make_chain, make_mk, parse_lattice
 from supq.verify import (
     ALL_CHECK_IDS,
     CHECKS,
@@ -88,6 +90,66 @@ def test_run_suite_homset_cap_turns_checks_into_skips():
     by_id = {r.check_id: r for r in report.results}
     assert by_id["lattice-axioms"].status == "pass"
     assert by_id["dual-involution"].status == "pass"
+
+
+# -- caps: every cap raises CapExceeded and the runner reports it as skipped ------------
+
+
+LATTICE_ONLY_CHECKS = {
+    "lattice-axioms", "dual-involution", "distributivity-agreement",
+    "downset-irreducibles", "generator-relations",
+}
+
+
+def _not_passed(report):
+    return {r.check_id: (r.status, r.reason) for r in report.results if r.status != "pass"}
+
+
+def test_homset_cap_skips_every_homset_check_with_the_enumeration_reason():
+    report = run_suite(make_mk(3), SuiteConfig(max_homset=5), name="m3")
+    reason = "homset has more than 5 maps"
+    assert _not_passed(report) == {
+        cid: ("skipped", reason) for cid, _ in CHECKS if cid not in LATTICE_ONLY_CHECKS
+    }
+    assert report.summary == {
+        "is_CD": False,
+        "is_girard": None,
+        "dualizing_count": None,
+        "automorphism_count": 6,
+        "tight_unital": None,
+        "autodual_verdict": "inconclusive",
+    }
+
+
+def test_autodual_cap_skips_the_check_and_reads_inconclusive():
+    report = run_suite(make_chain(4), SuiteConfig(max_autodual=10), name="chain4")
+    assert _not_passed(report) == {"autodual": ("skipped", "20 maps exceed the search cap 10")}
+    assert report.summary["autodual_verdict"] == "inconclusive"
+    assert report.summary["is_girard"] is True
+
+
+def test_search_cap_skips_the_check_and_clears_the_automorphism_count(monkeypatch):
+    def capped(L):
+        raise SearchCapExceeded("order isomorphism search exceeded 3 nodes")
+
+    monkeypatch.setattr(verify, "automorphisms", capped)
+    report = run_suite(make_boolean(2), name="boolean2")
+    assert _not_passed(report) == {
+        "dualizing-structure": ("skipped", "order isomorphism search exceeded 3 nodes")
+    }
+    assert report.summary["automorphism_count"] is None
+    assert report.summary["dualizing_count"] == 2
+
+
+def test_a_cap_raised_inside_a_kernel_skips_the_checks_that_reach_it(monkeypatch):
+    monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
+    report = run_suite(make_chain(3), name="chain3")
+    reason = "order matrix for 6 maps exceeds the 5 cap"
+    assert _not_passed(report) == {
+        cid: ("skipped", reason) for cid in ("residual-adjunction", "homset-irreducibles", "autodual")
+    }
+    assert report.summary["autodual_verdict"] == "inconclusive"
+    assert report.summary["tight_unital"] is True
 
 
 def test_summary_flags_on_a_distributive_and_a_modular_lattice():
@@ -352,6 +414,33 @@ def test_cli_analyze_prints_flags_without_checks(tmp_path, capsys):
     assert entry["checks"] == []
     assert entry["summary"]["is_CD"] is True
     assert entry["summary"]["dualizing_count"] == 2
+
+
+def test_cli_analyze_summary_equals_the_corpus_golden(tmp_path, capsys):
+    code, out, _ = _run(capsys, "gen", "mk", "3")
+    path = tmp_path / "m3.json"
+    path.write_text(out)
+    code, out, _ = _run(capsys, "analyze", str(path), "--format", "json")
+    assert code == EXIT_OK
+    [entry] = json.loads(out)["reports"]
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "corpus.json"
+    [m3] = [r for r in json.loads(golden.read_text())["reports"] if r["lattice"]["name"] == "m3"]
+    assert entry["summary"] == m3["summary"]
+    assert entry["checks"] == []
+
+
+@pytest.mark.parametrize("flag", ["--max-homset", "--max-autodual"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_rejects_a_cap_below_one(flag, value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "supq.cli", "verify", "--corpus", flag, value],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line == f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}"
 
 
 def test_cli_m5_subcommand(capsys):
