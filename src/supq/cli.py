@@ -41,31 +41,31 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("param", nargs="?", type=int, default=None,
                      help="size parameter (required for chain, boolean, mk)")
 
-    analyze = sub.add_parser("analyze", help="print descriptor and summary flags for a lattice file")
-    _common_flags(analyze)
+    # each subcommand takes only the flags it reads; any other is bad input
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "text"], default="text")
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--max-homset", type=int, default=SuiteConfig.max_homset,
+                      help="skip homset checks beyond this many maps")
+    caps.add_argument("--max-autodual", type=int, default=SuiteConfig.max_autodual,
+                      help="skip the autoduality search beyond this many maps")
+    picks = argparse.ArgumentParser(add_help=False)
+    picks.add_argument("--checks", default=None, help="comma-separated list of check ids to run")
+    picks.add_argument("--strict", action="store_true", help="treat skipped checks as an error exit")
+
+    analyze = sub.add_parser("analyze", parents=[fmt, caps],
+                             help="print descriptor and summary flags for a lattice file")
     analyze.add_argument("file", help="path to a lattice JSON document")
 
-    verify = sub.add_parser("verify", help="run the check suite against a lattice or the corpus")
-    _common_flags(verify)
+    verify = sub.add_parser("verify", parents=[fmt, caps, picks],
+                            help="run the check suite against a lattice or the corpus")
     verify.add_argument("file", nargs="?", default=None, help="path to a lattice JSON document")
     verify.add_argument("--corpus", action="store_true",
                         help="run against the built-in reference collection")
 
-    m5 = sub.add_parser("m5", help="run the checks for the seven-element counterexample quantale")
-    _common_flags(m5)
+    sub.add_parser("m5", parents=[fmt, picks],
+                   help="run the checks for the seven-element counterexample quantale")
     return parser
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "text"], default="text")
-    p.add_argument("--max-homset", type=int, default=SuiteConfig.max_homset,
-                   help="skip homset checks beyond this many maps")
-    p.add_argument("--max-autodual", type=int, default=SuiteConfig.max_autodual,
-                   help="skip the autoduality search beyond this many maps")
-    p.add_argument("--checks", default=None,
-                   help="comma-separated list of check ids to run")
-    p.add_argument("--strict", action="store_true",
-                   help="treat skipped checks as an error exit")
 
 
 def _selected(args) -> tuple[str, ...] | None:

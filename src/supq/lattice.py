@@ -134,20 +134,25 @@ class Poset:
         return Poset(self.leq.T.copy(), self.names, _validated=True)
 
     def downset_masks(self) -> list[int]:
-        """All down-closed subsets as bitmasks, ordered by (size, mask)."""
+        """All down-closed subsets as bitmasks, ordered by (size, mask).  Each
+        step takes an undecided x and either leaves out up x or takes down x,
+        so every leaf is a distinct downset and no other set is visited."""
         if self.n > 20:
             raise SizeGuardExceeded(f"poset too large for downset enumeration: {self.n}")
-        elem_down = [int(sum(1 << j for j in range(self.n) if self.leq[j, i])) for i in range(self.n)]
+        up = [int(v) for v in _pack_rows(self.leq)]
+        down = [int(v) for v in _pack_rows(self.leq.T)]
+        everything = (1 << self.n) - 1
         closed = []
-        for mask in range(1 << self.n):
-            need = 0
-            m = mask
-            while m:
-                low = m & -m
-                need |= elem_down[low.bit_length() - 1]
-                m ^= low
-            if need == mask:
-                closed.append(mask)
+        stack = [(0, 0)]
+        while stack:
+            inside, outside = stack.pop()
+            free = everything & ~(inside | outside)
+            if not free:
+                closed.append(inside)
+                continue
+            x = (free & -free).bit_length() - 1
+            stack.append((inside, outside | up[x]))
+            stack.append((inside | down[x], outside))
         closed.sort(key=lambda m: (bin(m).count("1"), m))
         return closed
 

@@ -565,14 +565,15 @@ def automorphism_to_dualizing(H: EndoHomset, perm) -> int:
 @cached("tight_unit")
 def tight_has_unit(H: EndoHomset):
     """Index of a two-sided unit for composition among the tight members,
-    or None."""
+    or None.  A unit u has u o t = t, so it fixes every value a tight t
+    takes; only the tight members that do are compared in full."""
     tight = H.tight_indices()
     sub = H.tables[tight]
-    for u in tight:
+    vals = np.unique(sub)
+    for u in tight[(sub[:, vals] == vals).all(axis=1)]:
         tab_u = H.tables[u]
-        left = tab_u[sub]  # u o t for each tight t
-        right = np.take_along_axis(sub, np.broadcast_to(tab_u, sub.shape).astype(np.int64), axis=1)
-        if (left == sub).all() and (right == sub).all():
+        # u o t and t o u for each tight t
+        if (tab_u[sub] == sub).all() and (sub[:, tab_u] == sub).all():
             return int(u)
     return None
 

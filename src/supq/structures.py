@@ -282,24 +282,28 @@ def autodual_report(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> AutodualReport:
 
 class WeakeningRelation:
     """A relation on a poset that is down-closed in the first coordinate and
-    up-closed in the second."""
+    up-closed in the second, kept as its pairs (y, x) and as the (n, n) bool
+    matrix with those entries set."""
 
-    __slots__ = ("poset", "pairs")
+    __slots__ = ("poset", "pairs", "matrix")
 
     def __init__(self, poset: Poset, pairs):
         pairs = frozenset((int(y), int(x)) for y, x in pairs)
-        leq = poset.leq
+        rel = np.zeros((poset.n, poset.n), dtype=bool)
         for y, x in pairs:
             if not (0 <= y < poset.n and 0 <= x < poset.n):
                 raise ValueError(f"pair ({y}, {x}) out of range")
-            for y2 in range(poset.n):
-                for x2 in range(poset.n):
-                    if leq[y2, y] and leq[x, x2] and (y2, x2) not in pairs:
-                        raise ValueError(
-                            f"relation is not down-closed: ({y}, {x}) forces ({y2}, {x2})"
-                        )
+            rel[y, x] = True
+        leq = poset.leq
+        missing = np.argwhere((leq @ rel @ leq) & ~rel)
+        if len(missing):
+            y2, x2 = missing[0]
+            y, x = np.argwhere(leq[y2][:, None] & rel & leq[:, x2])[0]
+            raise ValueError(f"relation is not down-closed: ({y}, {x}) forces ({y2}, {x2})")
+        rel.flags.writeable = False
         self.poset = poset
         self.pairs = pairs
+        self.matrix = rel
 
     def __eq__(self, other) -> bool:
         return (
@@ -318,12 +322,33 @@ class WeakeningRelation:
         return {"poset_hash": poset_hash(self.poset), "pairs": sorted(self.pairs)}
 
 
-def _principal_downset_index(P: Poset, masks: list[int], x: int) -> int:
-    mask = 0
-    for j in range(P.n):
-        if P.leq[j, x]:
-            mask |= 1 << j
-    return masks.index(mask)
+def _downsets(P: Poset):
+    """P's downsets as 0/1 rows in downset-lattice order, and a function that
+    gives the lattice index of each 0/1 row of an array over P (-1 for a set
+    that is not down-closed)."""
+    masks = np.array(P.downset_masks(), dtype=np.int64)
+    weights = np.int64(1) << np.arange(P.n, dtype=np.int64)
+    index_of = np.full(1 << P.n, -1, dtype=np.int64)
+    index_of[masks] = np.arange(len(masks))
+    rows = (masks[:, None] & weights) != 0
+    return rows, lambda sets: index_of[sets @ weights]
+
+
+def wk_tables(P: Poset, tables) -> np.ndarray:
+    """The weakening relations of a batch of downset-lattice endomaps, shape
+    (m, n, n): entry [i, y, x] says y lies in f_i(down x)."""
+    rows, index = _downsets(P)
+    principal = index(P.leq.T)  # row x of leq.T is down x
+    return rows[np.asarray(tables)[:, principal]].transpose(0, 2, 1)
+
+
+def supmap_tables(P: Poset, rels) -> np.ndarray:
+    """The downset-lattice endomaps of a batch of weakening relations, shape
+    (m, |D|): each downset goes to the union of the related columns of its
+    members."""
+    rows, index = _downsets(P)
+    images = rows @ np.asarray(rels, dtype=bool).transpose(0, 2, 1)  # [i, downset, y]
+    return index(images).astype(np.int16)
 
 
 def wk_from_supmap(P: Poset, f: LatticeMap, D: Lattice | None = None) -> WeakeningRelation:
@@ -332,77 +357,47 @@ def wk_from_supmap(P: Poset, f: LatticeMap, D: Lattice | None = None) -> Weakeni
     D = downset_lattice(P) if D is None else D
     if not f.source.same_structure(D) or not f.target.same_structure(D):
         raise MapError("map is not an endomap of the downset lattice of the poset")
-    masks = P.downset_masks()
-    pairs = []
-    for x in range(P.n):
-        image = masks[f.table[_principal_downset_index(P, masks, x)]]
-        for y in range(P.n):
-            if image >> y & 1:
-                pairs.append((y, x))
-    return WeakeningRelation(P, pairs)
+    return WeakeningRelation(P, np.argwhere(wk_tables(P, [f.table])[0]))
 
 
 def supmap_from_wk(R: WeakeningRelation, D: Lattice | None = None) -> LatticeMap:
     """The join-preserving downset endomap sending D to the relational image
     of D.  D, when given, is the already built downset lattice of R's poset."""
-    P = R.poset
-    D = downset_lattice(P) if D is None else D
-    masks = P.downset_masks()
-    index_of = {m: i for i, m in enumerate(masks)}
-    row_mask = [0] * P.n  # x -> bitmask of related y
-    for y, x in R.pairs:
-        row_mask[x] |= 1 << y
-    table = []
-    for m in masks:
-        out = 0
-        for x in range(P.n):
-            if m >> x & 1:
-                out |= row_mask[x]
-        table.append(index_of[out])
-    return LatticeMap(D, D, table)
+    D = downset_lattice(R.poset) if D is None else D
+    return LatticeMap(D, D, supmap_tables(R.poset, R.matrix[None])[0])
 
 
 def wk_compose(R: WeakeningRelation, S: WeakeningRelation) -> WeakeningRelation:
     """Relational composition: y (R;S) x when some z has y R z and z S x."""
     if not R.poset.same_structure(S.poset):
         raise ValueError("weakening relations live on different posets")
-    P = R.poset
-    pairs = [
-        (y, x)
-        for y in range(P.n)
-        for x in range(P.n)
-        if any((y, z) in R.pairs and (z, x) in S.pairs for z in range(P.n))
-    ]
-    return WeakeningRelation(P, pairs)
+    return WeakeningRelation(R.poset, np.argwhere(R.matrix @ S.matrix))
+
+
+def _automorphism(P: Poset, g) -> tuple[int, ...]:
+    """g as a tuple, once it is known to be an order automorphism of P."""
+    g = tuple(int(v) for v in g)
+    if sorted(g) != list(range(P.n)):
+        raise NotAutomorphism("not a permutation of the poset")
+    moved = np.argwhere(P.leq != P.leq[np.ix_(g, g)])
+    if len(moved):
+        i, j = moved[0]
+        raise NotAutomorphism(f"order not preserved at pair ({i}, {j})")
+    return g
 
 
 def wk_from_automorphism(P: Poset, g) -> WeakeningRelation:
     """The relation (y, x) whenever x is not below the automorphic image of y."""
-    g = tuple(int(v) for v in g)
-    if sorted(g) != list(range(P.n)):
-        raise NotAutomorphism("not a permutation of the poset")
-    for i in range(P.n):
-        for j in range(P.n):
-            if bool(P.leq[i, j]) != bool(P.leq[g[i], g[j]]):
-                raise NotAutomorphism(f"order not preserved at pair ({i}, {j})")
-    pairs = [(y, x) for y in range(P.n) for x in range(P.n) if not P.leq[x, g[y]]]
-    return WeakeningRelation(P, pairs)
+    g = _automorphism(P, g)
+    return WeakeningRelation(P, np.argwhere(~P.leq[:, g].T))  # [y, x]: not x <= g(y)
 
 
 def downset_automorphism(P: Poset, g) -> LatticeMap:
-    """The downset-lattice automorphism induced by forward images under g."""
+    """The downset-lattice automorphism induced by forward images under g,
+    which is the map of the relation y <= g(x)."""
+    g = _automorphism(P, g)
     D = downset_lattice(P)
-    masks = P.downset_masks()
-    index_of = {m: i for i, m in enumerate(masks)}
-    g = tuple(int(v) for v in g)
-    table = []
-    for m in masks:
-        out = 0
-        for i in range(P.n):
-            if m >> i & 1:
-                out |= 1 << g[i]
-        table.append(index_of[out])
-    return LatticeMap(D, D, table)
+    return LatticeMap(D, D, supmap_tables(P, P.leq[:, g][None])[0])
 
 
 # -- natural two-parameter families -------------------------------------------------------

@@ -371,7 +371,9 @@ def test_poset_validation_errors():
 
 
 def test_downsets_match_definition_scan():
-    for P in POSETS.values():
+    four = Poset.from_covers(4, [(0, 1), (0, 2)])
+    cells = [Poset(np.kron(P.leq, P.leq.T)) for P in POSETS.values()]
+    for P in [*POSETS.values(), four, *cells]:
         assert set(P.downsets()) == downsets_scan(P)
         masks = P.downset_masks()
         assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
@@ -548,7 +550,9 @@ def test_downset_lattice_of_random_poset(case):
     n, pairs = case
     P = Poset.from_covers(n, pairs)
     D = downset_lattice(P)
-    assert D.n == len(downsets_scan(P))
+    want = downsets_scan(P)
+    assert set(P.downsets()) == want
+    assert D.n == len(want)
     assert_lattice_axioms(D)
     assert is_distributive(D)
     assert len(join_irreducibles(D)) == P.n

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supq import (
+    Lattice,
     LatticeMap,
     Poset,
     automorphisms,
@@ -587,6 +588,28 @@ def test_tight_unit_frozen():
         else:
             assert tight_has_unit(H) is None
     assert tight_has_unit(enumerate_homset(make_mk(5))) is None
+
+
+def tight_unit_loop(H):
+    """Oracle: compare u o t and t o u with t for every tight u and t."""
+    tight = H.tight_indices()
+    sub = H.tables[tight]
+    for u in tight:
+        tab_u = H.tables[u]
+        if (tab_u[sub] == sub).all() and (sub[:, tab_u] == sub).all():
+            return int(u)
+    return None
+
+
+@pytest.mark.parametrize(
+    "L",
+    [*CORPUS.values(), make_mk(5), Lattice(np.kron(make_n5().leq, make_chain(2).leq)),
+     downset_lattice(Poset.from_covers(4, [(0, 1), (0, 2)]))],
+    ids=[*CORPUS, "m5", "n5xchain2", "downset-vee-plus-point"],
+)
+def test_tight_unit_prefilter_matches_the_full_scan(L):
+    H = enumerate_homset(L)
+    assert tight_has_unit(H) == tight_unit_loop(H)
 
 
 def test_conucleus_gap_exists_exactly_off_the_distributive_members():

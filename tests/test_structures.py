@@ -74,9 +74,11 @@ from supq.structures import (
     q_residuals,
     serialize_quantale,
     supmap_from_wk,
+    supmap_tables,
     wk_compose,
     wk_from_automorphism,
     wk_from_supmap,
+    wk_tables,
     _family_is_natural,
 )
 from supq.verify import corpus
@@ -467,6 +469,21 @@ def test_weakening_relation_rejects_non_closed_pairs():
     WeakeningRelation(P, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
+@pytest.mark.parametrize("name", ["chain2", "vee", "wedge", "chain2-plus-point"])
+def test_weakening_relation_accepts_exactly_the_closed_pair_sets(name):
+    P = POSETS[name]
+    closed = set(all_weakening_pair_sets(P))
+    cells = list(itertools.product(range(P.n), repeat=2))
+    for bits in range(1 << len(cells)):
+        chosen = frozenset(cells[k] for k in range(len(cells)) if bits >> k & 1)
+        if chosen in closed:
+            matrix = WeakeningRelation(P, chosen).matrix
+            assert set(map(tuple, np.argwhere(matrix).tolist())) == chosen
+        else:
+            with pytest.raises(ValueError, match="not down-closed"):
+                WeakeningRelation(P, chosen)
+
+
 def test_weakening_relation_serializes_with_poset_hash():
     P = POSETS["vee"]
     R = wk_from_supmap(P, identity_map(downset_lattice(P)))
@@ -504,11 +521,86 @@ def test_atom_swap_relation_on_the_two_point_antichain():
 
 
 def test_automorphism_relation_rejects_non_automorphisms():
-    P = POSETS["chain2"]
-    with pytest.raises(NotAutomorphism, match="permutation"):
-        wk_from_automorphism(P, (0, 0))
-    with pytest.raises(NotAutomorphism, match="order not preserved"):
-        wk_from_automorphism(P, (1, 0))
+    for build in (wk_from_automorphism, downset_automorphism):
+        with pytest.raises(NotAutomorphism, match="permutation"):
+            build(POSETS["chain2"], (0, 0))
+        with pytest.raises(NotAutomorphism, match="permutation"):
+            build(POSETS["antichain2"], (0, 0))
+        with pytest.raises(NotAutomorphism, match="order not preserved at pair \\(0, 1\\)"):
+            build(POSETS["chain2"], (1, 0))
+
+
+# -- the batched weakening kernels against the per-member loops they replaced --------
+
+
+KERNEL_POSETS = {**POSETS, "vee-plus-point": Poset.from_covers(4, [(0, 1), (0, 2)])}
+
+
+def wk_pairs_loop(P, table):
+    """Oracle: y R x when the image of down x contains y, one x at a time."""
+    masks = P.downset_masks()
+    pairs = set()
+    for x in range(P.n):
+        principal = sum(1 << j for j in range(P.n) if P.leq[j, x])
+        image = masks[table[masks.index(principal)]]
+        pairs.update((y, x) for y in range(P.n) if image >> y & 1)
+    return frozenset(pairs)
+
+
+def supmap_table_loop(P, pairs):
+    """Oracle: each downset goes to the union of its members' related sets."""
+    masks = P.downset_masks()
+    index_of = {m: i for i, m in enumerate(masks)}
+    related = [0] * P.n
+    for y, x in pairs:
+        related[x] |= 1 << y
+    table = []
+    for m in masks:
+        out = 0
+        for x in range(P.n):
+            if m >> x & 1:
+                out |= related[x]
+        table.append(index_of[out])
+    return table
+
+
+def compose_loop(P, R, S):
+    """Oracle: y (R;S) x when some z has y R z and z S x, on frozensets."""
+    return frozenset(
+        (y, x)
+        for y in range(P.n)
+        for x in range(P.n)
+        if any((y, z) in R and (z, x) in S for z in range(P.n))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POSETS))
+def test_weakening_kernels_match_the_per_member_loops(name):
+    P = KERNEL_POSETS[name]
+    D = downset_lattice(P)
+    H = enumerate_homset(D)
+    rels = wk_tables(P, H.tables)
+    assert rels.shape == (H.m, P.n, P.n)
+    pairs = [wk_pairs_loop(P, t) for t in H.tables.tolist()]
+    assert [frozenset(map(tuple, np.argwhere(r).tolist())) for r in rels] == pairs
+    assert supmap_tables(P, rels).tolist() == [supmap_table_loop(P, p) for p in pairs]
+    some = np.linspace(0, H.m - 1, min(H.m, 24)).astype(int)
+    for i in some:
+        R = wk_from_supmap(P, H.map_at(int(i)), D)
+        assert R.pairs == pairs[i]
+        assert supmap_from_wk(R, D).table == tuple(H.tables[i].tolist())
+        for j in some:
+            S = WeakeningRelation(P, pairs[j])
+            assert wk_compose(R, S).pairs == compose_loop(P, pairs[i], pairs[j])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POSETS))
+def test_downset_automorphism_matches_the_forward_image_loop(name):
+    P = KERNEL_POSETS[name]
+    masks = P.downset_masks()
+    for g in P.automorphisms():
+        images = [sum(1 << g[i] for i in range(P.n) if m >> i & 1) for m in masks]
+        assert downset_automorphism(P, g).table == tuple(masks.index(m) for m in images)
 
 
 # -- natural families ---------------------------------------------------------------

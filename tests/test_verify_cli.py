@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from supq import quantale, verify
-from supq.lattice import Poset, SearchCapExceeded, make_boolean, make_chain, make_mk, parse_lattice
+from supq.lattice import (
+    Poset,
+    SearchCapExceeded,
+    make_boolean,
+    make_chain,
+    make_mk,
+    parse_lattice,
+    serialize_lattice,
+)
 from supq.verify import (
     ALL_CHECK_IDS,
     CHECKS,
@@ -441,6 +449,22 @@ def test_cli_rejects_a_cap_below_one(flag, value):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line == f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}"
+
+
+@pytest.mark.parametrize(
+    "argv", [["m5", "--max-homset", "-5"], ["analyze", "{m3}", "--checks", "x", "--strict"]]
+)
+def test_cli_rejects_flags_the_subcommand_does_not_use(argv, tmp_path):
+    m3 = tmp_path / "m3.json"
+    m3.write_text(serialize_lattice(make_mk(3)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supq.cli", *(a.format(m3=m3) for a in argv)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments" in proc.stderr
 
 
 def test_cli_m5_subcommand(capsys):

@@ -8,7 +8,9 @@ import pytest
 
 from supq import verify
 from supq.lattice import (
+    Poset,
     SearchCapExceeded,
+    downset_lattice,
     find_order_isomorphism,
     make_chain,
     make_mk,
@@ -25,6 +27,7 @@ from supq.maps import (
     sup_interior_tables,
 )
 from supq.quantale import EndoHomset, enumerate_homset, ldiv_tables, rdiv_tables
+from supq.structures import wk_tables
 from supq.verify import (
     BLOCK_ROWS,
     CHECKS,
@@ -34,6 +37,7 @@ from supq.verify import (
     check_naturality_composite,
     check_residual_adjunction,
     check_sup_interior_props,
+    check_wk_bijection,
     corpus,
     run_suite,
 )
@@ -320,3 +324,42 @@ def test_one_search_serves_automorphisms_and_isomorphisms():
         order_automorphisms(make_mk(5).leq, cap=3)
     with pytest.raises(SearchCapExceeded):
         find_order_isomorphism(make_mk(5).leq, make_mk(5).leq, cap=3)
+
+
+# -- weakening-relation checks -------------------------------------------------------------
+
+
+WK_CHECKS = ("wk-bijection", "wk-composition", "wk-automorphism-dualizing")
+
+
+def test_weakening_checks_pass_on_a_four_point_poset():
+    P = Poset.from_covers(4, [(0, 1), (0, 2)])
+    report = run_suite(downset_lattice(P), SuiteConfig(checks=WK_CHECKS), name="vee-plus-point", poset=P)
+    assert [(r.check_id, r.status) for r in report.results] == [(c, "pass") for c in WK_CHECKS]
+
+
+def test_wk_bijection_reports_each_broken_step(monkeypatch):
+    P = Poset.from_covers(3, [(0, 1), (0, 2)])  # vee
+    ctx = _Ctx(downset_lattice(P), SuiteConfig(), poset=P)
+    H = ctx.homset
+    rels = wk_tables(P, H.tables)
+    assert check_wk_bijection(ctx) is None
+
+    shifted = H.tables.copy()
+    shifted[5] = H.tables[6]
+    monkeypatch.setattr(verify, "supmap_tables", lambda P, rels: shifted)
+    assert check_wk_bijection(ctx) == "relation round trip differs for map 5"
+
+    monkeypatch.setattr(verify, "supmap_tables", lambda P, rels: H.tables)
+    twice = rels.copy()
+    twice[7] = rels[3]
+    monkeypatch.setattr(verify, "wk_tables", lambda P, tables: twice)
+    assert check_wk_bijection(ctx) == "map-to-relation translation is not injective"
+
+    # the full relation without (0, 1) still holds (1, 1), which lies above
+    # (0, 1) in P x P^op, so it is not down-closed there
+    top = int(np.flatnonzero(rels.all(axis=(1, 2)))[0])
+    holed = rels.copy()
+    holed[top, 0, 1] = False
+    monkeypatch.setattr(verify, "wk_tables", lambda P, tables: holed)
+    assert check_wk_bijection(ctx) == f"relation of map {top} is not a weakening relation"
