@@ -14,6 +14,7 @@ import numpy as np
 
 MAX_LATTICE_SIZE = 64
 MAX_DOWNSET_LATTICE_SIZE = 4096
+MAX_DOWNSETS = 1 << 18  # downsets one enumeration may produce
 AUTOMORPHISM_NODE_CAP = 2_000_000
 
 
@@ -136,9 +137,11 @@ class Poset:
     def downset_masks(self) -> list[int]:
         """All down-closed subsets as bitmasks, ordered by (size, mask).  Each
         step takes an undecided x and either leaves out up x or takes down x,
-        so every leaf is a distinct downset and no other set is visited."""
-        if self.n > 20:
-            raise SizeGuardExceeded(f"poset too large for downset enumeration: {self.n}")
+        so every leaf is a distinct downset and no other set is visited, and
+        the work grows with the number of downsets, which is capped at
+        MAX_DOWNSETS.  A mask must fit an int64, so n is at most 63."""
+        if self.n > 63:
+            raise SizeGuardExceeded(f"poset too wide for int64 downset masks: {self.n}")
         up = [int(v) for v in _pack_rows(self.leq)]
         down = [int(v) for v in _pack_rows(self.leq.T)]
         everything = (1 << self.n) - 1
@@ -149,6 +152,8 @@ class Poset:
             free = everything & ~(inside | outside)
             if not free:
                 closed.append(inside)
+                if len(closed) > MAX_DOWNSETS:
+                    raise SizeGuardExceeded(f"poset has more than {MAX_DOWNSETS} downsets")
                 continue
             x = (free & -free).bit_length() - 1
             stack.append((inside, outside | up[x]))
@@ -323,6 +328,17 @@ class Lattice:
 # -- constructors ----------------------------------------------------------
 
 
+def _load_json(text: str):
+    """json.loads with every malformed document, too deeply nested ones
+    included, reported as ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
 def parse_lattice(text: str | bytes, max_size: int = MAX_LATTICE_SIZE) -> Lattice:
     """Parse a lattice from its JSON file format.
 
@@ -332,10 +348,7 @@ def parse_lattice(text: str | bytes, max_size: int = MAX_LATTICE_SIZE) -> Lattic
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON: {e}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("lattice file must be a JSON object")
     keys = set(doc)

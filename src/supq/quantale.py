@@ -327,11 +327,23 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
     return enumerate_homset(dual(L), cap).tables
 
 
+def _checked(idx: np.ndarray, hit: np.ndarray, strict: bool) -> np.ndarray:
+    """idx where hit holds; elsewhere KeyError when strict, else -1."""
+    if strict:
+        if not hit.all():
+            raise KeyError("row is not a join-preserving member of the homset")
+        return idx
+    return np.where(hit, idx, -1)
+
+
 class EndoHomset:
     """The lex-sorted table of every join-preserving endomap of a lattice.
     Derived tables and search results are computed once into `_cache` by
     `lattice.cached`: `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
-    `tight_has_unit` under "tight_unit", `homset_irreducibles` under "irreducibles"."""
+    `tight_has_unit` under "tight_unit", `homset_irreducibles` under "irreducibles".
+    Every member lookup goes through one radix key, the sum of n^x * f(x),
+    kept sorted; `compose_indices` and `join_indices` form the keys of
+    composites and joins without building their tables."""
 
     def __init__(self, L: Lattice, tables: np.ndarray):
         self.lattice = L
@@ -357,21 +369,59 @@ class EndoHomset:
         rows = _as_rows(rows)
         keys = self._keys()
         if keys[0] == "radix":
-            _, radix, sorted_keys, order = keys
-            q = (rows.astype(np.int64) * radix).sum(axis=1)
-            pos = np.searchsorted(sorted_keys, q)
-            pos = np.minimum(pos, self.m - 1)
-            idx = order[pos]
-            hit = sorted_keys[pos] == q
-        else:
-            lut = keys[1]
-            idx = np.array([lut.get(r.tobytes(), -1) for r in rows], dtype=np.int64)
-            hit = idx >= 0
-        if strict:
-            if not hit.all():
-                raise KeyError("row is not a join-preserving member of the homset")
-            return idx
-        return np.where(hit, idx, -1)
+            return self._index_keys((rows.astype(np.int64) * keys[1]).sum(axis=1), strict)
+        idx = np.array([keys[1].get(r.tobytes(), -1) for r in rows], dtype=np.int64)
+        return _checked(idx, idx >= 0, strict)
+
+    def _index_keys(self, q: np.ndarray, strict: bool = True) -> np.ndarray:
+        """Index of the member with each radix key in q, an array of any shape."""
+        _, _, sorted_keys, order = self._keys()
+        pos = np.minimum(np.searchsorted(sorted_keys, q), self.m - 1)
+        return _checked(order[pos], sorted_keys[pos] == q, strict)
+
+    @cached("comp_w")
+    def _composite_weights(self) -> np.ndarray:
+        """W[v, f] = sum of n^x over the x with f(x) = v, so that the radix key
+        of g o f, the sum of n^x * g(f(x)), is tables[g] @ W[:, f]."""
+        n = self.lattice.n
+        W = np.zeros((n, self.m), dtype=np.int64)
+        members = np.arange(self.m)
+        for x in range(n):
+            W[self.tables[:, x], members] += np.int64(n) ** x
+        return _freeze(W)
+
+    def compose_indices(self, gs, fs) -> np.ndarray:
+        """Index of g o f for every member g in gs and f in fs, shape
+        (len(gs), len(fs)).  A composite that is not a member raises KeyError,
+        as in index_rows."""
+        gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
+        if self._keys()[0] == "radix":
+            # every key lies below n^n < 2^62, so the int64 products are exact
+            return self._index_keys(self.tables[gs].astype(np.int64) @ self._composite_weights()[:, fs])
+        rows = self.tables[gs][:, self.tables[fs]]  # [a, b, x] = g_a(f_b(x))
+        return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
+
+    @cached("join_w")
+    def _join_weights(self) -> np.ndarray:
+        """jw[x, a, b] = n^x * join(a, b): the radix key of g v f is the sum
+        over x of jw[x, g(x), f(x)]."""
+        n = self.lattice.n
+        return _freeze(np.int64(n) ** np.arange(n, dtype=np.int64)[:, None, None] * self.lattice.join)
+
+    def join_indices(self, gs, fs) -> np.ndarray:
+        """Index of the pointwise join g v f for every member g in gs and f in
+        fs, shape (len(gs), len(fs)).  A join that is not a member raises
+        KeyError, as in index_rows."""
+        gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
+        g_tabs, f_tabs = self.tables[gs], self.tables[fs]
+        if self._keys()[0] == "radix":
+            jw = self._join_weights()
+            q = np.zeros((len(gs), len(fs)), dtype=np.int64)
+            for x in range(self.lattice.n):
+                q += jw[x][g_tabs[:, x]].take(f_tabs[:, x], axis=1)
+            return self._index_keys(q)
+        rows = self.lattice.join[g_tabs[:, None, :], f_tabs[None, :, :]]
+        return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
 
     def index_of(self, f: LatticeMap) -> int:
         return int(self.index_rows(f.as_array())[0])
@@ -589,15 +639,14 @@ def conucleus_gap(H: EndoHomset):
     if (t_idx == np.arange(H.m)).all():
         return None
     L = H.lattice
-    t_tables = H.tables[t_idx]
+    members = np.arange(H.m)
     for i in range(H.m):
-        lhs = H.tables[t_idx[i]][t_tables]  # T(f_i) o T(f_j) for all j
-        comp = H.tables[i][H.tables]        # f_i o f_j for all j
-        rhs = H.tables[t_idx[H.index_rows(comp)]]
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        lhs = H.compose_indices(t_idx[i], t_idx)[0]       # T(f_i) o T(f_j) for all j
+        rhs = t_idx[H.compose_indices(i, members)[0]]     # T(f_i o f_j) for all j
+        bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             j = int(bad[0])
-            if not all(L.leq[lhs[j, t], rhs[j, t]] for t in range(L.n)):
+            if not L.leq[H.tables[lhs[j]], H.tables[rhs[j]]].all():
                 raise AssertionError("interior composite escaped the lax inclusion")
             return (i, j)
     return None

@@ -12,6 +12,7 @@ from supq.lattice import (
     CapExceeded,
     Lattice,
     Poset,
+    _load_json,
     cached,
     cover_relation,
     downset_lattice,
@@ -162,11 +163,17 @@ def serialize_quantale(Q: FiniteQuantale) -> str:
 
 
 def parse_quantale(text: str) -> FiniteQuantale:
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not isinstance(doc, dict) or set(doc) != {"carrier", "mult"}:
         raise ValueError("quantale file needs exactly the keys 'carrier' and 'mult'")
     carrier = parse_lattice(json.dumps(doc["carrier"]))
-    return FiniteQuantale(carrier, doc["mult"])
+    mult = doc["mult"]
+    if not (isinstance(mult, list) and all(
+            isinstance(r, list) and all(type(v) is int for v in r) for r in mult)):
+        raise ValueError("'mult' must be a list of lists of integers")
+    if any(not 0 <= v < carrier.n for r in mult for v in r):
+        raise ValueError("multiplication table value out of range")
+    return FiniteQuantale(carrier, mult)
 
 
 # -- irreducible members of the endomap quantale --------------------------------------

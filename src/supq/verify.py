@@ -419,16 +419,23 @@ def check_tight_subset(ctx: _Ctx):
     L = ctx.L
     tight = H.tight_indices()
     mask = H.tight_mask
-    for t in tight:
-        t_tab = H.tables[t]
-        if not mask[H.index_rows(t_tab[H.tables])].all():
-            return f"left composite with tight member {t} escapes the tight subset"
-        if not mask[H.index_rows(H.tables[:, t_tab.astype(np.int64)])].all():
-            return f"right composite with tight member {t} escapes the tight subset"
-    sub = H.tables[tight].astype(np.int64)
-    for i in range(len(tight)):
-        joined = L.join[sub[i][None, :], sub]
-        if not mask[H.index_rows(joined)].all():
+    members = np.arange(H.m)
+    step = max(1, BLOCK_ROWS // H.m)
+    left = np.empty(H.m, dtype=bool)  # [g]: g o f is tight for every f
+    right = np.ones(H.m, dtype=bool)  # [f]: g o f is tight for every g
+    for start in range(0, H.m, step):
+        block = members[start:start + step]
+        closed = mask[H.compose_indices(block, members)]
+        left[block] = closed.all(axis=1)
+        right &= closed.all(axis=0)
+    escaping = tight[~(left[tight] & right[tight])]
+    if escaping.size:
+        t = int(escaping[0])
+        side = "left" if not left[t] else "right"
+        return f"{side} composite with tight member {t} escapes the tight subset"
+    step = max(1, BLOCK_ROWS // max(1, len(tight)))
+    for start in range(0, len(tight), step):
+        if not mask[H.join_indices(tight[start:start + step], tight)].all():
             return "tight subset is not closed under joins"
     down_idx = np.unique(H.index_rows(raney_down_tables(L, ctx.inf_tables)))
     if set(down_idx.tolist()) != set(int(i) for i in tight):
@@ -462,7 +469,7 @@ def check_residual_adjunction(ctx: _Ctx):
     rd = np.empty((m, m), dtype=dtype)    # [f, h] = h / f
     for start in range(0, m, step):
         block = np.arange(start, min(start + step, m))
-        comp[block] = H.index_rows(H.tables[block][:, H.tables].reshape(-1, ctx.L.n)).reshape(-1, m)
+        comp[block] = H.compose_indices(block, np.arange(m))
         ld[:, block] = H.ldiv_indices(block).T
         rd[:, block] = H.rdiv_indices(block).T
     # [g, h]: some f has (g o f <= h) != (f <= g \ h);  [f, h]: some g has (g o f <= h) != (g <= h / f)
@@ -698,10 +705,10 @@ def check_abstract_raney(ctx: _Ctx):
 def check_wk_bijection(ctx: _Ctx):
     """Maps and weakening relations correspond one to one.  The round trip
     returns every map; distinct maps give distinct relations; every relation
-    is a weakening relation, i.e. a downset of P x P^op (cell y*n + x; the
-    downset enumeration allows at most 20 cells, so a relation packs into an
-    int64); and there are as many such downsets as maps.  An injection into a
-    finite set of its own size is onto, so every weakening relation is reached."""
+    is a weakening relation, i.e. a downset of P x P^op (cell y*n + x; a
+    downset mask fits an int64, so P has at most 7 points); and there are as
+    many such downsets as maps.  An injection into a finite set of its own
+    size is onto, so every weakening relation is reached."""
     P, D, H = ctx.poset, ctx.L, ctx.homset
     n = P.n
     rels = wk_tables(P, H.tables)
@@ -726,14 +733,25 @@ def check_wk_bijection(ctx: _Ctx):
 
 def check_wk_composition(ctx: _Ctx):
     P, H = ctx.poset, ctx.homset
-    rels = wk_tables(P, H.tables).astype(np.int32)
-    tabs = H.tables.astype(np.int64)
-    for i in range(H.m):
-        comp_idx = H.index_rows(H.tables[i][tabs])
-        rel_comp = (rels[i] @ rels) > 0
-        if not (rel_comp == (rels[comp_idx] > 0)).all():
-            j = int(np.argwhere((rel_comp != (rels[comp_idx] > 0)).any(axis=(1, 2)))[0][0])
-            return f"relational composition differs from map composition at ({i}, {j})"
+    rels = wk_tables(P, H.tables)
+    rowbits = rels @ (np.int64(1) << np.arange(P.n, dtype=np.int64))  # [f, y] = row y of R_f as bits
+    # row y of R_i;R_j is the union of the rows z of R_j over the z in row y of
+    # R_i; unions[s, j] is that union for the s-th distinct row, sets[s]
+    sets, row_set = np.unique(rowbits, return_inverse=True)
+    row_set = row_set.reshape(rowbits.shape)
+    unions = np.zeros((len(sets), H.m), dtype=np.int64)
+    for z in range(P.n):
+        unions |= np.where((sets[:, None] >> z) & 1 == 1, rowbits[:, z], 0)
+    members = np.arange(H.m)
+    step = max(1, BLOCK_ROWS // H.m)
+    for start in range(0, H.m, step):
+        block = members[start:start + step]
+        comp = H.compose_indices(block, members)  # [i, j] = f_i o f_j
+        got = unions[row_set[block]]  # [i, y, j] = row y of R_i;R_j
+        bad = (got != rowbits[comp].transpose(0, 2, 1)).any(axis=1)
+        if bad.any():
+            b, j = np.argwhere(bad)[0]
+            return f"relational composition differs from map composition at ({block[b]}, {j})"
     return None
 
 

@@ -6,6 +6,7 @@ plain loops, never through the package's own tables.
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -378,6 +379,18 @@ def test_downsets_match_definition_scan():
         masks = P.downset_masks()
         assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
         assert masks[0] == 0 and masks[-1] == (1 << P.n) - 1
+
+
+def test_downset_enumeration_is_bounded_by_its_output():
+    # P x P^op of a 5-chain has 25 cells but only C(10, 5) downsets
+    chain = Poset.from_covers(5, [(i, i + 1) for i in range(4)])
+    assert len(Poset(np.kron(chain.leq, chain.leq.T)).downset_masks()) == 252
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="downsets"):
+        Poset.from_covers(30, []).downset_masks()
+    assert time.perf_counter() - start < 10
+    with pytest.raises(SizeGuardExceeded, match="int64"):
+        Poset.from_covers(64, [(i, i + 1) for i in range(63)]).downset_masks()
 
 
 def test_downset_lattice_known_shapes():

@@ -1,6 +1,6 @@
-"""The whole-homset residual and naturality passes of the verifier, checked
-against the member-by-member loops they replace, and the batched kernels
-that the single-map functions are one-row views of."""
+"""The whole-homset residual, naturality, tight-subset and weakening passes
+of the verifier, checked against the member-by-member loops they replace,
+and the batched kernels that the single-map functions are one-row views of."""
 import itertools
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 
 from supq import verify
 from supq.lattice import (
+    Lattice,
     Poset,
     SearchCapExceeded,
     downset_lattice,
@@ -26,7 +27,7 @@ from supq.maps import (
     right_adjoint_tables,
     sup_interior_tables,
 )
-from supq.quantale import EndoHomset, enumerate_homset, ldiv_tables, rdiv_tables
+from supq.quantale import EndoHomset, enumerate_homset, ldiv_tables, raney_down_tables, rdiv_tables
 from supq.structures import wk_tables
 from supq.verify import (
     BLOCK_ROWS,
@@ -37,7 +38,9 @@ from supq.verify import (
     check_naturality_composite,
     check_residual_adjunction,
     check_sup_interior_props,
+    check_tight_subset,
     check_wk_bijection,
+    check_wk_composition,
     corpus,
     run_suite,
 )
@@ -363,3 +366,193 @@ def test_wk_bijection_reports_each_broken_step(monkeypatch):
     holed[top, 0, 1] = False
     monkeypatch.setattr(verify, "wk_tables", lambda P, tables: holed)
     assert check_wk_bijection(ctx) == f"relation of map {top} is not a weakening relation"
+
+
+@pytest.mark.parametrize("covers", [
+    [(0, 1), (1, 2), (2, 3), (3, 4)],           # 5-chain: 252 maps
+    [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],   # diamond with a tail: 598 maps
+])
+def test_weakening_checks_pass_on_five_point_posets(covers):
+    # P x P^op has 25 cells but only as many downsets as there are maps
+    P = Poset.from_covers(5, covers)
+    report = run_suite(downset_lattice(P), SuiteConfig(checks=WK_CHECKS), name="five-point", poset=P)
+    assert [(r.check_id, r.status) for r in report.results] == [(c, "pass") for c in WK_CHECKS]
+
+
+def _wk_composition_per_member(ctx):
+    """Relational against map composition, one member i at a time."""
+    P, H = ctx.poset, ctx.homset
+    rels = verify.wk_tables(P, H.tables).astype(np.int32)
+    tabs = H.tables.astype(np.int64)
+    for i in range(H.m):
+        comp_idx = H.index_rows(H.tables[i][tabs])
+        rel_comp = (rels[i] @ rels) > 0
+        if not (rel_comp == (rels[comp_idx] > 0)).all():
+            j = int(np.argwhere((rel_comp != (rels[comp_idx] > 0)).any(axis=(1, 2)))[0][0])
+            return f"relational composition differs from map composition at ({i}, {j})"
+    return None
+
+
+@pytest.mark.parametrize("covers, spots", [
+    ([(0, 1), (0, 2)], [(0, 1, 2)]),
+    ([(0, 1), (0, 2)], [(17, 0, 0)]),
+    ([(0, 1), (0, 2)], [(49, 2, 1), (30, 1, 1)]),
+    ([(0, 1), (1, 2)], [(3, 0, 2)]),
+])
+def test_wk_composition_reports_the_per_member_witness(monkeypatch, covers, spots):
+    P = Poset.from_covers(3, covers)
+    ctx = _Ctx(downset_lattice(P), SuiteConfig(), poset=P)
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 3 * ctx.homset.m)  # several blocks
+    assert check_wk_composition(ctx) is None
+    rels = wk_tables(P, ctx.homset.tables)
+    for i, y, x in spots:
+        rels[i, y, x] ^= True
+    monkeypatch.setattr(verify, "wk_tables", lambda P, tables: rels)
+    want = _wk_composition_per_member(ctx)
+    assert want is not None
+    assert check_wk_composition(ctx) == want
+
+
+# -- the composite-index kernel ------------------------------------------------------------
+
+
+def _composites_per_row(H, gs, fs):
+    """Index of g o f, one index_rows call of materialized composites per g."""
+    return np.stack([H.index_rows(H.tables[g][H.tables[fs]]) for g in gs])
+
+
+def _joins_per_row(H, gs, fs):
+    return np.stack([H.index_rows(H.lattice.join[H.tables[g][None, :], H.tables[fs]]) for g in gs])
+
+
+def _with_dict_keys(H):
+    """The same homset looked up through the byte-string dictionary that
+    lattices with n^n >= 2^62 use."""
+    D = EndoHomset(H.lattice, H.tables)
+    D._cache["keys"] = ("dict", {t.tobytes(): i for i, t in enumerate(D.tables)})
+    return D
+
+
+def _product(A, B):
+    return Lattice(np.kron(A.leq, B.leq))
+
+
+@pytest.fixture(scope="module")
+def kernel_homsets():
+    """Every corpus homset and one homset of 2,500 members."""
+    out = {name: enumerate_homset(L) for name, L, _ in corpus()}
+    out["m3xchain2"] = enumerate_homset(_product(make_mk(3), make_chain(2)))
+    return out
+
+
+def test_compose_indices_equal_the_looked_up_composites(kernel_homsets):
+    for name, H in kernel_homsets.items():
+        members = np.arange(H.m)
+        step = max(1, BLOCK_ROWS // H.m)
+        for start in range(0, H.m, step):
+            block = members[start:start + step]
+            assert (H.compose_indices(block, members) == _composites_per_row(H, block, members)).all(), name
+        for k in (0, H.m // 2, H.m - 1):
+            assert (H.compose_indices(k, members) == _composites_per_row(H, [k], members)).all(), name
+            assert (H.compose_indices(members, [k]) == _composites_per_row(H, members, [k])).all(), name
+            assert H.compose_indices(k, k).shape == (1, 1)
+
+
+def test_join_indices_equal_the_looked_up_joins(kernel_homsets):
+    for name, H in kernel_homsets.items():
+        picks = np.unique(np.linspace(0, H.m - 1, 40).astype(int))
+        members = np.arange(H.m)
+        assert (H.join_indices(picks, members) == _joins_per_row(H, picks, members)).all(), name
+        assert (H.join_indices(members, picks[-1]) == _joins_per_row(H, members, [picks[-1]])).all(), name
+
+
+def test_dictionary_keys_give_the_same_indices(kernel_homsets):
+    for name in ("m3", "n5", "downset-chain2-plus-point"):
+        H = kernel_homsets[name]
+        D = _with_dict_keys(H)
+        members = np.arange(H.m)
+        assert (D.compose_indices(members, members) == H.compose_indices(members, members)).all(), name
+        assert (D.join_indices(members, members) == H.join_indices(members, members)).all(), name
+        assert (D.compose_indices(3, members) == H.compose_indices(3, members)).all(), name
+
+
+@pytest.mark.parametrize("dict_keys", [False, True])
+def test_a_missing_member_raises_key_error(kernel_homsets, dict_keys):
+    H = kernel_homsets["n5"]
+    members = np.arange(H.m)
+    comp = H.compose_indices(members, members)
+    joins = H.join_indices(members, members)
+    for table, kernel in ((comp, "compose_indices"), (joins, "join_indices")):
+        # a member that some g o f (or g v f) reaches from two other members
+        g0, f0 = next((g, f) for g, f in np.argwhere(table) if table[g, f] not in (g, f))
+        k = int(table[g0, f0])
+        less = EndoHomset(H.lattice, np.delete(H.tables, k, axis=0))
+        if dict_keys:
+            less = _with_dict_keys(less)
+        g, f = g0 - (g0 > k), f0 - (f0 > k)  # indices after the deletion
+        assert (less.tables[g] == H.tables[g0]).all() and (less.tables[f] == H.tables[f0]).all()
+        with pytest.raises(KeyError):
+            getattr(less, kernel)(g, f)
+        with pytest.raises(KeyError):
+            getattr(less, kernel)(np.arange(less.m), np.arange(less.m))
+
+
+# -- tight subset witnesses ------------------------------------------------------------------
+
+
+def _tight_subset_per_member(ctx):
+    """Composites and joins of the tight members, one member at a time."""
+    H, L = ctx.homset, ctx.L
+    tight = H.tight_indices()
+    mask = H.tight_mask
+    for t in tight:
+        t_tab = H.tables[t]
+        if not mask[H.index_rows(t_tab[H.tables])].all():
+            return f"left composite with tight member {t} escapes the tight subset"
+        if not mask[H.index_rows(H.tables[:, t_tab.astype(np.int64)])].all():
+            return f"right composite with tight member {t} escapes the tight subset"
+    sub = H.tables[tight].astype(np.int64)
+    for i in range(len(tight)):
+        if not mask[H.index_rows(L.join[sub[i][None, :], sub])].all():
+            return "tight subset is not closed under joins"
+    down_idx = np.unique(H.index_rows(raney_down_tables(L, ctx.inf_tables)))
+    if set(down_idx.tolist()) != set(int(i) for i in tight):
+        return "image of the down transform differs from the tight subset"
+    if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
+        return "down transform surjectivity disagrees with tightness of the identity"
+    return None
+
+
+def _set_tight_mask(monkeypatch, H, mask):
+    monkeypatch.setitem(H._cache, "tight_mask", np.asarray(mask, dtype=bool))
+
+
+@pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_chain(4)])
+def test_tight_subset_reports_the_per_member_witness(monkeypatch, make):
+    ctx = _Ctx(make(), SuiteConfig())
+    H, L = ctx.homset, ctx.L
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 4 * H.m)  # several blocks
+    assert check_tight_subset(ctx) is None
+    real = np.array(H.tight_mask)
+    # {t : t(a) = bottom} is closed under t o f for every f, so only a left
+    # composite can escape it; {t : t(top) <= a} is closed under g o t, so
+    # only a right one can; both are closed under joins
+    sides = set()
+    for a in range(L.n):
+        for side, mask in (("left", H.tables[:, a] == L.bottom), ("right", L.leq[H.tables[:, L.top], a])):
+            _set_tight_mask(monkeypatch, H, mask)
+            want = _tight_subset_per_member(ctx)
+            assert check_tight_subset(ctx) == want
+            if want and want.split()[0] in ("left", "right"):
+                assert want.startswith(side)
+                sides.add(side)
+    assert sides == {"left", "right"}
+    # the maps with at most one value above the bottom are closed under both
+    # composites but not under joins
+    _set_tight_mask(monkeypatch, H, [len(set(t) - {L.bottom}) <= 1 for t in H.tables.tolist()])
+    assert _tight_subset_per_member(ctx) == check_tight_subset(ctx) == "tight subset is not closed under joins"
+    for k in range(H.m):
+        flipped = real.copy()
+        flipped[k] = not flipped[k]
+        _set_tight_mask(monkeypatch, H, flipped)
+        assert check_tight_subset(ctx) == _tight_subset_per_member(ctx), k
