@@ -139,11 +139,9 @@ class Poset:
         step takes an undecided x and either leaves out up x or takes down x,
         so every leaf is a distinct downset and no other set is visited, and
         the work grows with the number of downsets, which is capped at
-        MAX_DOWNSETS.  A mask must fit an int64, so n is at most 63."""
-        if self.n > 63:
-            raise SizeGuardExceeded(f"poset too wide for int64 downset masks: {self.n}")
-        up = [int(v) for v in _pack_rows(self.leq)]
-        down = [int(v) for v in _pack_rows(self.leq.T)]
+        MAX_DOWNSETS.  Masks are Python ints, so any width fits."""
+        up = [_int_mask(row) for row in self.leq]
+        down = [_int_mask(row) for row in self.leq.T]
         everything = (1 << self.n) - 1
         closed = []
         stack = [(0, 0)]
@@ -184,6 +182,11 @@ def cover_relation(leq: np.ndarray) -> np.ndarray:
     strict = leq & ~np.eye(len(leq), dtype=bool)
     s = strict.astype(np.float32)
     return strict & ~((s @ s) > 0.5)
+
+
+def _int_mask(row: np.ndarray) -> int:
+    """A boolean row as a Python int with bit i set when row[i] holds."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _pack_rows(rel: np.ndarray) -> np.ndarray:

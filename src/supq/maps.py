@@ -158,45 +158,45 @@ def top_q_map(source: Lattice, target: Lattice) -> LatticeMap:
 # -- generator maps ----------------------------------------------------------
 
 
+def e_tables(source: Lattice, target: Lattice, ys, xs) -> np.ndarray:
+    """Tables of the maps e(y, x), which send t to y when t not<= x and to
+    bottom otherwise.  ys and xs broadcast against each other; the result
+    has their broadcast shape plus one axis over the source."""
+    ys, xs = np.broadcast_arrays(np.asarray(ys), np.asarray(xs))
+    below = source.leq.T[xs]  # [..., t] = t <= x
+    return np.where(below, target.bottom, ys[..., None]).astype(np.int16)
+
+
+def tensor_tables(source: Lattice, target: Lattice, ys, xs) -> np.ndarray:
+    """Tables of the tensors y over x, which send t to top when t not<= x,
+    to y when bottom < t <= x, and bottom to bottom.  ys and xs broadcast
+    as in e_tables."""
+    ys, xs = np.broadcast_arrays(np.asarray(ys), np.asarray(xs))
+    below = source.leq.T[xs]  # [..., t] = t <= x
+    out = np.where(below, ys[..., None], target.top).astype(np.int16)
+    out[..., source.bottom] = target.bottom
+    return out
+
+
+def e_map(source: Lattice, target: Lattice, y: int, x: int) -> LatticeMap:
+    """Sends t to y when t not<= x, else to bottom."""
+    return LatticeMap(source, target, e_tables(source, target, y, x))
+
+
 def c_map(source: Lattice, target: Lattice, y: int) -> LatticeMap:
-    """Sends bottom to bottom and every other element to y."""
-    return LatticeMap(
-        source, target,
-        [target.bottom if x == source.bottom else y for x in range(source.n)],
-    )
+    """Sends bottom to bottom and every other element to y: e(y, bottom)."""
+    return e_map(source, target, y, source.bottom)
 
 
 def a_map(source: Lattice, target: Lattice, x: int) -> LatticeMap:
-    """Sends t to top when t not<= x, else to bottom."""
-    leq = source.leq
-    return LatticeMap(
-        source, target,
-        [target.bottom if leq[t, x] else target.top for t in range(source.n)],
-    )
+    """Sends t to top when t not<= x, else to bottom: e(top, x)."""
+    return e_map(source, target, target.top, x)
 
 
 def tensor_over(source: Lattice, target: Lattice, y: int, x: int) -> LatticeMap:
     """The sup-preserving map sending t to top when t not<= x, to y when
     bottom < t <= x, and to bottom at t = bottom."""
-    leq = source.leq
-    tab = []
-    for t in range(source.n):
-        if not leq[t, x]:
-            tab.append(target.top)
-        elif t == source.bottom:
-            tab.append(target.bottom)
-        else:
-            tab.append(y)
-    return LatticeMap(source, target, tab)
-
-
-def e_map(source: Lattice, target: Lattice, y: int, x: int) -> LatticeMap:
-    """Sends t to y when t not<= x, else to bottom."""
-    leq = source.leq
-    return LatticeMap(
-        source, target,
-        [y if not leq[t, x] else target.bottom for t in range(source.n)],
-    )
+    return LatticeMap(source, target, tensor_tables(source, target, y, x))
 
 
 def gamma_map(source: Lattice, target: Lattice, y: int) -> LatticeMap:

@@ -19,6 +19,7 @@ from supq.maps import (
     a_map,
     c_map,
     e_map,
+    e_tables,
     identity_map,
     left_adjoint_tables,
     leq_tables,
@@ -525,12 +526,11 @@ def is_dualizing(H: EndoHomset, i: int) -> bool:
 
 
 def _generator_indices(H: EndoHomset) -> list[int]:
+    """The distinct members c_v = e(v, bottom) and a_v = e(top, v), sorted."""
     L = H.lattice
-    gens = set()
-    for v in range(L.n):
-        gens.add(H.index_of(c_map(L, L, v)))
-        gens.add(H.index_of(a_map(L, L, v)))
-    return sorted(gens)
+    vs = np.arange(L.n)
+    gens = np.concatenate([e_tables(L, L, vs, L.bottom), e_tables(L, L, L.top, vs)])
+    return [int(i) for i in np.unique(H.index_rows(gens))]
 
 
 @cached("cyclic")

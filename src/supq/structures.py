@@ -9,9 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from supq.lattice import (
+    MAX_DOWNSET_LATTICE_SIZE,
     CapExceeded,
     Lattice,
     Poset,
+    SizeGuardExceeded,
     _load_json,
     cached,
     cover_relation,
@@ -30,13 +32,13 @@ from supq.maps import (
     MapError,
     a_map,
     c_map,
-    e_map,
+    e_tables,
     extend_bimorphism,
     identity_map,
     is_inf_preserving,
     is_sup_preserving,
     pointwise_join,
-    tensor_over,
+    tensor_tables,
 )
 from supq.quantale import (
     TABLE_SCAN_CAP,
@@ -207,11 +209,10 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     j_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=0) == 1))
     m_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=1) == 1))
     jl, ml = join_irreducibles(L), meet_irreducibles(L)
-    tensors, es = [], []
-    for m in ml:
-        for j in jl:
-            tensors.append(H.index_of(tensor_over(L, L, m, j)))
-            es.append(H.index_of(e_map(L, L, j, m)))
+    # every pair (m, j) of a meet- and a join-irreducible, m-major
+    ms, js = np.array(ml, dtype=np.int64)[:, None], np.array(jl, dtype=np.int64)[None, :]
+    tensors = [int(i) for i in H.index_rows(tensor_tables(L, L, ms, js).reshape(-1, L.n))]
+    es = [int(i) for i in H.index_rows(e_tables(L, L, js, ms).reshape(-1, L.n))]
     return IrreducibleReport(
         join_irreducible_indices=j_idx,
         meet_irreducible_indices=m_idx,
@@ -332,7 +333,10 @@ class WeakeningRelation:
 def _downsets(P: Poset):
     """P's downsets as 0/1 rows in downset-lattice order, and a function that
     gives the lattice index of each 0/1 row of an array over P (-1 for a set
-    that is not down-closed)."""
+    that is not down-closed).  The index spans all 2^n subsets, so it is
+    capped like the downset lattice."""
+    if (1 << P.n) > MAX_DOWNSET_LATTICE_SIZE:
+        raise SizeGuardExceeded(f"downset index of a {P.n}-element poset exceeds cap")
     masks = np.array(P.downset_masks(), dtype=np.int64)
     weights = np.int64(1) << np.arange(P.n, dtype=np.int64)
     index_of = np.full(1 << P.n, -1, dtype=np.int64)
@@ -442,16 +446,13 @@ def classify_natural(H: EndoHomset) -> NaturalClassification:
     result is not cached on the homset."""
     L = H.lattice
     n = L.n
-    c_tabs = np.array([c_map(L, L, y).table for y in range(n)], dtype=np.int16)
-    a_tabs = np.array([a_map(L, L, x).table for x in range(n)], dtype=np.int64)
+    vs = np.arange(n)
+    c_tabs = e_tables(L, L, vs, L.bottom)  # c_y = e(y, bottom)
+    a_tabs = e_tables(L, L, L.top, vs)     # a_x = e(top, x)
     comp = c_tabs[:, H.tables[:, a_tabs]]  # [y, seed, x, t]
     fams = H.index_rows(comp.transpose(1, 0, 2, 3).reshape(-1, n)).reshape(H.m, n * n)
     distinct, first, seeds = np.unique(fams, axis=0, return_index=True, return_counts=True)
-
-    e_table = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        for x in range(n):
-            e_table[y, x] = H.index_of(e_map(L, L, y, x))
+    e_table = H.index_rows(e_tables(L, L, vs[:, None], vs[None, :]).reshape(-1, n)).reshape(n, n)
 
     natural = []
     for k in np.argsort(first):

@@ -25,15 +25,11 @@ from supq.lattice import (
 )
 from supq.maps import (
     _elem_of_upmask,
-    a_map,
-    c_map,
-    e_map,
+    e_tables,
     identity_map,
     leq_tables,
-    pointwise_join,
-    pointwise_meet,
     sup_interior_tables,
-    tensor_over,
+    tensor_tables,
 )
 from supq.quantale import (
     DEFAULT_HOMSET_CAP,
@@ -42,7 +38,6 @@ from supq.quantale import (
     EndoHomset,
     automorphism_to_dualizing,
     conucleus_gap,
-    dualizing_to_automorphism,
     enumerate_homset,
     enumerate_inf_maps,
     find_cyclic,
@@ -261,19 +256,23 @@ def check_galois_adjunction(ctx: _Ctx):
 
 def check_generator_relations(ctx: _Ctx):
     L = ctx.L
-    for y in range(L.n):
-        for x in range(L.n):
-            c, a = c_map(L, L, y), a_map(L, L, x)
-            if pointwise_join(c, a).table != tensor_over(L, L, y, x).table:
-                return f"tensor is not the pointwise join at ({y}, {x})"
-            if pointwise_meet(c, a).table != e_map(L, L, y, x).table:
-                return f"e map is not the pointwise meet at ({y}, {x})"
-    for y in range(L.n):
-        if tensor_over(L, L, y, L.top).table != c_map(L, L, y).table:
-            return f"constant-style map differs from tensor at y={y}"
-    for x in range(L.n):
-        if tensor_over(L, L, L.bottom, x).table != a_map(L, L, x).table:
-            return f"step map differs from tensor at x={x}"
+    vs = np.arange(L.n)
+    c = e_tables(L, L, vs, L.bottom)  # [y, t] = c_y(t)
+    a = e_tables(L, L, L.top, vs)     # [x, t] = a_x(t)
+    bad_t = (L.join[c[:, None], a[None]] != tensor_tables(L, L, vs[:, None], vs[None])).any(axis=2)
+    bad_e = (L.meet[c[:, None], a[None]] != e_tables(L, L, vs[:, None], vs[None])).any(axis=2)
+    failing = np.argwhere(bad_t | bad_e)
+    if len(failing):
+        y, x = failing[0]
+        if bad_t[y, x]:
+            return f"tensor is not the pointwise join at ({y}, {x})"
+        return f"e map is not the pointwise meet at ({y}, {x})"
+    bad = (tensor_tables(L, L, vs, L.top) != c).any(axis=1)
+    if bad.any():
+        return f"constant-style map differs from tensor at y={int(np.argmax(bad))}"
+    bad = (tensor_tables(L, L, L.bottom, vs) != a).any(axis=1)
+    if bad.any():
+        return f"step map differs from tensor at x={int(np.argmax(bad))}"
     return None
 
 
@@ -382,20 +381,16 @@ def check_raney_transform_exchange(ctx: _Ctx):
 def check_naturality_generators(ctx: _Ctx):
     H = ctx.homset
     L = ctx.L
+    vs = np.arange(L.n)
+    c_tabs = e_tables(L, L, vs, L.bottom)  # c_y = e(y, bottom)
+    a_tabs = e_tables(L, L, L.top, vs)     # a_x = e(top, x)
     for y in range(L.n):
-        c_tab = np.array(c_map(L, L, y).table, dtype=np.int64)
-        comp = H.tables[:, c_tab]
-        want = np.where(
-            np.arange(L.n)[None, :] == L.bottom, np.int16(L.bottom), H.tables[:, y][:, None]
-        )
-        if not (comp == want).all():
+        # f o c_y = c_f(y)
+        if not (H.tables[:, c_tabs[y]] == e_tables(L, L, H.tables[:, y], L.bottom)).all():
             return f"composing with the constant-style map fails at y={y}"
     for x in range(L.n):
-        a_tab = np.array(a_map(L, L, x).table, dtype=np.int16)
-        comp = a_tab[H.tables]
-        rho_col = H.rho_tables[:, x]
-        want = np.where(L.leq.T[rho_col.astype(np.int64)], np.int16(L.bottom), np.int16(L.top))
-        if not (comp == want).all():
+        # a_x o f = a_rho_f(x)
+        if not (a_tabs[x][H.tables] == e_tables(L, L, L.top, H.rho_tables[:, x])).all():
             return f"composing with the step map fails at x={x}"
     return None
 
@@ -404,10 +399,11 @@ def check_naturality_composite(ctx: _Ctx):
     H = ctx.homset_capped(EXHAUSTIVE_PAIR_CAP, "exhaustive composite naturality")
     L = ctx.L
     cols = np.ascontiguousarray(H.tables.T)  # [t, f] = f(t)
+    vs = np.arange(L.n)
+    e_tabs = e_tables(L, L, vs[:, None], vs[None])  # [y, x, t] = e(y, x)(t)
     for y in range(L.n):
         for x in range(L.n):
-            e_tab = np.array(e_map(L, L, y, x).table, dtype=np.int64)
-            got = cols[e_tab[H.tables]]            # [g, t, f] = f(e(g(t)))
+            got = cols[e_tabs[y, x][H.tables]]     # [g, t, f] = f(e(g(t)))
             t_le = L.leq.T[H.rho_tables[:, x]]     # [g, t] = t <= rho g (x)
             if not ((got[t_le] == L.bottom).all() and (got[~t_le] == cols[y]).all()):
                 return f"composite naturality fails at (y={y}, x={x})"
@@ -484,78 +480,62 @@ def check_residual_adjunction(ctx: _Ctx):
     return None
 
 
+DIVISION_FORMULAS = (
+    "division by the e map",       # f / e(y, x) = up_f(x) over y
+    "co-division by the e map",    # e(y, x) \ f = x over star_f(y)
+    "division by the tensor",      # f / (y over x) = c_up_f(x) meet (up_f(bottom) over y)
+    "co-division by the tensor",   # (y over x) \ f = a_star_f(y) meet (x over star_f(top))
+    "reduced tensor division",     # ... = e(up_f(x), y) when up_f(bottom) = bottom
+    "reduced tensor co-division",  # ... = e(x, star_f(y)) when star_f(top) = top
+)
+
+
 def check_division_formulas(ctx: _Ctx):
+    """Residuals of every member f by every e map e(y, x) and every tensor y
+    over x, against their closed forms in up_f and star_f; c_y = e(y, bottom)
+    and a_x = e(top, x) are among the e maps.  One blocked pass over the
+    pairs (y, x) in row-major order: the witness is the first failing pair,
+    then the first failing formula of DIVISION_FORMULAS."""
     H = ctx.homset_capped(TABLE_SCAN_CAP, "generator division scan")
     L = ctx.L
-    n, top, bot = L.n, L.top, L.bottom
+    n, m, top, bot = L.n, H.m, L.top, L.bottom
     up = H.up_transform_tables
     st = H.tables[H.star_indices.astype(np.int64)]
-    arange = np.arange(n)
+    up_bot, st_top = up[:, bot], st[:, top]
+    ys, xs = np.divmod(np.arange(n * n), n)
+    e_tabs, t_tabs = e_tables(L, L, ys, xs), tensor_tables(L, L, ys, xs)
+    e_rho, t_rho = H.rho_tables[H.index_rows(e_tabs)], H.rho_tables[H.index_rows(t_tabs)]
 
-    def c_rows(vals):
-        return np.where(arange[None, :] == bot, np.int16(bot), vals[:, None].astype(np.int16))
+    def per_pair(tabs):  # each divisor row once for every member
+        return np.repeat(tabs, m, axis=0)
 
-    def a_rows(vals):
-        return np.where(L.leq.T[vals.astype(np.int64)], np.int16(bot), np.int16(top))
+    def blocked(tabs):  # rows (pair, member) as [pair, member, t]
+        return tabs.reshape(-1, m, n)
 
-    def tensor_rows(vals, x):
-        out = np.where(L.leq[:, x][None, :], vals[:, None].astype(np.int16), np.int16(top))
-        out[:, bot] = bot
-        return out
-
-    def tensor_rows_varying(y, xs):
-        out = np.where(L.leq.T[xs.astype(np.int64)], np.int16(y), np.int16(top))
-        out[:, bot] = bot
-        return out
-
-    for x in range(n):
-        a_tab = np.array(a_map(L, L, x).table, dtype=np.int16)
-        if not (rdiv_tables(L, H.tables, a_tab) == c_rows(up[:, x])).all():
-            return f"division by the step map fails at x={x}"
-        a_idx = H.index_of(a_map(L, L, x))
-        got = ldiv_tables(L, H.rho_tables[a_idx], H.tables)
-        if not (got == tensor_rows_varying(x, st[:, top])).all():
-            return f"co-division by the step map fails at x={x}"
-    for y in range(n):
-        c_tab = np.array(c_map(L, L, y).table, dtype=np.int16)
-        if not (rdiv_tables(L, H.tables, c_tab) == tensor_rows(up[:, bot], y)).all():
-            return f"division by the constant-style map fails at y={y}"
-        c_idx = H.index_of(c_map(L, L, y))
-        if not (ldiv_tables(L, H.rho_tables[c_idx], H.tables) == a_rows(st[:, y])).all():
-            return f"co-division by the constant-style map fails at y={y}"
-    for y in range(n):
-        for x in range(n):
-            e_tab = np.array(e_map(L, L, y, x).table, dtype=np.int16)
-            if not (rdiv_tables(L, H.tables, e_tab) == tensor_rows(up[:, x], y)).all():
-                return f"division by the e map fails at (y={y}, x={x})"
-            e_idx = H.index_of(e_map(L, L, y, x))
-            got = ldiv_tables(L, H.rho_tables[e_idx], H.tables)
-            if not (got == tensor_rows_varying(x, st[:, y])).all():
-                return f"co-division by the e map fails at (y={y}, x={x})"
-            t_tab = np.array(tensor_over(L, L, y, x).table, dtype=np.int16)
-            t_div = rdiv_tables(L, H.tables, t_tab)
-            want = sup_interior_tables(
-                L, L, L.meet[c_rows(up[:, x]), tensor_rows(up[:, bot], y)].astype(np.int16)
-            )
-            if not (t_div == want).all():
-                return f"division by the tensor fails at (y={y}, x={x})"
-            t_idx = H.index_rows(t_tab[None, :])[0]
-            t_codiv = ldiv_tables(L, H.rho_tables[t_idx], H.tables)
-            want = sup_interior_tables(
-                L, L, L.meet[a_rows(st[:, y]), tensor_rows_varying(x, st[:, top])].astype(np.int16)
-            )
-            if not (t_codiv == want).all():
-                return f"co-division by the tensor fails at (y={y}, x={x})"
-            reduced_rows = np.flatnonzero(up[:, bot] == bot)
-            if reduced_rows.size:
-                red = np.where(L.leq[:, y][None, :], np.int16(bot), up[reduced_rows, x][:, None].astype(np.int16))
-                if not (t_div[reduced_rows] == red).all():
-                    return f"reduced tensor division fails at (y={y}, x={x})"
-            reduced_rows = np.flatnonzero(st[:, top] == top)
-            if reduced_rows.size:
-                red = np.where(L.leq.T[st[reduced_rows, y].astype(np.int64)], np.int16(bot), np.int16(x))
-                if not (t_codiv[reduced_rows] == red).all():
-                    return f"reduced tensor co-division fails at (y={y}, x={x})"
+    step = max(1, BLOCK_ROWS // m)  # pairs per block of at most BLOCK_ROWS rows
+    for start in range(0, n * n, step):
+        p = slice(start, start + step)
+        y, x = ys[p, None], xs[p, None]
+        up_x, st_y = up[:, xs[p]].T, st[:, ys[p]].T  # [pair, f] = up_f(x), star_f(y)
+        members = np.tile(H.tables, (len(y), 1))
+        e_div = blocked(rdiv_tables(L, members, per_pair(e_tabs[p])))
+        e_codiv = blocked(ldiv_tables(L, per_pair(e_rho[p]), members))
+        t_div = blocked(rdiv_tables(L, members, per_pair(t_tabs[p])))
+        t_codiv = blocked(ldiv_tables(L, per_pair(t_rho[p]), members))
+        over = L.meet[e_tables(L, L, up_x, bot), tensor_tables(L, L, up_bot, y)]
+        under = L.meet[e_tables(L, L, top, st_y), tensor_tables(L, L, x, st_top)]
+        bad = np.stack([
+            e_div != tensor_tables(L, L, up_x, y),
+            e_codiv != tensor_tables(L, L, x, st_y),
+            t_div != blocked(sup_interior_tables(L, L, over.reshape(-1, n))),
+            t_codiv != blocked(sup_interior_tables(L, L, under.reshape(-1, n))),
+            (t_div != e_tables(L, L, up_x, y)) & (up_bot == bot)[:, None],
+            (t_codiv != e_tables(L, L, x, st_y)) & (st_top == top)[:, None],
+        ]).any(axis=(2, 3))  # [formula, pair]
+        if bad.any():
+            pair = int(np.flatnonzero(bad.any(axis=0))[0])
+            name = DIVISION_FORMULAS[int(np.argmax(bad[:, pair]))]
+            return f"{name} fails at (y={ys[start + pair]}, x={xs[start + pair]})"
     return None
 
 
@@ -597,22 +577,22 @@ def check_dualizing_structure(ctx: _Ctx):
         auts = automorphisms(L)
         if len(duals) != len(auts):
             return f"{len(duals)} dualizing members vs {len(auts)} automorphisms"
+        # the star of a dualizing member is its automorphism (the check
+        # above makes every such star a permutation)
+        up = H.up_transform_tables
+        idx = np.arange(L.n)
         for i in duals:
-            f = H.map_at(i)
-            st = star(f)
-            up_tab = raney_up_tables(L, H.tables[i][None, :])[0]
-            if tuple(int(up_tab[st.table[t]]) for t in range(L.n)) != tuple(range(L.n)):
+            if not (up[i][star_tabs[i]] == idx).all():
                 return f"star and up transform of member {i} are not mutually inverse"
-            if tuple(int(st.table[up_tab[t]]) for t in range(L.n)) != tuple(range(L.n)):
+            if not (star_tabs[i][up[i]] == idx).all():
                 return f"up transform and star of member {i} are not mutually inverse"
-            g = dualizing_to_automorphism(H, i)
-            if automorphism_to_dualizing(H, g) != i:
+            if automorphism_to_dualizing(H, star_tabs[i]) != i:
                 return f"round trip through the automorphism differs for member {i}"
         for g in auts:
             i = automorphism_to_dualizing(H, g)
             if i not in duals:
                 return f"automorphism {g} does not give a dualizing member"
-            if dualizing_to_automorphism(H, i) != tuple(g):
+            if tuple(int(v) for v in star_tabs[i]) != tuple(g):
                 return f"round trip through the dualizing member differs for {g}"
     return None
 
@@ -705,25 +685,23 @@ def check_abstract_raney(ctx: _Ctx):
 def check_wk_bijection(ctx: _Ctx):
     """Maps and weakening relations correspond one to one.  The round trip
     returns every map; distinct maps give distinct relations; every relation
-    is a weakening relation, i.e. a downset of P x P^op (cell y*n + x; a
-    downset mask fits an int64, so P has at most 7 points); and there are as
-    many such downsets as maps.  An injection into a finite set of its own
-    size is onto, so every weakening relation is reached."""
+    R is a weakening relation, leq @ R @ leq within R; and there are as many
+    weakening relations, the downsets of P x P^op, as maps.  An injection
+    into a finite set of its own size is onto, so every weakening relation
+    is reached."""
     P, D, H = ctx.poset, ctx.L, ctx.homset
-    n = P.n
     rels = wk_tables(P, H.tables)
     differs = np.flatnonzero((supmap_tables(P, rels) != H.tables).any(axis=1))
     if len(differs):
         return f"relation round trip differs for map {differs[0]}"
-    weakening = Poset(np.kron(P.leq, P.leq.T), _validated=True).downset_masks()
-    packed = rels.reshape(H.m, n * n) @ (np.int64(1) << np.arange(n * n, dtype=np.int64))
-    if len(np.unique(packed)) != H.m:
+    if len(np.unique(rels.reshape(H.m, -1), axis=0)) != H.m:
         return "map-to-relation translation is not injective"
-    outside = np.flatnonzero(~np.isin(packed, weakening))
+    outside = np.flatnonzero(((P.leq @ rels @ P.leq) & ~rels).any(axis=(1, 2)))
     if len(outside):
         return f"relation of map {outside[0]} is not a weakening relation"
-    if len(weakening) != H.m:
-        return f"{len(weakening)} weakening relations vs {H.m} maps"
+    weakening = len(Poset(np.kron(P.leq, P.leq.T), _validated=True).downset_masks())
+    if weakening != H.m:
+        return f"{weakening} weakening relations vs {H.m} maps"
     if not (rels[H.identity_index] == P.leq).all():
         return "identity map does not give the order relation"
     if not (rels[H.index_of(raney_down(identity_map(D)))] == ~P.leq.T).all():

@@ -1,4 +1,11 @@
+import os
 import sys
+from pathlib import Path
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests also run
+# `python -m supq.cli` in subprocesses, which need it on PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

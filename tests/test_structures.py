@@ -21,6 +21,7 @@ import pytest
 from supq.lattice import (
     Lattice,
     Poset,
+    SizeGuardExceeded,
     downset_lattice,
     is_distributive,
     join_irreducibles,
@@ -592,6 +593,15 @@ def test_weakening_kernels_match_the_per_member_loops(name):
         for j in some:
             S = WeakeningRelation(P, pairs[j])
             assert wk_compose(R, S).pairs == compose_loop(P, pairs[i], pairs[j])
+
+
+def test_weakening_kernels_refuse_a_poset_too_wide_for_the_downset_index():
+    # the index spans all 2^n subsets of P, as large as its downset lattice may be
+    P = Poset.from_covers(13, [(i, i + 1) for i in range(12)])
+    with pytest.raises(SizeGuardExceeded, match="downset index"):
+        wk_tables(P, np.zeros((1, 14), dtype=np.int16))
+    with pytest.raises(SizeGuardExceeded, match="downset index"):
+        supmap_tables(P, np.zeros((1, 13, 13), dtype=bool))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POSETS))

@@ -12,6 +12,7 @@ from supq.lattice import (
     Poset,
     SearchCapExceeded,
     downset_lattice,
+    dual,
     find_order_isomorphism,
     make_chain,
     make_mk,
@@ -20,12 +21,17 @@ from supq.lattice import (
 )
 from supq.maps import (
     LatticeMap,
+    a_map,
+    c_map,
     e_map,
+    e_tables,
     is_inf_preserving,
     is_sup_preserving,
     left_adjoint_tables,
     right_adjoint_tables,
     sup_interior_tables,
+    tensor_over,
+    tensor_tables,
 )
 from supq.quantale import EndoHomset, enumerate_homset, ldiv_tables, raney_down_tables, rdiv_tables
 from supq.structures import wk_tables
@@ -35,6 +41,7 @@ from supq.verify import (
     SuiteConfig,
     _Ctx,
     _monotone_inputs,
+    check_division_formulas,
     check_naturality_composite,
     check_residual_adjunction,
     check_sup_interior_props,
@@ -95,7 +102,7 @@ def _naturality_witness_fgt(H):
     rho = H.rho_tables.astype(np.int64)
     for y in range(L.n):
         for x in range(L.n):
-            e_tab = np.array(e_map(L, L, y, x).table, dtype=np.int64)
+            e_tab = np.array(_e_row(L, L, y, x), dtype=np.int64)
             got = H.tables[:, e_tab[tabs]]
             fy = tabs[:, y][:, None, None]
             gx = rho[:, x][None, :, None]
@@ -379,6 +386,14 @@ def test_weakening_checks_pass_on_five_point_posets(covers):
     assert [(r.check_id, r.status) for r in report.results] == [(c, "pass") for c in WK_CHECKS]
 
 
+def test_wk_bijection_passes_on_the_eight_chain():
+    # P x P^op has 64 cells, and a 9-chain has 12,870 maps
+    P = Poset.from_covers(8, [(i, i + 1) for i in range(7)])
+    ctx = _Ctx(downset_lattice(P), SuiteConfig(), poset=P)
+    assert ctx.homset.m == 12_870
+    assert check_wk_bijection(ctx) is None
+
+
 def _wk_composition_per_member(ctx):
     """Relational against map composition, one member i at a time."""
     P, H = ctx.poset, ctx.homset
@@ -556,3 +571,164 @@ def test_tight_subset_reports_the_per_member_witness(monkeypatch, make):
         flipped[k] = not flipped[k]
         _set_tight_mask(monkeypatch, H, flipped)
         assert check_tight_subset(ctx) == _tight_subset_per_member(ctx), k
+
+
+# -- the generator-map kernels ---------------------------------------------------------------
+
+
+def _e_row(S, T, y, x):
+    """e(y, x) as a comprehension: t to y when t not<= x, else bottom."""
+    return [y if not S.leq[t, x] else T.bottom for t in range(S.n)]
+
+
+def _tensor_row(S, T, y, x):
+    """y over x as a comprehension: top off the down-set of x, y on it, and
+    bottom at bottom."""
+    return [T.top if not S.leq[t, x] else T.bottom if t == S.bottom else y for t in range(S.n)]
+
+
+def _c_row(S, T, y):
+    return [T.bottom if t == S.bottom else y for t in range(S.n)]
+
+
+def _a_row(S, T, x):
+    return [T.bottom if S.leq[t, x] else T.top for t in range(S.n)]
+
+
+GENERATOR_PAIRS = [(name, L, L) for name, L, _ in corpus()] + [
+    ("mk3->chain2", make_mk(3), make_chain(2)),
+    ("chain2->mk3", make_chain(2), make_mk(3)),
+]
+
+
+@pytest.mark.parametrize("S, T", [(S, T) for _, S, T in GENERATOR_PAIRS],
+                         ids=[name for name, _, _ in GENERATOR_PAIRS])
+def test_generator_kernels_equal_the_comprehension_constructors(S, T):
+    ys, xs = np.arange(T.n), np.arange(S.n)
+    for kernel, row in ((e_tables, _e_row), (tensor_tables, _tensor_row)):
+        want = np.array([[row(S, T, y, x) for x in xs] for y in ys])  # [y, x, t]
+        # 2-D: broadcast columns and rows, a full array against a row, and [x, y]
+        assert (kernel(S, T, ys[:, None], xs[None, :]) == want).all()
+        assert (kernel(S, T, np.repeat(ys[:, None], S.n, axis=1), xs[None, :]) == want).all()
+        assert (kernel(S, T, ys, xs[:, None]) == want.transpose(1, 0, 2)).all()
+        for y in ys:
+            assert kernel(S, T, y, xs).shape == (S.n, S.n)                            # 1-D
+            assert (kernel(S, T, y, xs) == want[y]).all()
+            for x in xs:
+                assert kernel(S, T, y, x).shape == (S.n,)                             # scalar
+                assert (kernel(S, T, y, x) == want[y, x]).all()
+        for x in xs:
+            assert (kernel(S, T, ys, x) == want[:, x]).all()
+            assert (kernel(S, T, ys[::-1], x) == want[::-1, x]).all()
+    for y in ys:
+        assert c_map(S, T, y).table == tuple(_c_row(S, T, y))
+        for x in xs:
+            assert e_map(S, T, y, x).table == tuple(_e_row(S, T, y, x))
+            assert tensor_over(S, T, y, x).table == tuple(_tensor_row(S, T, y, x))
+    for x in xs:
+        assert a_map(S, T, x).table == tuple(_a_row(S, T, x))
+
+
+# -- division-formula witnesses --------------------------------------------------------------
+
+
+def _division_witness_per_pair(ctx):
+    """The division formulas, one (y, x) at a time with per-pair residual
+    calls, from the comprehension constructors."""
+    H, L = ctx.homset, ctx.L
+    n, top, bot = L.n, L.top, L.bottom
+    up = H.up_transform_tables
+    st = H.tables[H.star_indices.astype(np.int64)]
+    arange = np.arange(n)
+
+    def c_rows(vals):
+        return np.where(arange[None, :] == bot, np.int16(bot), vals[:, None].astype(np.int16))
+
+    def a_rows(vals):
+        return np.where(L.leq.T[vals.astype(np.int64)], np.int16(bot), np.int16(top))
+
+    def tensor_rows(vals, x):
+        out = np.where(L.leq[:, x][None, :], vals[:, None].astype(np.int16), np.int16(top))
+        out[:, bot] = bot
+        return out
+
+    def tensor_rows_varying(y, xs):
+        out = np.where(L.leq.T[xs.astype(np.int64)], np.int16(y), np.int16(top))
+        out[:, bot] = bot
+        return out
+
+    for y in range(n):
+        for x in range(n):
+            e_tab = np.array(_e_row(L, L, y, x), dtype=np.int16)
+            if not (rdiv_tables(L, H.tables, e_tab) == tensor_rows(up[:, x], y)).all():
+                return f"division by the e map fails at (y={y}, x={x})"
+            e_idx = H.index_rows(e_tab)[0]
+            got = ldiv_tables(L, H.rho_tables[e_idx], H.tables)
+            if not (got == tensor_rows_varying(x, st[:, y])).all():
+                return f"co-division by the e map fails at (y={y}, x={x})"
+            t_tab = np.array(_tensor_row(L, L, y, x), dtype=np.int16)
+            t_div = rdiv_tables(L, H.tables, t_tab)
+            want = sup_interior_tables(
+                L, L, L.meet[c_rows(up[:, x]), tensor_rows(up[:, bot], y)].astype(np.int16)
+            )
+            if not (t_div == want).all():
+                return f"division by the tensor fails at (y={y}, x={x})"
+            t_idx = H.index_rows(t_tab)[0]
+            t_codiv = ldiv_tables(L, H.rho_tables[t_idx], H.tables)
+            want = sup_interior_tables(
+                L, L, L.meet[a_rows(st[:, y]), tensor_rows_varying(x, st[:, top])].astype(np.int16)
+            )
+            if not (t_codiv == want).all():
+                return f"co-division by the tensor fails at (y={y}, x={x})"
+            rows = np.flatnonzero(up[:, bot] == bot)
+            red = np.where(L.leq[:, y][None, :], np.int16(bot), up[rows, x][:, None].astype(np.int16))
+            if not (t_div[rows] == red).all():
+                return f"reduced tensor division fails at (y={y}, x={x})"
+            rows = np.flatnonzero(st[:, top] == top)
+            red = np.where(L.leq.T[st[rows, y].astype(np.int64)], np.int16(bot), np.int16(x))
+            if not (t_codiv[rows] == red).all():
+                return f"reduced tensor co-division fails at (y={y}, x={x})"
+    return None
+
+
+def test_division_formulas_pass_on_the_corpus_as_per_pair():
+    for name, L, _ in corpus():
+        ctx = _Ctx(L, SuiteConfig())
+        if ctx.homset.m <= 512:
+            assert check_division_formulas(ctx) is None, name
+            assert _division_witness_per_pair(ctx) is None, name
+
+
+def test_division_formulas_report_the_per_pair_witness(monkeypatch):
+    """Each corrupted up-transform entry or star index gives the oracle's
+    witness: the first failing (y, x) in row-major order, then the first
+    failing formula.  Whenever a reduced form applies it equals the tensor
+    form, so a corrupted table fails the tensor form first.  In the dual
+    pentagon the bottom is the last element, so the pairs with y = bottom,
+    where the e-map divisions do not depend on the tables, come last."""
+    seen = set()
+    for L in (make_n5(), dual(make_n5()), make_mk(3), make_chain(4)):
+        ctx = _Ctx(L, SuiteConfig())
+        H = ctx.homset
+        monkeypatch.setattr(verify, "BLOCK_ROWS", 3 * H.m)  # three pairs per block
+        assert check_division_formulas(ctx) is None
+        up, star_idx = np.array(H.up_transform_tables), np.array(H.star_indices)
+        for f in range(0, H.m, max(1, H.m // 12)):
+            for x in range(L.n):
+                bad = up.copy()
+                bad[f, x] = (bad[f, x] + 1) % L.n
+                monkeypatch.setitem(H._cache, "up_t", bad)
+                want = _division_witness_per_pair(ctx)
+                assert want is not None and check_division_formulas(ctx) == want, (f, x)
+                seen.add(want.split(" fails")[0])
+            monkeypatch.setitem(H._cache, "up_t", up)
+            for g in (1, H.m // 2):
+                bad = star_idx.copy()
+                bad[f] = (bad[f] + g) % H.m
+                monkeypatch.setitem(H._cache, "star_idx", bad)
+                want = _division_witness_per_pair(ctx)
+                assert check_division_formulas(ctx) == want, (f, g)
+                if want is not None:
+                    seen.add(want.split(" fails")[0])
+            monkeypatch.setitem(H._cache, "star_idx", star_idx)
+    assert seen == set(verify.DIVISION_FORMULAS[:4])
