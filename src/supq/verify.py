@@ -454,9 +454,13 @@ def check_cd_raney(ctx: _Ctx):
 
 
 def check_residual_adjunction(ctx: _Ctx):
+    """g \\ h must be the largest f with g o f <= h, and h / f the largest g.  The
+    solutions {f : g o f <= h} form a down-set, as g o - is monotone, so they are the
+    down-set of g \\ h exactly when g o (g \\ h) <= h and the sizes agree (likewise for
+    h / f with - o f).  Sizes are float32 products of the counts #{f : g o f = a} with
+    the order matrix, exact as every count is at most m."""
     H = ctx.homset_capped(EXHAUSTIVE_PAIR_CAP, "exhaustive residual adjunction")
     leq = H.leq_matrix()
-    leq_t = np.ascontiguousarray(leq.T)
     m = H.m
     step = max(1, BLOCK_ROWS // m)  # members per block of at most BLOCK_ROWS rows
     dtype = np.min_scalar_type(m)  # narrow tables keep the peak memory of the check low
@@ -468,9 +472,15 @@ def check_residual_adjunction(ctx: _Ctx):
         comp[block] = H.compose_indices(block, np.arange(m))
         ld[:, block] = H.ldiv_indices(block).T
         rd[:, block] = H.rdiv_indices(block).T
-    # [g, h]: some f has (g o f <= h) != (f <= g \ h);  [f, h]: some g has (g o f <= h) != (g <= h / f)
-    bad_left = np.array([(leq[comp[g]] != leq_t[ld[g]].T).any(axis=0) for g in range(m)])
-    bad_right = np.array([(leq[comp[:, f]] != leq_t[rd[f]].T).any(axis=0) for f in range(m)])
+    below, sizes, rows = leq.astype(np.float32), leq.sum(axis=0, dtype=np.float32), np.arange(m)[:, None]
+    bad_left = ~leq[comp[rows, ld], rows.T]   # [g, h]: g o (g \ h) <= h fails
+    bad_right = ~leq[comp[rd, rows], rows.T]  # [f, h]: (h / f) o f <= h fails
+    for start in range(0, m, step):  # ... or the sizes differ, counted one block of rows at a time
+        part = slice(start, start + step)
+        for tab, res, bad in ((comp, ld, bad_left), (comp.T, rd, bad_right)):
+            keys = tab[part] + rows[:min(step, m - start)] * m
+            counts = np.bincount(keys.ravel(), minlength=keys.size).reshape(-1, m)
+            bad[part] |= counts.astype(np.float32) @ below != sizes[res[part]]
     failing = np.flatnonzero(bad_left.any(axis=0) | bad_right.any(axis=0))
     if failing.size:
         h = int(failing[0])

@@ -140,15 +140,16 @@ def test_single_member_residuals_match_the_per_member_formulas(corpus_homsets):
 
 def _corrupt(monkeypatch, method, spots):
     """Replace `method` so that the divisor rows of the given (h, g) spots
-    point at another member; single and block calls see the same change."""
+    point at another member: the next one, or the member given as a third
+    entry (h, g, to).  Single and block calls see the same change."""
     real = getattr(EndoHomset, method)
 
     def patched(self, i):
         got = np.array(real(self, i))
         rows = got.reshape(-1, self.m)
         hs = np.atleast_1d(i)
-        for h, g in spots:
-            rows[hs == h, g] = (rows[hs == h, g] + 1) % self.m
+        for h, g, *to in spots:
+            rows[hs == h, g] = to[0] if to else (rows[hs == h, g] + 1) % self.m
         return got
 
     monkeypatch.setattr(EndoHomset, method, patched)
@@ -183,6 +184,85 @@ def test_residual_adjunction_blocks_cover_every_member(monkeypatch):
     assert check_residual_adjunction(ctx) is None
     _corrupt(monkeypatch, "rdiv_indices", [(49, 7)])
     assert check_residual_adjunction(ctx) == _residual_witness_h_major(ctx.homset)
+
+
+@pytest.fixture(scope="module")
+def residual_ctxs():
+    """Contexts on which residual-adjunction passes: m3 (one block), the
+    downset lattice of a 2-chain plus a point (108 maps, one block) and
+    boolean3 (512 maps, 16 blocks of 32 members)."""
+    lattices = {name: (L, P) for name, L, P in corpus()}
+    out = {}
+    for name in ("m3", "downset-chain2-plus-point", "boolean3"):
+        L, P = lattices[name]
+        ctx = _Ctx(L, SuiteConfig(), P)
+        assert check_residual_adjunction(ctx) is None, name
+        out[name] = ctx
+    return out
+
+
+@pytest.mark.parametrize("name", ["downset-chain2-plus-point", "boolean3"])
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ([(5, 3)], []),
+        ([], [(37, 2)]),
+        ([(90, 1)], [(40, 6)]),
+        ([(64, 100)], [(64, 1), (33, 0)]),
+    ],
+)
+def test_residual_adjunction_witness_on_larger_homsets(monkeypatch, residual_ctxs, name, left, right):
+    ctx = residual_ctxs[name]
+    _corrupt(monkeypatch, "ldiv_indices", left)
+    _corrupt(monkeypatch, "rdiv_indices", right)
+    want = _residual_witness_h_major(ctx.homset)
+    assert want is not None
+    assert check_residual_adjunction(ctx) == want
+
+
+def _one_sided_spot(H, method, kind):
+    """A corruption (h, g, to) of `method` that only one half of the count
+    form catches.  "inside": `to` is the bottom member, which solves
+    g o f <= h (resp. f o g <= h) for every h, below a true residual with a
+    larger down-set, so only the size count fails.  "same-size": `to` has a
+    down-set of the true residual's size but is another member, so it is not
+    below the residual and lies outside the solution set; only membership
+    fails.  h starts a third of the way into the members and g at the last
+    one, so on boolean3 the spot lies past the first block of divisors and
+    in the last block of count rows."""
+    leq = H.leq_matrix()
+    sizes = leq.sum(axis=0)
+    for h in range(H.m // 3, H.m):
+        res = getattr(H, method)(h)
+        for g in range(H.m - 1, -1, -1):
+            r = res[g]
+            if kind == "inside":
+                others = [H.bottom_index] if sizes[r] > 1 else []
+            else:
+                others = np.flatnonzero((sizes == sizes[r]) & (np.arange(H.m) != r))
+            if len(others) == 0:
+                continue
+            to = int(others[0])
+            comp = H.compose_indices(g, to) if method == "ldiv_indices" else H.compose_indices(to, g)
+            assert bool(leq[comp[0, 0], h]) == (kind == "inside")
+            assert (sizes[to] == sizes[r]) == (kind == "same-size")
+            return h, g, to
+    raise AssertionError(f"no {kind} spot for {method}")
+
+
+@pytest.mark.parametrize("name", ["m3", "downset-chain2-plus-point", "boolean3"])
+@pytest.mark.parametrize("method", ["ldiv_indices", "rdiv_indices"])
+@pytest.mark.parametrize("kind", ["inside", "same-size"])
+def test_residual_adjunction_catches_each_half_of_the_count_form(
+    monkeypatch, residual_ctxs, name, method, kind
+):
+    ctx = residual_ctxs[name]
+    h, g, to = _one_sided_spot(ctx.homset, method, kind)
+    _corrupt(monkeypatch, method, [(h, g, to)])
+    side, var = ("left", "g") if method == "ldiv_indices" else ("right", "f")
+    want = f"{side} residual adjunction fails at ({var}={g}, h={h})"
+    assert _residual_witness_h_major(ctx.homset) == want
+    assert check_residual_adjunction(ctx) == want
 
 
 # -- composite naturality witnesses --------------------------------------------------------
