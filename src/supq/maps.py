@@ -333,9 +333,21 @@ def left_adjoint(g: LatticeMap) -> LatticeMap:
 # -- greatest sup-preserving map below a monotone one ------------------------
 
 
-@cached("cover_parents")
-def _cover_parents(L: Lattice) -> list[list[int]]:
-    return [list(np.flatnonzero(L.covers[x])) for x in range(L.n)]
+@cached("interior_steps")
+def _interior_steps(L: Lattice) -> tuple[tuple, tuple]:
+    """One pass of the sup-interior operator on maps out of L, as two step
+    lists: the cover edges (x, p), x from the top down, where x takes the
+    meet with its upper cover p; then the incomparable pairs (x, a, b) with
+    a v b = x, where x takes the meet with the join of a and b."""
+    covers = tuple((x, int(p)) for x in L.descending_order for p in np.flatnonzero(L.covers[x]))
+    pairs = tuple((x, a, b) for x in range(L.n) for a, b in L.incomparable_join_pairs[x])
+    return covers, pairs
+
+
+def _flat_index_dtype(n: int):
+    """The dtype of element vectors whose flat index a*n + b into an n x n
+    table is formed in place: int16 while n*n <= 2^15, else int32."""
+    return np.int16 if n * n <= 1 << 15 else np.int32
 
 
 def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
@@ -344,25 +356,35 @@ def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) ->
     Iterates a decreasing operator until every row is bottom-preserving,
     monotone, and sub-additive on joins; the fixpoint is then the greatest
     join-preserving map below each input row.
+
+    The passes run element-major: column x of the input is one contiguous
+    vector over the rows, and each meet or join is a `take` on the raveled
+    target table at a*n + b.  The operator acts on each row alone, so a row
+    that a pass leaves unchanged is a fixpoint: it is written back to its
+    place and the next pass runs only on the rows that moved.
     """
-    K = np.array(tables, dtype=np.int16)
-    if K.ndim == 1:
-        K = K[None, :]
-    jt, mt = target.join, target.meet
-    desc = source.descending_order
-    cover_parents = _cover_parents(source)
-    pair_groups = source.incomparable_join_pairs
+    n = target.n
+    dt = _flat_index_dtype(n)
+    mt = target.meet.ravel().astype(dt, copy=False)
+    jt = target.join.ravel().astype(dt, copy=False)
+    covers, pairs = _interior_steps(source)
+    out = np.array(_as_rows(tables).T, dtype=dt, order="C")  # [x, row]
+    C, rows = out, None  # passes run on out itself until a row settles
     while True:
-        before = K.copy()
-        K[:, source.bottom] = target.bottom
-        for x in desc:
-            for p in cover_parents[x]:
-                K[:, x] = mt[K[:, x], K[:, p]]
-        for x in range(source.n):
-            for a, b in pair_groups[x]:
-                K[:, x] = mt[K[:, x], jt[K[:, a], K[:, b]]]
-        if (K == before).all():
-            return K
+        before = C.copy()
+        C[source.bottom] = target.bottom
+        for x, p in covers:
+            C[x] = mt.take(C[x] * dt(n) + C[p])
+        for x, a, b in pairs:
+            C[x] = mt.take(C[x] * dt(n) + jt.take(C[a] * dt(n) + C[b]))
+        moved = (C != before).any(axis=0)
+        if rows is not None:
+            out[:, rows] = C
+        if not moved.any():
+            return np.ascontiguousarray(out.T, dtype=np.int16)
+        if not moved.all():
+            rows = np.flatnonzero(moved) if rows is None else rows[moved]
+            C = C[:, moved]
 
 
 def sup_interior(k: LatticeMap) -> LatticeMap:

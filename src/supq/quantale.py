@@ -16,6 +16,8 @@ from supq.maps import (
     _as_rows,
     _elem_of_downmask,
     _elem_of_upmask,
+    _flat_index_dtype,
+    _interior_steps,
     a_map,
     c_map,
     e_map,
@@ -240,17 +242,27 @@ def division_formulas(f: LatticeMap, y: int, x: int) -> dict[str, LatticeMap]:
 
 
 def tensor_meet_tables(L: Lattice, h_tabs: np.ndarray, f_tabs: np.ndarray) -> np.ndarray:
-    """Rowwise pointwise meet over x of the tensors h(x) over f(x).  A one-row
-    side broadcasts against the other."""
-    h, f = _as_rows(h_tabs), _as_rows(f_tabs)
-    acc = np.full((max(len(h), len(f)), L.n), L.top, dtype=np.int16)
-    leq_t = L.leq.T
-    for x in range(L.n):
-        mask = leq_t[f[:, x]]  # (len(f), n): t <= f(x)
-        val = np.where(mask, h[:, x][:, None], np.int16(L.top))
-        val[:, L.bottom] = L.bottom
-        acc = L.meet[acc, val]
-    return acc
+    """Rowwise pointwise meet over x of the tensors h(x) over f(x): the map
+    k with k(bottom) = bottom and k(t) = meet of {h(x) : t <= f(x)}.  A
+    one-row side broadcasts against the other.
+
+    Runs element-major, like sup_interior_tables: one scatter per x sets
+    M[v] to the meet of {h(x) : f(x) = v}, then the cover edges from the top
+    down give each M[t] the meet over every v >= t."""
+    h, f = _as_rows(h_tabs).T, _as_rows(f_tabs).T  # [x, row], one row or all
+    n = L.n
+    dt = _flat_index_dtype(n)
+    mt = L.meet.ravel().astype(dt, copy=False)
+    rows = max(h.shape[1], f.shape[1])
+    M = np.full((n, rows), L.top, dtype=dt)  # [v, row]
+    flat, cols = M.reshape(-1), np.arange(rows)
+    for x in range(n):
+        at = f[x].astype(np.intp) * rows + cols
+        flat[at] = mt.take(flat.take(at) * dt(n) + h[x])
+    for t, p in _interior_steps(L)[0]:
+        M[t] = mt.take(M[t] * dt(n) + M[p])
+    M[L.bottom] = L.bottom
+    return np.ascontiguousarray(M.T, dtype=np.int16)
 
 
 def rdiv_tables(L: Lattice, h_tabs: np.ndarray, f_tabs: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from supq.maps import (
     a_map,
     c_map,
     e_tables,
-    extend_bimorphism,
     identity_map,
     is_inf_preserving,
     is_sup_preserving,
@@ -561,21 +560,15 @@ def abstract_raney_check(H: EndoHomset, family=None) -> AbstractRaneyVerdict:
     whether the identity arises as an extension over some meet-preserving map."""
     L = H.lattice
     psi = family if family is not None else e_family(L)
-    chain = True
-    for y in range(L.n):
-        for x in range(L.n):
-            values = sorted(set(psi(y, x).table))
-            for a in values:
-                for b in values:
-                    if not (L.leq[a, b] or L.leq[b, a]):
-                        chain = False
-    ident = tuple(range(L.n))
-    found = False
-    for t in enumerate_inf_maps(L):
-        g = LatticeMap(L, L, t)
-        if extend_bimorphism(psi, g).table == ident:
-            found = True
-            break
+    T = np.array([[psi(y, x).table for x in range(L.n)] for y in range(L.n)], dtype=np.int16)  # [y, x, t]
+    comparable = L.leq | L.leq.T
+    chain = bool(comparable[T[..., :, None], T[..., None, :]].all())
+    # the extension of psi along each inf map G: the join over x of psi(G(x), x)
+    inf = enumerate_inf_maps(L)
+    ext = T[inf[:, 0], 0]
+    for x in range(1, L.n):
+        ext = L.join[ext, T[inf[:, x], x]]
+    found = bool((ext == np.arange(L.n)).all(axis=1).any())
     return AbstractRaneyVerdict(
         chain_image=chain,
         identity_in_image=found,

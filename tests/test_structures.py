@@ -11,7 +11,9 @@ Oracles used here:
   * weakening relations are enumerated by filtering all subsets of P x P;
   * naturality is re-verified by composing actual maps, not index tables,
     and the gathered classification is compared with a scalar loop that
-    builds every composite as a LatticeMap.
+    builds every composite as a LatticeMap;
+  * the abstract two-valued check is re-run with one extend_bimorphism per
+    inf map, for the canonical family and for three others.
 """
 import itertools
 
@@ -755,6 +757,64 @@ def test_abstract_check_on_the_canonical_family(name):
     assert v.implication_holds
 
 
+def abstract_raney_per_map(H, psi):
+    """The verdict with the chain test on each value set and one LatticeMap
+    and one extend_bimorphism per inf map."""
+    L = H.lattice
+    chain = True
+    for y in range(L.n):
+        for x in range(L.n):
+            values = set(psi(y, x).table)
+            chain &= all(L.leq[a, b] or L.leq[b, a] for a in values for b in values)
+    ident = tuple(range(L.n))
+    found = any(
+        extend_bimorphism(psi, LatticeMap(L, L, t)).table == ident for t in enumerate_inf_maps(L)
+    )
+    return AbstractRaneyVerdict(chain, found, is_distributive(L))
+
+
+def _family_along_an_inf_map(L):
+    """c_y o a_g(x) for the middle inf map g: the identity is not reached."""
+    inf = enumerate_inf_maps(L)
+    g = LatticeMap(L, L, inf[len(inf) // 2])
+    return family_map_after_a([c_map(L, L, y) for y in range(L.n)], g)
+
+
+def _family_of_meets(L):
+    """psi(y, x) = meet with y, for every x: off a chain, its image is not a
+    chain, and along any inf map it extends to the identity."""
+    return lambda y, x: LatticeMap(L, L, L.meet[y])
+
+
+def _twisted_family(L):
+    """The canonical family after the automorphism of boolean2 that swaps
+    the atoms."""
+    swap = {0: 0, 1: 2, 2: 1, 3: 3}
+    return family_map_after_a([c_map(L, L, swap[y]) for y in range(L.n)], identity_map(L))
+
+
+@pytest.mark.parametrize("name, family", [(name, e_family) for name in sorted(LATTICES)] + [
+    ("boolean2", _twisted_family),
+    ("boolean2", _family_along_an_inf_map),
+    ("boolean3", _family_along_an_inf_map),
+    ("chain3", _family_along_an_inf_map),
+    ("m3", _family_along_an_inf_map),
+    ("n5", _family_along_an_inf_map),
+    ("boolean2", _family_of_meets),
+    ("boolean3", _family_of_meets),
+    ("chain4", _family_of_meets),
+])
+def test_abstract_check_matches_the_per_map_extension_loop(name, family):
+    H = HOMSETS[name]
+    psi = family(H.lattice)
+    want = abstract_raney_per_map(H, psi)
+    assert abstract_raney_check(H, psi) == want
+    if family is _family_of_meets:
+        assert want.identity_in_image and want.chain_image == (name == "chain4")
+    if family is _family_along_an_inf_map:
+        assert want.chain_image and not want.identity_in_image
+
+
 def test_canonical_family_image_is_the_tight_subset():
     for name in ("chain3", "boolean2", "m3", "n5"):
         H = HOMSETS[name]
@@ -780,13 +840,8 @@ def test_second_construction_gives_the_same_family():
 
 
 def test_twisted_family_still_reaches_the_identity_on_a_distributive_lattice():
-    L = make_boolean(2)
-    swap = {0: 0, 1: 2, 2: 1, 3: 3}
-    psi = family_map_after_a(
-        [c_map(L, L, swap[y]) for y in range(L.n)], identity_map(L)
-    )
     H = HOMSETS["boolean2"]
-    v = abstract_raney_check(H, psi)
+    v = abstract_raney_check(H, _twisted_family(H.lattice))
     assert v.chain_image and v.identity_in_image and v.implication_holds
 
 

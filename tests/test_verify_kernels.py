@@ -1,6 +1,8 @@
 """The whole-homset residual, naturality, tight-subset and weakening passes
 of the verifier, checked against the member-by-member loops they replace,
-and the batched kernels that the single-map functions are one-row views of."""
+and the batched kernels that the single-map functions are one-row views of,
+among them the element-major residual kernels against the row-major loops
+they replace."""
 import itertools
 
 import numpy as np
@@ -14,6 +16,7 @@ from supq.lattice import (
     downset_lattice,
     dual,
     find_order_isomorphism,
+    make_boolean,
     make_chain,
     make_mk,
     make_n5,
@@ -29,11 +32,19 @@ from supq.maps import (
     is_sup_preserving,
     left_adjoint_tables,
     right_adjoint_tables,
+    sup_interior,
     sup_interior_tables,
     tensor_over,
     tensor_tables,
 )
-from supq.quantale import EndoHomset, enumerate_homset, ldiv_tables, raney_down_tables, rdiv_tables
+from supq.quantale import (
+    EndoHomset,
+    enumerate_homset,
+    ldiv_tables,
+    raney_down_tables,
+    rdiv_tables,
+    tensor_meet_tables,
+)
 from supq.structures import wk_tables
 from supq.verify import (
     BLOCK_ROWS,
@@ -133,6 +144,160 @@ def test_single_member_residuals_match_the_per_member_formulas(corpus_homsets):
             assert H.ldiv_indices(h).shape == (H.m,)
             assert (H.ldiv_indices(h) == _ldiv_row(H, h)).all(), (name, h)
             assert (H.rdiv_indices(h) == _rdiv_row(H, h)).all(), (name, h)
+
+
+# -- the residual kernels against their row-major loops ----------------------------------
+
+
+def _interior_pass_row_major(source, target, K):
+    """One pass of the sup-interior operator on the rows of K, in place, by
+    2-D fancy indexing on its strided columns."""
+    jt, mt = target.join, target.meet
+    K[:, source.bottom] = target.bottom
+    for x in source.descending_order:
+        for p in np.flatnonzero(source.covers[x]):
+            K[:, x] = mt[K[:, x], K[:, p]]
+    for x in range(source.n):
+        for a, b in source.incomparable_join_pairs[x]:
+            K[:, x] = mt[K[:, x], jt[K[:, a], K[:, b]]]
+
+
+def _sup_interior_row_major(source, target, tables):
+    """The row-major fixpoint: every row runs until the slowest one is done."""
+    K = np.array(tables, dtype=np.int16).reshape(-1, source.n)
+    while True:
+        before = K.copy()
+        _interior_pass_row_major(source, target, K)
+        if (K == before).all():
+            return K
+
+
+def _settling_pass(source, target, row):
+    """The last pass that changes the row, counted from 0 for a row that no
+    pass changes."""
+    K = np.array(row, dtype=np.int16)[None, :]
+    last = 0
+    for k in itertools.count(1):
+        before = K.copy()
+        _interior_pass_row_major(source, target, K)
+        if (K == before).all():
+            return last
+        last = k
+
+
+def _tensor_meet_row_major(L, h_tabs, f_tabs):
+    """Meet over x of the tensors h(x) over f(x), one (rows, n) gather per x."""
+    h = np.array(h_tabs, dtype=np.int16).reshape(-1, L.n)
+    f = np.array(f_tabs, dtype=np.int16).reshape(-1, L.n)
+    acc = np.full((max(len(h), len(f)), L.n), L.top, dtype=np.int16)
+    for x in range(L.n):
+        val = np.where(L.leq.T[f[:, x]], h[:, x][:, None], np.int16(L.top))
+        val[:, L.bottom] = L.bottom
+        acc = L.meet[acc, val]
+    return acc
+
+
+def _assert_same_rows(got, want):
+    assert got.dtype == np.int16 and got.flags.c_contiguous
+    assert got.shape == want.shape and (got == want).all()
+
+
+def _chain(n):
+    """An n-chain, built past the size guard of make_chain."""
+    idx = np.arange(n)
+    return Lattice(idx[:, None] <= idx[None, :], join=np.maximum.outer(idx, idx),
+                   meet=np.minimum.outer(idx, idx), _validated=True)
+
+
+def _random_monotone(S, T, rows, rng):
+    """Random monotone tables from S to T: x goes to the join of random
+    values over the down-set of x."""
+    r = rng.integers(0, T.n, size=(rows, S.n))
+    out = np.full((rows, S.n), T.bottom, dtype=np.int16)
+    for x in range(S.n):
+        for y in np.flatnonzero(S.leq[:, x]):
+            out[:, x] = T.join[out[:, x], r[:, y]]
+    return out
+
+
+def test_residual_kernels_match_the_row_major_loops_on_every_corpus_residual(corpus_homsets):
+    """The inputs of g \\ h and of h / f for every pair of members."""
+    for name, H in corpus_homsets.items():
+        L, m = H.lattice, H.m
+        ldiv_in = H.rho_tables[:, H.tables].reshape(m * m, L.n)  # rho_g o h
+        _assert_same_rows(sup_interior_tables(L, L, ldiv_in), _sup_interior_row_major(L, L, ldiv_in))
+        h, f = np.repeat(H.tables, m, axis=0), np.tile(H.tables, (m, 1))
+        meet = _tensor_meet_row_major(L, h, f)
+        _assert_same_rows(tensor_meet_tables(L, h, f), meet)
+        _assert_same_rows(sup_interior_tables(L, L, meet), _sup_interior_row_major(L, L, meet))
+
+
+RANDOM_PAIRS = [
+    ("mk3->chain2", make_mk(3), make_chain(2)),
+    ("chain2->mk3", make_chain(2), make_mk(3)),
+    ("n5->boolean3", make_n5(), make_boolean(3)),
+    ("boolean3->mk5", make_boolean(3), make_mk(5)),
+    ("mk5->n5", make_mk(5), make_n5()),
+    ("dual-n5", dual(make_n5()), dual(make_n5())),
+]
+
+
+@pytest.mark.parametrize("S, T", [(S, T) for _, S, T in RANDOM_PAIRS], ids=[name for name, _, _ in RANDOM_PAIRS])
+def test_residual_kernels_match_the_row_major_loops_on_random_monotone_inputs(S, T):
+    rng = np.random.default_rng(11)
+    K = _random_monotone(S, T, 3000, rng)
+    _assert_same_rows(sup_interior_tables(S, T, K), _sup_interior_row_major(S, T, K))
+    if S is T:
+        h, f = _random_monotone(S, S, 3000, rng), _random_monotone(S, S, 3000, rng)
+        _assert_same_rows(tensor_meet_tables(S, h, f), _tensor_meet_row_major(S, h, f))
+        _assert_same_rows(tensor_meet_tables(S, h[0], f), _tensor_meet_row_major(S, h[0], f))
+        _assert_same_rows(tensor_meet_tables(S, h, f[0]), _tensor_meet_row_major(S, h, f[0]))
+
+
+def test_rows_settling_in_different_passes_come_back_in_order():
+    """On m3 the inputs of g \\ h settle in passes 0, 1 and 2; a shuffled
+    batch of them must come back row for row."""
+    H = enumerate_homset(make_mk(3))
+    L = H.lattice
+    K = H.rho_tables[:, H.tables].reshape(-1, L.n)
+    passes = np.array([_settling_pass(L, L, row) for row in K])
+    assert set(passes.tolist()) == {0, 1, 2}
+    picks = np.concatenate([np.flatnonzero(passes == k)[:40] for k in (0, 1, 2)])
+    batch = K[np.random.default_rng(3).permutation(picks)]
+    got = sup_interior_tables(L, L, batch)
+    _assert_same_rows(got, _sup_interior_row_major(L, L, batch))
+    for row, want in zip(batch, got):
+        assert (sup_interior_tables(L, L, row)[0] == want).all()
+
+
+def test_one_row_views_of_the_residual_kernels():
+    H = enumerate_homset(make_n5())
+    L = H.lattice
+    K = H.rho_tables[:, H.tables].reshape(-1, L.n)
+    for row in K[::97]:
+        kept = row.copy()
+        want = _sup_interior_row_major(L, L, row)
+        _assert_same_rows(sup_interior_tables(L, L, row), want)          # 1-D
+        _assert_same_rows(sup_interior_tables(L, L, row[None, :]), want)  # one 2-D row
+        assert sup_interior(LatticeMap(L, L, row)).table == tuple(want[0])
+        assert (row == kept).all()
+    for h, f in zip(H.tables[::7], H.tables[::-7]):
+        _assert_same_rows(tensor_meet_tables(L, h, f), _tensor_meet_row_major(L, h, f))
+    empty = np.zeros((0, L.n), dtype=np.int16)
+    _assert_same_rows(sup_interior_tables(L, L, empty), empty)
+
+
+@pytest.mark.parametrize("L", [_chain(200), Lattice(np.kron(make_chain(2).leq, _chain(100).leq))],
+                         ids=["chain200", "chain2xchain100"])
+def test_residual_kernels_past_the_int16_flat_index(L):
+    """n > 181, so a*n + b no longer fits in int16."""
+    assert L.n ** 2 > 1 << 15
+    rng = np.random.default_rng(19)
+    K = _random_monotone(L, L, 64, rng)
+    assert K.max() > 181
+    _assert_same_rows(sup_interior_tables(L, L, K), _sup_interior_row_major(L, L, K))
+    h, f = _random_monotone(L, L, 64, rng), _random_monotone(L, L, 64, rng)
+    _assert_same_rows(tensor_meet_tables(L, h, f), _tensor_meet_row_major(L, h, f))
 
 
 # -- residual adjunction witnesses -------------------------------------------------------
@@ -284,17 +449,6 @@ def test_naturality_composite_reports_the_fgt_witness(monkeypatch, make, g):
 # -- batched monotonicity ------------------------------------------------------------------
 
 
-class _RecordingRng:
-    def __init__(self, seed, log):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._log = log
-
-    def integers(self, *args, **kwargs):
-        got = self._rng.integers(*args, **kwargs)
-        self._log.append(np.array(got))
-        return got
-
-
 def _record_interior_calls(monkeypatch, bottom_row=None):
     """Record each interior call; on the third, the batched pair joins, send
     row `bottom_row` of the result to the bottom map."""
@@ -312,36 +466,26 @@ def _record_interior_calls(monkeypatch, bottom_row=None):
 
 
 @pytest.mark.parametrize("make", [lambda: make_chain(3), lambda: make_mk(3)])
-def test_monotonicity_draws_the_pairs_of_the_per_pair_loop(monkeypatch, make):
+def test_monotonicity_covers_every_ordered_pair(monkeypatch, make):
     ctx = _Ctx(make(), SuiteConfig())
     L = ctx.L
     K = _monotone_inputs(ctx)
-    rng = np.random.default_rng(7)
-    pairs = [rng.integers(0, len(K), size=2) for _ in range(min(300, len(K) ** 2))]
-
-    log = []
-    real_default_rng = np.random.default_rng
-    monkeypatch.setattr(
-        np.random, "default_rng",
-        lambda seed=None: _RecordingRng(seed, log) if seed == 7 else real_default_rng(seed),
-    )
+    k = len(K)
     calls = _record_interior_calls(monkeypatch)
     assert check_sup_interior_props(ctx) is None
-    assert len(log) == len(pairs)
-    assert all(a.shape == (2,) and (a == b).all() for a, b in zip(log, pairs))
-    i, j = np.array(pairs).T
-    assert (calls[-1] == L.join[K[i], K[j]]).all()
+    assert len(calls) == 3 and calls[-1].shape == (k * k, L.n)
+    # row i * k + j is the join of inputs i and j
+    assert (calls[-1].reshape(k, k, L.n) == L.join[K[:, None, :], K[None, :, :]]).all()
 
 
 def test_monotonicity_catches_a_non_monotone_interior(monkeypatch):
     ctx = _Ctx(make_chain(3), SuiteConfig())
     K = _monotone_inputs(ctx)
+    k = len(K)
     out = sup_interior_tables(ctx.L, ctx.L, K)
-    rng = np.random.default_rng(7)
-    pairs = [rng.integers(0, len(K), size=2) for _ in range(min(300, len(K) ** 2))]
-    # the last pair whose smaller interior is not the bottom map
-    row = max(r for r, (i, _) in enumerate(pairs) if (out[i] != ctx.L.bottom).any())
-    assert row > len(pairs) // 2
+    # the last pair (i, j) whose smaller interior, that of input i, is not the bottom map
+    row = max(r for r in range(k * k) if (out[r // k] != ctx.L.bottom).any())
+    assert row > k * k // 2
     _record_interior_calls(monkeypatch, bottom_row=row)
     assert check_sup_interior_props(ctx) == "interior is not monotone as an operator"
 
