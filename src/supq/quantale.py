@@ -18,6 +18,7 @@ from supq.maps import (
     _elem_of_upmask,
     _flat_index_dtype,
     _interior_steps,
+    _sup_interior_columns,
     a_map,
     c_map,
     e_map,
@@ -39,6 +40,7 @@ from supq.maps import (
 DEFAULT_HOMSET_CAP = 100_000  # members of an enumerated homset
 MATRIX_CAP = 4096  # members of a homset whose full order matrix may be built
 TABLE_SCAN_CAP = 2000  # members of a homset for quadratic table scans and the autoduality search
+SLOT_CAP = 2**23  # slots n^|J| of the dense member table; larger key spaces are searched
 
 
 class NotDualizing(LatticeError):
@@ -276,7 +278,9 @@ def ldiv_tables(L: Lattice, rho_tabs: np.ndarray, h_tabs: np.ndarray) -> np.ndar
     rows of the divisors g: the sup-interior of rho_g o h.  A one-row side
     broadcasts against the other."""
     rho, h = _as_rows(rho_tabs), _as_rows(h_tabs)
-    return sup_interior_tables(L, L, rho[np.arange(len(rho))[:, None], h])
+    # C[x, row] = rho_row(h_row(x)), gathered straight into the kernel's element-major layout
+    C = rho[np.arange(len(rho)), np.ascontiguousarray(h.T)]
+    return _sup_interior_columns(L, L, C.astype(_flat_index_dtype(L.n), copy=False))
 
 
 # -- homset enumeration ------------------------------------------------------------
@@ -340,6 +344,14 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
     return enumerate_homset(dual(L), cap).tables
 
 
+def _row_keys(rows: np.ndarray, cols: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """The sum of radix[k] * row[cols[k]] for each row, in the dtype of radix."""
+    q = np.zeros(len(rows), dtype=radix.dtype)
+    for k, x in enumerate(cols):
+        q += rows[:, x] * radix[k]
+    return q
+
+
 def _checked(idx: np.ndarray, hit: np.ndarray, strict: bool) -> np.ndarray:
     """idx where hit holds; elsewhere KeyError when strict, else -1."""
     if strict:
@@ -354,9 +366,23 @@ class EndoHomset:
     Derived tables and search results are computed once into `_cache` by
     `lattice.cached`: `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
     `tight_has_unit` under "tight_unit", `homset_irreducibles` under "irreducibles".
-    Every member lookup goes through one radix key, the sum of n^x * f(x),
-    kept sorted; `compose_indices` and `join_indices` form the keys of
-    composites and joins without building their tables."""
+
+    Member lookup.  A join-preserving f is fixed by its values on the
+    join-irreducibles J = (j_0, j_1, ...), since f(x) is the join of f(j)
+    over the j <= x.  So while n^|J| <= SLOT_CAP a member is found by its
+    J-key, the sum of n^k * f(j_k), in a dense array of n^|J| slots that
+    hold the member index or -1.  Building it checks once that every member
+    is join-preserving and that no two share their J-key (ValueError
+    otherwise); composites and joins of members are join-preserving, so
+    `compose_indices` and `join_indices` need only their J-keys: g o f has
+    the float64 product tables[g] @ W[:, f], exact as every key is below
+    n^|J| <= 2^23 < 2^53, and g v f the sum of |J| gathers.  `index_rows`
+    takes any rows, join-preserving or not, so it also compares the rest
+    of the row with the slot's member.  Above the cap (the 9-chain has 9^8
+    slots for 12,870 maps; mk 7 has 9^7 and fits) the key is the radix key
+    over all n elements, the sum of n^x * f(x), kept sorted and
+    binary-searched while n^n < 2^62, and a byte-string dictionary of the
+    rows beyond that."""
 
     def __init__(self, L: Lattice, tables: np.ndarray):
         self.lattice = L
@@ -368,39 +394,89 @@ class EndoHomset:
 
     @cached("keys")
     def _keys(self):
+        """(kind, key columns, radix, lookup): the slot table and the columns
+        off J, the sorted radix keys and their order or, with no key columns,
+        the row dictionary."""
         n = self.lattice.n
+        J = np.array(join_irreducibles(self.lattice), dtype=np.intp)
+        if n ** len(J) <= SLOT_CAP:
+            return self._slot_keys(J)
         if n ** n < 2**62:
-            radix = (np.int64(n) ** np.arange(n, dtype=np.int64))[None, :]
-            keys = (self.tables.astype(np.int64) * radix).sum(axis=1)
-            order = np.argsort(keys)
-            return ("radix", radix, keys[order], order)
-        return ("dict", {t.tobytes(): i for i, t in enumerate(self.tables)})
+            return self._sorted_keys()
+        return self._dict_keys()
+
+    def _slot_keys(self, J: np.ndarray):
+        """The slot table of the J-keys, once every member is seen to preserve
+        the empty and binary joins and no two share their J-values."""
+        L, t = self.lattice, self.tables
+        ok = t[:, L.bottom] == L.bottom
+        for a in range(L.n - 1):
+            b = np.arange(a + 1, L.n)
+            ok &= (t[:, L.join[a, b]] == L.join[t[:, [a]], t[:, b]]).all(axis=1)
+        if not ok.all():
+            raise ValueError(f"member {int(np.argmin(ok))} is not join-preserving")
+        radix = np.int32(L.n) ** np.arange(len(J), dtype=np.int32)
+        keys = _row_keys(t, J, radix)
+        slot = np.full(L.n ** len(J), -1, dtype=np.int32)
+        slot[keys] = np.arange(self.m)
+        clash = np.flatnonzero(slot[keys] != np.arange(self.m))
+        if clash.size:
+            i = int(clash[0])
+            raise ValueError(f"members {i} and {int(slot[keys[i]])} agree on the join-irreducibles")
+        return ("slot", J, radix, (slot, np.setdiff1d(np.arange(L.n), J)))
+
+    def _sorted_keys(self):
+        n = self.lattice.n
+        cols, radix = np.arange(n), np.int64(n) ** np.arange(n, dtype=np.int64)
+        keys = _row_keys(self.tables, cols, radix)
+        order = np.argsort(keys)
+        return ("radix", cols, radix, (keys[order], order))
+
+    def _dict_keys(self):
+        return ("dict", None, None, {t.tobytes(): i for i, t in enumerate(self.tables)})
 
     def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
-        """Index of each row in the homset table; -1 for absent rows when
-        strict is off."""
+        """Index of each row, a table of values of the lattice, in the homset
+        table; -1 for absent rows when strict is off."""
         rows = _as_rows(rows)
-        keys = self._keys()
-        if keys[0] == "radix":
-            return self._index_keys((rows.astype(np.int64) * keys[1]).sum(axis=1), strict)
-        idx = np.array([keys[1].get(r.tobytes(), -1) for r in rows], dtype=np.int64)
-        return _checked(idx, idx >= 0, strict)
+        kind, cols, radix, look = self._keys()
+        if kind == "dict":
+            idx = np.array([look.get(r.tobytes(), -1) for r in rows], dtype=np.int64)
+            return _checked(idx, idx >= 0, strict)
+        q = _row_keys(rows, cols, radix)
+        if kind == "radix":
+            return self._index_keys(q, strict)
+        # the key fixes the J-values of a row of lattice values, so the one
+        # member with them, if any, is the row when it also agrees off J
+        slot, off_J = look
+        idx = slot[q]
+        hit = idx >= 0
+        for x in off_J:
+            hit &= self.tables[:, x].take(idx) == rows[:, x]
+        return _checked(idx, hit, strict)
 
     def _index_keys(self, q: np.ndarray, strict: bool = True) -> np.ndarray:
-        """Index of the member with each radix key in q, an array of any shape."""
-        _, _, sorted_keys, order = self._keys()
+        """Index of the member with each key in q, an array of any shape, where
+        q holds the keys of join-preserving maps."""
+        kind, _, _, look = self._keys()
+        if kind == "slot":
+            idx = look[0][q]
+            return _checked(idx, idx >= 0, strict)
+        sorted_keys, order = look
         pos = np.minimum(np.searchsorted(sorted_keys, q), self.m - 1)
         return _checked(order[pos], sorted_keys[pos] == q, strict)
 
     @cached("comp_w")
     def _composite_weights(self) -> np.ndarray:
-        """W[v, f] = sum of n^x over the x with f(x) = v, so that the radix key
-        of g o f, the sum of n^x * g(f(x)), is tables[g] @ W[:, f]."""
-        n = self.lattice.n
-        W = np.zeros((n, self.m), dtype=np.int64)
+        """W[v, f] = sum of radix[k] over the k with f(cols[k]) = v, so that
+        the key of g o f, the sum of radix[k] * g(f(cols[k])), is
+        tables[g] @ W[:, f].  float64 for the slot keys, which run the
+        product in BLAS; int64 for the radix keys."""
+        kind, cols, radix, _ = self._keys()
+        W = np.zeros((self.lattice.n, self.m), dtype=np.float64 if kind == "slot" else np.int64)
         members = np.arange(self.m)
-        for x in range(n):
-            W[self.tables[:, x], members] += np.int64(n) ** x
+        for k, x in enumerate(cols):
+            W[self.tables[:, x], members] += radix[k]
         return _freeze(W)
 
     def compose_indices(self, gs, fs) -> np.ndarray:
@@ -408,33 +484,38 @@ class EndoHomset:
         (len(gs), len(fs)).  A composite that is not a member raises KeyError,
         as in index_rows."""
         gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
-        if self._keys()[0] == "radix":
-            # every key lies below n^n < 2^62, so the int64 products are exact
-            return self._index_keys(self.tables[gs].astype(np.int64) @ self._composite_weights()[:, fs])
-        rows = self.tables[gs][:, self.tables[fs]]  # [a, b, x] = g_a(f_b(x))
-        return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
+        kind = self._keys()[0]
+        if kind == "dict":
+            rows = self.tables[gs][:, self.tables[fs]]  # [a, b, x] = g_a(f_b(x))
+            return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
+        W = self._composite_weights()
+        # slot keys lie below n^|J| <= 2^23 and radix keys below n^n < 2^62,
+        # so the float64 and int64 products are exact
+        q = self.tables[gs].astype(W.dtype) @ W[:, fs]
+        return self._index_keys(q.astype(np.intp) if kind == "slot" else q)
 
     @cached("join_w")
     def _join_weights(self) -> np.ndarray:
-        """jw[x, a, b] = n^x * join(a, b): the radix key of g v f is the sum
-        over x of jw[x, g(x), f(x)]."""
-        n = self.lattice.n
-        return _freeze(np.int64(n) ** np.arange(n, dtype=np.int64)[:, None, None] * self.lattice.join)
+        """jw[k, a, b] = radix[k] * join(a, b): the key of g v f is the sum
+        over k of jw[k, g(cols[k]), f(cols[k])]."""
+        _, _, radix, _ = self._keys()
+        return _freeze(radix[:, None, None] * self.lattice.join.astype(radix.dtype))
 
     def join_indices(self, gs, fs) -> np.ndarray:
         """Index of the pointwise join g v f for every member g in gs and f in
         fs, shape (len(gs), len(fs)).  A join that is not a member raises
         KeyError, as in index_rows."""
         gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
+        kind, cols, _, _ = self._keys()
         g_tabs, f_tabs = self.tables[gs], self.tables[fs]
-        if self._keys()[0] == "radix":
-            jw = self._join_weights()
-            q = np.zeros((len(gs), len(fs)), dtype=np.int64)
-            for x in range(self.lattice.n):
-                q += jw[x][g_tabs[:, x]].take(f_tabs[:, x], axis=1)
-            return self._index_keys(q)
-        rows = self.lattice.join[g_tabs[:, None, :], f_tabs[None, :, :]]
-        return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
+        if kind == "dict":
+            rows = self.lattice.join[g_tabs[:, None, :], f_tabs[None, :, :]]
+            return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
+        jw = self._join_weights()
+        q = np.zeros((len(gs), len(fs)), dtype=jw.dtype)
+        for k, x in enumerate(cols):
+            q += jw[k][g_tabs[:, x]].take(f_tabs[:, x], axis=1)
+        return self._index_keys(q)
 
     def index_of(self, f: LatticeMap) -> int:
         return int(self.index_rows(f.as_array())[0])

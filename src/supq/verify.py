@@ -625,7 +625,7 @@ def check_tight_unitality(ctx: _Ctx):
 
 
 def check_homset_irreducibles(ctx: _Ctx):
-    rep = homset_irreducibles(ctx.homset)
+    rep = homset_irreducibles(ctx.homset, cap=TABLE_SCAN_CAP)
     if not rep.meet_equals_tensors:
         return "meet-irreducibles differ from the elementary tensors"
     if not rep.e_within_join_irreducibles:

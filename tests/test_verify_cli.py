@@ -160,6 +160,16 @@ def test_a_cap_raised_inside_a_kernel_skips_the_checks_that_reach_it(monkeypatch
     assert report.summary["tight_unital"] is True
 
 
+def test_the_irreducible_scan_reads_the_cap_of_the_verify_module(monkeypatch):
+    config = SuiteConfig(checks=("homset-irreducibles",))
+    assert _not_passed(run_suite(make_chain(3), config, name="chain3")) == {}
+    monkeypatch.setattr(verify, "TABLE_SCAN_CAP", 5)
+    report = run_suite(make_chain(3), config, name="chain3")
+    assert _not_passed(report) == {
+        "homset-irreducibles": ("skipped", "homset has 6 members; irreducible scan capped at 5")
+    }
+
+
 def test_summary_flags_on_a_distributive_and_a_modular_lattice():
     chain = run_suite(make_chain(2), name="chain2").summary
     assert chain == {

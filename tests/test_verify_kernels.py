@@ -16,6 +16,7 @@ from supq.lattice import (
     downset_lattice,
     dual,
     find_order_isomorphism,
+    join_irreducibles,
     make_boolean,
     make_chain,
     make_mk,
@@ -664,11 +665,19 @@ def _joins_per_row(H, gs, fs):
     return np.stack([H.index_rows(H.lattice.join[H.tables[g][None, :], H.tables[fs]]) for g in gs])
 
 
+def _with_sorted_keys(H):
+    """The same homset looked up through the sorted radix keys that lattices
+    with n^|J| > SLOT_CAP and n^n < 2^62 use."""
+    S = EndoHomset(H.lattice, H.tables)
+    S._cache["keys"] = S._sorted_keys()
+    return S
+
+
 def _with_dict_keys(H):
     """The same homset looked up through the byte-string dictionary that
-    lattices with n^n >= 2^62 use."""
+    lattices with n^|J| > SLOT_CAP and n^n >= 2^62 use."""
     D = EndoHomset(H.lattice, H.tables)
-    D._cache["keys"] = ("dict", {t.tobytes(): i for i, t in enumerate(D.tables)})
+    D._cache["keys"] = D._dict_keys()
     return D
 
 
@@ -705,18 +714,98 @@ def test_join_indices_equal_the_looked_up_joins(kernel_homsets):
         assert (H.join_indices(members, picks[-1]) == _joins_per_row(H, members, [picks[-1]])).all(), name
 
 
-def test_dictionary_keys_give_the_same_indices(kernel_homsets):
-    for name in ("m3", "n5", "downset-chain2-plus-point"):
-        H = kernel_homsets[name]
-        D = _with_dict_keys(H)
+LOOKUPS = ("slot", "sorted", "dict")
+
+
+def _looked_up_by(H, lookup):
+    """The same homset with its members looked up through `lookup`: the slot
+    table of its J-keys, the sorted radix keys or the row dictionary."""
+    if lookup == "slot":
+        return H
+    return {"sorted": _with_sorted_keys, "dict": _with_dict_keys}[lookup](H)
+
+
+def _off_member_rows(H, rng, count=300):
+    """Rows that are mostly not members: random values, and members with one
+    entry set to a random value."""
+    n = H.lattice.n
+    moved = H.tables[rng.integers(0, H.m, count)].copy()
+    moved[np.arange(count), rng.integers(0, n, count)] = rng.integers(0, n, count)
+    return np.concatenate([rng.integers(0, n, (count, n)), moved]).astype(np.int16)
+
+
+def test_the_three_lookups_give_the_same_indices(kernel_homsets):
+    rng = np.random.default_rng(0)
+    for name, H in kernel_homsets.items():
+        assert H._keys()[0] == "slot", name
         members = np.arange(H.m)
-        assert (D.compose_indices(members, members) == H.compose_indices(members, members)).all(), name
-        assert (D.join_indices(members, members) == H.join_indices(members, members)).all(), name
-        assert (D.compose_indices(3, members) == H.compose_indices(3, members)).all(), name
+        picks = np.unique(np.linspace(0, H.m - 1, 40).astype(int))
+        rows = np.concatenate([H.tables, _off_member_rows(H, rng)])
+        got = {}
+        for lookup in LOOKUPS:
+            K = _looked_up_by(H, lookup)
+            assert K._keys()[0] == ("radix" if lookup == "sorted" else lookup)
+            got[lookup] = (K.compose_indices(picks, members), K.compose_indices(members, picks),
+                           K.join_indices(picks, members), K.join_indices(members, picks),
+                           K.index_rows(rows, strict=False))
+        for lookup in LOOKUPS[1:]:
+            for a, b in zip(got["slot"], got[lookup]):
+                assert (a == b).all(), (name, lookup)
+        idx = got["slot"][-1]
+        assert (idx[:H.m] == members).all(), name
+        assert (idx[H.m:] < 0).any() or H.lattice.n == 1, name
 
 
-@pytest.mark.parametrize("dict_keys", [False, True])
-def test_a_missing_member_raises_key_error(kernel_homsets, dict_keys):
+def test_a_row_that_agrees_with_a_member_only_on_the_join_irreducibles_is_absent(kernel_homsets):
+    for name, H in kernel_homsets.items():
+        L = H.lattice
+        if L.n == 1:
+            continue  # no other value to move to
+        others = [x for x in range(L.n) if x not in join_irreducibles(L)]  # bottom at least
+        rows = np.repeat(H.tables, len(others), axis=0)
+        at = np.tile(others, H.m)
+        rows[np.arange(len(rows)), at] = (rows[np.arange(len(rows)), at] + 1) % L.n
+        for lookup in LOOKUPS:
+            K = _looked_up_by(H, lookup)
+            assert (K.index_rows(rows, strict=False) == -1).all(), (name, lookup)
+            with pytest.raises(KeyError):
+                K.index_rows(rows[-1])
+        # each row is looked up to its member's slot and refused by the full-row check
+        J = np.array(join_irreducibles(L))
+        _, cols, radix, (slot, _) = H._keys()
+        assert (cols == J).all()
+        assert (slot[rows[:, J] @ radix] == np.repeat(np.arange(H.m), len(others))).all(), name
+
+
+def test_the_slot_table_refuses_members_that_break_exactness(kernel_homsets):
+    H = kernel_homsets["n5"]
+    L = H.lattice
+    bad = H.tables[-1].copy()  # a member with its value at bottom raised to top
+    bad[L.bottom] = L.top
+    for tables, match in (
+        (np.concatenate([H.tables, bad[None]]), f"member {H.m} is not join-preserving"),
+        (np.concatenate([H.tables[:4], H.tables[2:3]]), "members 2 and 4 agree on the join-irreducibles"),
+    ):
+        K = EndoHomset(L, tables)
+        for lookup in (lambda: K.index_rows(K.tables[0]), lambda: K.compose_indices(0, 0),
+                       lambda: K.join_indices(0, 0)):
+            with pytest.raises(ValueError, match=match):
+                lookup()
+
+
+def test_the_lookup_follows_the_size_of_the_key_space():
+    def kind(L):
+        ends = np.array([[L.bottom] * L.n, np.arange(L.n)], dtype=np.int16)  # bottom and identity
+        return EndoHomset(L, ends)._keys()[0]
+
+    assert kind(make_boolean(4)) == "slot"  # 16^4 slots
+    assert kind(make_mk(7)) == "slot"       # 9^7 slots
+    assert kind(make_chain(9)) == "radix"   # 9^8 slots, 9^9 radix keys
+    assert kind(make_chain(17)) == "dict"   # 17^16 slots, 17^17 radix keys
+
+
+@pytest.mark.parametrize("lookup", LOOKUPS)
+def test_a_missing_member_raises_key_error(kernel_homsets, lookup):
     H = kernel_homsets["n5"]
     members = np.arange(H.m)
     comp = H.compose_indices(members, members)
@@ -725,15 +814,15 @@ def test_a_missing_member_raises_key_error(kernel_homsets, dict_keys):
         # a member that some g o f (or g v f) reaches from two other members
         g0, f0 = next((g, f) for g, f in np.argwhere(table) if table[g, f] not in (g, f))
         k = int(table[g0, f0])
-        less = EndoHomset(H.lattice, np.delete(H.tables, k, axis=0))
-        if dict_keys:
-            less = _with_dict_keys(less)
+        less = _looked_up_by(EndoHomset(H.lattice, np.delete(H.tables, k, axis=0)), lookup)
         g, f = g0 - (g0 > k), f0 - (f0 > k)  # indices after the deletion
         assert (less.tables[g] == H.tables[g0]).all() and (less.tables[f] == H.tables[f0]).all()
         with pytest.raises(KeyError):
             getattr(less, kernel)(g, f)
         with pytest.raises(KeyError):
             getattr(less, kernel)(np.arange(less.m), np.arange(less.m))
+        with pytest.raises(KeyError):
+            less.index_rows(H.tables[k])
 
 
 # -- tight subset witnesses ------------------------------------------------------------------
