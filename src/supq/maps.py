@@ -363,19 +363,12 @@ def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) ->
     that a pass leaves unchanged is a fixpoint: it is written back to its
     place and the next pass runs only on the rows that moved.
     """
-    dt = _flat_index_dtype(target.n)
-    return _sup_interior_columns(source, target, np.array(_as_rows(tables).T, dtype=dt, order="C"))
-
-
-def _sup_interior_columns(source: Lattice, target: Lattice, out: np.ndarray) -> np.ndarray:
-    """The kernel of sup_interior_tables on an element-major batch out[x, row]
-    of dtype _flat_index_dtype(target.n), which it overwrites; returns the
-    interiors one map per row."""
     n = target.n
-    dt = out.dtype.type
+    dt = _flat_index_dtype(n)
     mt = target.meet.ravel().astype(dt, copy=False)
     jt = target.join.ravel().astype(dt, copy=False)
     covers, pairs = _interior_steps(source)
+    out = np.array(_as_rows(tables).T, dtype=dt, order="C")  # [x, row]
     C, rows = out, None  # passes run on out itself until a row settles
     while True:
         before = C.copy()

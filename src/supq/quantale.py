@@ -18,7 +18,6 @@ from supq.maps import (
     _elem_of_upmask,
     _flat_index_dtype,
     _interior_steps,
-    _sup_interior_columns,
     a_map,
     c_map,
     e_map,
@@ -40,7 +39,7 @@ from supq.maps import (
 DEFAULT_HOMSET_CAP = 100_000  # members of an enumerated homset
 MATRIX_CAP = 4096  # members of a homset whose full order matrix may be built
 TABLE_SCAN_CAP = 2000  # members of a homset for quadratic table scans and the autoduality search
-SLOT_CAP = 2**23  # slots n^|J| of the dense member table; larger key spaces are searched
+SLOT_CAP = 8**6  # slots n^|J| of the dense member table (mk 6, the largest timed); larger key spaces are searched
 
 
 class NotDualizing(LatticeError):
@@ -278,9 +277,10 @@ def ldiv_tables(L: Lattice, rho_tabs: np.ndarray, h_tabs: np.ndarray) -> np.ndar
     rows of the divisors g: the sup-interior of rho_g o h.  A one-row side
     broadcasts against the other."""
     rho, h = _as_rows(rho_tabs), _as_rows(h_tabs)
-    # C[x, row] = rho_row(h_row(x)), gathered straight into the kernel's element-major layout
+    # C[x, row] = rho_row(h_row(x)): gathered element-major, so the kernel's
+    # transpose of C.T is C itself and its input step one contiguous copy
     C = rho[np.arange(len(rho)), np.ascontiguousarray(h.T)]
-    return _sup_interior_columns(L, L, C.astype(_flat_index_dtype(L.n), copy=False))
+    return sup_interior_tables(L, L, C.T)
 
 
 # -- homset enumeration ------------------------------------------------------------
@@ -376,10 +376,11 @@ class EndoHomset:
     otherwise); composites and joins of members are join-preserving, so
     `compose_indices` and `join_indices` need only their J-keys: g o f has
     the float64 product tables[g] @ W[:, f], exact as every key is below
-    n^|J| <= 2^23 < 2^53, and g v f the sum of |J| gathers.  `index_rows`
+    n^|J| <= 2^18 < 2^53, and g v f the sum of |J| gathers.  `index_rows`
     takes any rows, join-preserving or not, so it also compares the rest
-    of the row with the slot's member.  Above the cap (the 9-chain has 9^8
-    slots for 12,870 maps; mk 7 has 9^7 and fits) the key is the radix key
+    of the row with the slot's member.  boolean 4 (16^4 slots) and mk 6
+    (8^6, the cap) fit.  Above the cap (the 8-chain has 8^7 slots, mk 7
+    9^7, the 9-chain 9^8 for 12,870 maps) the key is the radix key
     over all n elements, the sum of n^x * f(x), kept sorted and
     binary-searched while n^n < 2^62, and a byte-string dictionary of the
     rows beyond that."""
@@ -489,7 +490,7 @@ class EndoHomset:
             rows = self.tables[gs][:, self.tables[fs]]  # [a, b, x] = g_a(f_b(x))
             return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
         W = self._composite_weights()
-        # slot keys lie below n^|J| <= 2^23 and radix keys below n^n < 2^62,
+        # slot keys lie below n^|J| <= 2^18 and radix keys below n^n < 2^62,
         # so the float64 and int64 products are exact
         q = self.tables[gs].astype(W.dtype) @ W[:, fs]
         return self._index_keys(q.astype(np.intp) if kind == "slot" else q)

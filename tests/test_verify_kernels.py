@@ -734,20 +734,26 @@ def _off_member_rows(H, rng, count=300):
     return np.concatenate([rng.integers(0, n, (count, n)), moved]).astype(np.int16)
 
 
+ALL_PAIRS_MAX = 108  # members of downset-chain2-plus-point, the largest homset compared on every pair
+
+
 def test_the_three_lookups_give_the_same_indices(kernel_homsets):
     rng = np.random.default_rng(0)
     for name, H in kernel_homsets.items():
         assert H._keys()[0] == "slot", name
         members = np.arange(H.m)
-        picks = np.unique(np.linspace(0, H.m - 1, 40).astype(int))
+        if H.m <= ALL_PAIRS_MAX:
+            sides = [(members, members), (3 % H.m, members)]
+        else:
+            picks = np.unique(np.linspace(0, H.m - 1, 40).astype(int))
+            sides = [(picks, members), (members, picks)]
         rows = np.concatenate([H.tables, _off_member_rows(H, rng)])
         got = {}
         for lookup in LOOKUPS:
             K = _looked_up_by(H, lookup)
             assert K._keys()[0] == ("radix" if lookup == "sorted" else lookup)
-            got[lookup] = (K.compose_indices(picks, members), K.compose_indices(members, picks),
-                           K.join_indices(picks, members), K.join_indices(members, picks),
-                           K.index_rows(rows, strict=False))
+            got[lookup] = [kernel(gs, fs) for kernel in (K.compose_indices, K.join_indices) for gs, fs in sides]
+            got[lookup].append(K.index_rows(rows, strict=False))
         for lookup in LOOKUPS[1:]:
             for a, b in zip(got["slot"], got[lookup]):
                 assert (a == b).all(), (name, lookup)
@@ -799,7 +805,9 @@ def test_the_lookup_follows_the_size_of_the_key_space():
         return EndoHomset(L, ends)._keys()[0]
 
     assert kind(make_boolean(4)) == "slot"  # 16^4 slots
-    assert kind(make_mk(7)) == "slot"       # 9^7 slots
+    assert kind(make_mk(6)) == "slot"       # 8^6 slots, the cap
+    assert kind(make_mk(7)) == "radix"      # 9^7 slots, 9^9 radix keys
+    assert kind(make_chain(8)) == "radix"   # 8^7 slots
     assert kind(make_chain(9)) == "radix"   # 9^8 slots, 9^9 radix keys
     assert kind(make_chain(17)) == "dict"   # 17^16 slots, 17^17 radix keys
 
