@@ -285,13 +285,19 @@ class Lattice:
     @property
     @cached("upmask")
     def upmask(self) -> np.ndarray:
-        """upmask[i] packs the up-set of i into a uint64 (n <= 64 only)."""
+        """upmask[i] packs the up-set of i into a uint64 (n <= 64 only);
+        L.op.upmask packs the down-sets."""
         return _freeze(_pack_rows(self.leq))
 
     @property
-    @cached("downmask")
-    def downmask(self) -> np.ndarray:
-        return _freeze(_pack_rows(self.leq.T))
+    @cached("op")
+    def op(self) -> "Lattice":
+        """The opposite lattice, built once by `dual` and linked back, so that
+        L.op.op is L.  A meet-side operation on L is its join-side twin on
+        L.op, with the same tables on the same element indices."""
+        D = dual(self)
+        D._cache["op"] = self
+        return D
 
     @property
     @cached("ijp")
@@ -448,7 +454,8 @@ def make_n5() -> Lattice:
 
 
 def dual(L: Lattice) -> Lattice:
-    """Order-reversed lattice on the same indices (join and meet swap)."""
+    """Order-reversed lattice on the same indices (join and meet swap): a
+    fresh build each call; L.op keeps one."""
     return Lattice(
         Poset(L.leq.T.copy(), L.names, _validated=True),
         join=L.meet.copy(),
@@ -482,9 +489,8 @@ def join_irreducibles(L: Lattice) -> list[int]:
 
 
 def meet_irreducibles(L: Lattice) -> list[int]:
-    """Elements with exactly one upper cover."""
-    counts = L.covers.sum(axis=1)
-    return [int(x) for x in np.flatnonzero(counts == 1)]
+    """Elements with exactly one upper cover: the join-irreducibles of L.op."""
+    return join_irreducibles(L.op)
 
 
 def is_distributive(L: Lattice) -> bool:

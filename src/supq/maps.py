@@ -93,14 +93,9 @@ def sup_witness(f: LatticeMap):
 
 
 def inf_witness(f: LatticeMap):
-    if f.table[f.source.top] != f.target.top:
-        return "top"
-    sm, tm = f.source.meet, f.target.meet
-    for x in range(f.source.n):
-        for y in range(x + 1, f.source.n):
-            if f.table[sm[x, y]] != tm[f.table[x], f.table[y]]:
-                return (x, y)
-    return None
+    """Why f fails to preserve finite meets: 'top' or a pair (x, y)."""
+    w = sup_witness(LatticeMap(f.source.op, f.target.op, f.table))
+    return "top" if w == "bottom" else w
 
 
 def is_monotone(f: LatticeMap) -> bool:
@@ -201,34 +196,18 @@ def tensor_over(source: Lattice, target: Lattice, y: int, x: int) -> LatticeMap:
 
 def gamma_map(source: Lattice, target: Lattice, y: int) -> LatticeMap:
     """Inf-preserving: sends top to top and every other element to y."""
-    return LatticeMap(
-        source, target,
-        [target.top if x == source.top else y for x in range(source.n)],
-    )
+    return LatticeMap(source, target, e_tables(source.op, target.op, y, source.top))
 
 
 def alpha_map(source: Lattice, target: Lattice, x: int) -> LatticeMap:
     """Inf-preserving: sends t to top when x <= t, else to bottom."""
-    leq = source.leq
-    return LatticeMap(
-        source, target,
-        [target.top if leq[x, t] else target.bottom for t in range(source.n)],
-    )
+    return LatticeMap(source, target, e_tables(source.op, target.op, target.bottom, x))
 
 
 def tensor_under(source: Lattice, target: Lattice, y: int, x: int) -> LatticeMap:
     """The inf-preserving map sending top to top, t to y when x <= t < top,
     and everything else to bottom."""
-    leq = source.leq
-    tab = []
-    for t in range(source.n):
-        if t == source.top:
-            tab.append(target.top)
-        elif leq[x, t]:
-            tab.append(y)
-        else:
-            tab.append(target.bottom)
-    return LatticeMap(source, target, tab)
+    return LatticeMap(source, target, tensor_tables(source.op, target.op, y, x))
 
 
 # -- pointwise lattice of maps ----------------------------------------------
@@ -263,20 +242,13 @@ def leq_tables(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @cached("mask_lookup")
 def _mask_lookup(L: Lattice):
-    up_order = np.argsort(L.upmask)
-    down_order = np.argsort(L.downmask)
-    return L.upmask[up_order], up_order, L.downmask[down_order], down_order
+    order = np.argsort(L.upmask)
+    return L.upmask[order], order
 
 
 def _elem_of_upmask(L: Lattice, red: np.ndarray) -> np.ndarray:
     """Each value of `red` is an intersection of up-sets; return the joins."""
-    vals, order, _, _ = _mask_lookup(L)
-    pos = np.searchsorted(vals, red.ravel())
-    return order[pos].reshape(red.shape).astype(np.int16)
-
-
-def _elem_of_downmask(L: Lattice, red: np.ndarray) -> np.ndarray:
-    _, _, vals, order = _mask_lookup(L)
+    vals, order = _mask_lookup(L)
     pos = np.searchsorted(vals, red.ravel())
     return order[pos].reshape(red.shape).astype(np.int16)
 
@@ -303,15 +275,7 @@ def right_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -
 def left_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
     """Rowwise left adjoint of meet-preserving tables from source to target:
     each row becomes the table of y -> meet of {x : y <= g(x)} on target."""
-    g = _as_rows(tables)
-    out = np.empty((len(g), target.n), dtype=np.int16)
-    for y in range(target.n):
-        mask = target.leq[y][g]  # (m, source.n): y <= g(x)
-        red = np.bitwise_and.reduce(
-            np.where(mask, source.downmask[None, :], source.downmask[source.top]), axis=1
-        )
-        out[:, y] = _elem_of_downmask(source, red)
-    return out
+    return right_adjoint_tables(source.op, target.op, tables)
 
 
 def right_adjoint(f: LatticeMap) -> LatticeMap:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from supq.lattice import CapExceeded, Lattice, LatticeError, _freeze, cached, dual, join_irreducibles
+from supq.lattice import CapExceeded, Lattice, LatticeError, _freeze, cached, join_irreducibles
 from supq.maps import (
     LatticeMap,
     MapError,
     _as_rows,
-    _elem_of_downmask,
     _elem_of_upmask,
     _flat_index_dtype,
     _interior_steps,
@@ -72,15 +71,7 @@ def raney_down_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
 
 def raney_up_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
     """Rowwise transform f -> (x -> meet of f(t) over t not below x)."""
-    f = _as_rows(tables)
-    sel = L.downmask[f]
-    out = np.empty_like(f)
-    neutral = L.downmask[L.top]
-    for x in range(L.n):
-        cols = np.flatnonzero(~L.leq[:, x])
-        red = np.bitwise_and.reduce(sel[:, cols], axis=1) if cols.size else np.full(len(f), neutral)
-        out[:, x] = _elem_of_downmask(L, red)
-    return out
+    return raney_down_tables(L.op, tables)
 
 
 def _endo(f: LatticeMap) -> Lattice:
@@ -141,7 +132,8 @@ def right_residual(h: LatticeMap, f: LatticeMap) -> LatticeMap:
 
 def left_residual(g: LatticeMap, h: LatticeMap) -> LatticeMap:
     """Largest f with g o f <= h: sup-interior of (right adjoint of g) o h."""
-    return sup_interior(right_adjoint(g).compose(h))
+    L = _endo(h)
+    return LatticeMap(L, L, ldiv_tables(L, right_adjoint(g).as_array(), h.as_array())[0])
 
 
 # -- pointwise characterizations --------------------------------------------------
@@ -340,8 +332,8 @@ def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
 
 
 def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
-    """Tables of all meet-preserving endomaps (the homset of the dual)."""
-    return enumerate_homset(dual(L), cap).tables
+    """Tables of all meet-preserving endomaps (the homset of L.op)."""
+    return enumerate_homset(L.op, cap).tables
 
 
 def _row_keys(rows: np.ndarray, cols: np.ndarray, radix: np.ndarray) -> np.ndarray:

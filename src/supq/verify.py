@@ -289,12 +289,7 @@ def check_tensor_meet_decomposition(ctx: _Ctx):
 def check_infmap_join_decomposition(ctx: _Ctx):
     L = ctx.L
     inf = ctx.inf_tables
-    acc = np.full(inf.shape, L.bottom, dtype=np.int16)
-    for x in range(L.n):
-        col = inf[:, x]
-        val = np.where(L.leq[x][None, :], col[:, None], np.int16(L.bottom))
-        val[:, L.top] = L.top
-        acc = L.join[acc, val].astype(np.int16)
+    acc = tensor_meet_tables(L.op, inf, np.arange(L.n))  # the co-tensors are the tensors of L.op
     if not (acc == inf).all():
         i = int(np.argwhere((acc != inf).any(axis=1))[0][0])
         return f"canonical join of co-tensors differs from member {i}"

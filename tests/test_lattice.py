@@ -243,7 +243,7 @@ def test_bitmask_tables_agree_with_leq():
     for L in corpus():
         for i in range(L.n):
             up = int(L.upmask[i])
-            down = int(L.downmask[i])
+            down = int(L.op.upmask[i])
             for j in range(L.n):
                 assert bool(up >> j & 1) == bool(L.leq[i, j])
                 assert bool(down >> j & 1) == bool(L.leq[j, i])
