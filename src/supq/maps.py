@@ -229,11 +229,12 @@ def pointwise_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 
 def leq_tables(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[i, j] holds when row A[i] <= row B[j] pointwise in L; rows are value
-    tables of maps into L."""
+    tables of maps into L, or the same columns of such tables."""
     A, B = _as_rows(A), _as_rows(B)
     out = np.ones((len(A), len(B)), dtype=bool)
     for t in range(A.shape[1]):
-        out &= L.leq[A[:, t]][:, B[:, t]]  # two 1-d gathers: faster than one np.ix_ gather
+        # whole rows of the small (n, len B) table [v, j] = v <= B[j, t]
+        out &= L.leq[:, B[:, t]][A[:, t]]
     return out
 
 

@@ -569,10 +569,14 @@ class EndoHomset:
 
     @cached("leq_q")
     def leq_matrix(self) -> np.ndarray:
-        """Full pointwise order between members (guarded to MATRIX_CAP members)."""
+        """Pointwise order between members, [i, k] = f_i <= f_k (guarded to
+        MATRIX_CAP members).  Members are join-preserving, so it is compared
+        on the join-irreducibles alone: f_i(x) is the join of f_i(j) over
+        the j <= x, so f_i(j) <= f_k(j) for every j in J gives f_i <= f_k."""
         if self.m > MATRIX_CAP:
             raise CapExceeded(f"order matrix for {self.m} maps exceeds the {MATRIX_CAP} cap", self.m)
-        return _freeze(leq_tables(self.lattice, self.tables, self.tables))
+        on_J = self.tables[:, join_irreducibles(self.lattice)]
+        return _freeze(leq_tables(self.lattice, on_J, on_J))
 
     # -- residuals by every divisor --------------------------------------------
 

@@ -22,6 +22,7 @@ from supq.lattice import (
     make_chain,
     make_mk,
     make_n5,
+    meet_irreducibles,
 )
 from supq.maps import (
     _elem_of_upmask,
@@ -39,7 +40,6 @@ from supq.quantale import (
     automorphism_to_dualizing,
     conucleus_gap,
     enumerate_homset,
-    enumerate_inf_maps,
     find_cyclic,
     find_dualizing,
     is_completely_distributive,
@@ -132,7 +132,9 @@ class Report:
 class _Ctx:
     """Lazy, cached access to the expensive artifacts a check may need.  An
     enumeration that exceeds its cap is kept as its CapExceeded and raised
-    again on every later access."""
+    again on every later access.  The meet-preserving endomaps of L are the
+    homset of L.op, kept whole, so their left adjoints (its rho_tables) are
+    built once and its index_rows finds meet-preserving rows."""
 
     def __init__(self, L: Lattice, config: SuiteConfig, poset: Poset | None = None):
         self.L = L
@@ -140,24 +142,28 @@ class _Ctx:
         self.poset = poset
         self._built: dict = {}
 
-    def _enumerated(self, enumerate_fn):
-        if enumerate_fn not in self._built:
+    def _enumerated(self, L: Lattice) -> EndoHomset:
+        if L not in self._built:
             try:
-                self._built[enumerate_fn] = enumerate_fn(self.L, cap=self.config.max_homset)
+                self._built[L] = enumerate_homset(L, cap=self.config.max_homset)
             except CapExceeded as e:
-                self._built[enumerate_fn] = e
-        got = self._built[enumerate_fn]
+                self._built[L] = e
+        got = self._built[L]
         if isinstance(got, CapExceeded):
             raise got.with_traceback(None)
         return got
 
     @property
     def homset(self) -> EndoHomset:
-        return self._enumerated(enumerate_homset)
+        return self._enumerated(self.L)
+
+    @property
+    def inf_homset(self) -> EndoHomset:
+        return self._enumerated(self.L.op)
 
     @property
     def inf_tables(self) -> np.ndarray:
-        return self._enumerated(enumerate_inf_maps)
+        return self.inf_homset.tables
 
     def homset_capped(self, cap: int, what: str) -> EndoHomset:
         H = self.homset
@@ -246,8 +252,8 @@ def check_galois_adjunction(ctx: _Ctx):
     back = left_adjoint_tables(L, L, rho)
     if not (back == H.tables).all():
         return "lower adjoint does not invert the upper adjoint"
-    inf = ctx.inf_tables
-    if not (right_adjoint_tables(L, L, left_adjoint_tables(L, L, inf)) == inf).all():
+    H_op = ctx.inf_homset
+    if not (right_adjoint_tables(L, L, H_op.rho_tables) == H_op.tables).all():
         return "upper adjoint does not invert the lower adjoint"
     if len(np.unique(rho, axis=0)) != H.m:
         return "adjoint assignment is not injective"
@@ -326,7 +332,9 @@ def check_sup_interior_props(ctx: _Ctx):
     idx = H.index_rows(out, strict=False)
     if (idx < 0).any():
         return "interior produced a map outside the homset"
-    below_all = leq_tables(L, H.tables, K)  # [f, k] = member f <= input k
+    # [f, k] = member f <= input k, on J as f preserves joins and k is monotone
+    J = join_irreducibles(L)
+    below_all = leq_tables(L, H.tables[:, J], K[:, J])
     for k_i in range(len(K)):
         below = below_all[:, k_i]
         if below.any():
@@ -346,12 +354,25 @@ def check_sup_interior_props(ctx: _Ctx):
 # -- transform and residual checks -----------------------------------------------------
 
 
+def _raney_adjunction_sides(ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
+    """[g, f] = down(g) <= f and [g, f] = g <= up(f), for every inf map g and
+    member f.  A join-preserving map lies below a monotone one exactly when
+    it does on the join-irreducibles J, as f(x) is the join of f(j) over the
+    j <= x; dually a monotone map lies below a meet-preserving one exactly
+    when it does on the meet-irreducibles M.  So once every down(g) is found
+    among the members and every up(f) among the inf maps (KeyError
+    otherwise), the sides are compared on J and on M."""
+    L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
+    down, up = raney_down_tables(L, H_op.tables), raney_up_tables(L, H.tables)
+    H.index_rows(down)  # the premises: each down(g) preserves joins,
+    H_op.index_rows(up)  # each up(f) preserves meets
+    J, M = join_irreducibles(L), meet_irreducibles(L)
+    return leq_tables(L, down[:, J], H.tables[:, J]), leq_tables(L, H_op.tables[:, M], up[:, M])
+
+
 def check_raney_adjunction(ctx: _Ctx):
-    H = ctx.homset_capped(MATRIX_CAP, "transform adjunction scan")
-    L = ctx.L
-    inf = ctx.inf_tables
-    lhs = leq_tables(L, raney_down_tables(L, inf), H.tables)
-    rhs = leq_tables(L, inf, raney_up_tables(L, H.tables))
+    ctx.homset_capped(MATRIX_CAP, "transform adjunction scan")
+    lhs, rhs = _raney_adjunction_sides(ctx)
     if not (lhs == rhs).all():
         g, f = np.argwhere(lhs != rhs)[0]
         return f"transform adjunction fails at pair ({g}, {f})"
@@ -360,10 +381,9 @@ def check_raney_adjunction(ctx: _Ctx):
 
 def check_raney_transform_exchange(ctx: _Ctx):
     L = ctx.L
-    H = ctx.homset
-    inf = ctx.inf_tables
-    if not (right_adjoint_tables(L, L, raney_down_tables(L, inf))
-            == raney_up_tables(L, left_adjoint_tables(L, L, inf))).all():
+    H, H_op = ctx.homset, ctx.inf_homset
+    if not (right_adjoint_tables(L, L, raney_down_tables(L, H_op.tables))
+            == raney_up_tables(L, H_op.rho_tables)).all():
         return "upper adjoint of the down transform differs from the up transform of the lower adjoint"
     if not (left_adjoint_tables(L, L, raney_up_tables(L, H.tables))
             == raney_down_tables(L, H.rho_tables)).all():

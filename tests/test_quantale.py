@@ -63,6 +63,7 @@ from supq.quantale import (
     tight_has_unit,
     tight_interior,
 )
+from supq.verify import corpus
 
 CORPUS = {
     "chain2": make_chain(2),
@@ -213,6 +214,14 @@ def test_leq_matrix_matches_pointwise_scan():
                 expect = all(L.leq[H.tables[i][k], H.tables[j][k]] for k in range(L.n))
                 assert bool(M[i, j]) == expect
         assert (leq_tables(L, H.tables[::2], H.tables[1::3]) == M[::2, 1::3]).all()
+    # the matrix compares members on the join-irreducibles only; the scan of
+    # all n columns is the oracle, on every corpus homset of at most 512 maps
+    # and on one of 2,500
+    homsets = [enumerate_homset(L) for _, L, _ in corpus()]
+    homsets = [H for H in homsets if H.m <= 512]
+    homsets.append(enumerate_homset(Lattice(np.kron(make_mk(3).leq, make_chain(2).leq))))
+    for H in homsets:
+        assert (H.leq_matrix() == leq_tables(H.lattice, H.tables, H.tables)).all()
 
 
 # -- transforms ------------------------------------------------------------------

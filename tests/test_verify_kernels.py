@@ -21,6 +21,7 @@ from supq.lattice import (
     make_chain,
     make_mk,
     make_n5,
+    meet_irreducibles,
     order_automorphisms,
 )
 from supq.maps import (
@@ -32,6 +33,7 @@ from supq.maps import (
     is_inf_preserving,
     is_sup_preserving,
     left_adjoint_tables,
+    leq_tables,
     right_adjoint_tables,
     sup_interior,
     sup_interior_tables,
@@ -43,6 +45,7 @@ from supq.quantale import (
     enumerate_homset,
     ldiv_tables,
     raney_down_tables,
+    raney_up_tables,
     rdiv_tables,
     tensor_meet_tables,
 )
@@ -1053,3 +1056,51 @@ def test_division_formulas_report_the_per_pair_witness(monkeypatch):
                     seen.add(want.split(" fails")[0])
             monkeypatch.setitem(H._cache, "star_idx", star_idx)
     assert seen == set(verify.DIVISION_FORMULAS[:4])
+
+
+# -- the transform adjunction on the irreducibles -----------------------------------------
+
+
+def test_raney_adjunction_sides_equal_the_scans_of_all_columns(kernel_homsets):
+    """down(g) <= f is compared on J and g <= up(f) on M; the comparison on
+    all n columns is the oracle, on the corpus and on m3 x chain2."""
+    for name, H in kernel_homsets.items():
+        L = H.lattice
+        ctx = _Ctx(L, SuiteConfig())
+        inf = ctx.inf_tables
+        lhs, rhs = verify._raney_adjunction_sides(ctx)
+        assert (lhs == leq_tables(L, raney_down_tables(L, inf), H.tables)).all(), name
+        assert (rhs == leq_tables(L, inf, raney_up_tables(L, H.tables))).all(), name
+        assert (lhs == rhs).all(), name
+
+
+def _off(L, irreducibles):
+    """The highest element outside `irreducibles`; bottom lies outside J and
+    top outside M."""
+    return max(x for x in range(L.n) if x not in set(irreducibles))
+
+
+@pytest.mark.parametrize("name, irreducibles", [("raney_down_tables", join_irreducibles),
+                                                ("raney_up_tables", meet_irreducibles)],
+                         ids=["down", "up"])
+@pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_boolean(2),
+                                  lambda: make_chain(4)])
+def test_raney_adjunction_fails_on_a_transform_broken_off_the_irreducibles(
+        monkeypatch, name, irreducibles, make):
+    """One down(g) changed off J, or one up(f) off M, leaves every compared
+    column alone; only the membership lookups can see it."""
+    L = make()
+    kept = irreducibles(L)
+    real, x = getattr(verify, name), _off(L, kept)
+
+    def broken(lattice, tables):
+        out = real(lattice, tables).copy()
+        r = len(out) // 2
+        out[r, x] = L.top if out[r, x] != L.top else L.bottom
+        assert (out[:, kept] == real(lattice, tables)[:, kept]).all()
+        return out
+
+    monkeypatch.setattr(verify, name, broken)
+    (got,) = run_suite(L, SuiteConfig(checks=("raney-adjunction",))).results
+    assert got.status == "fail"
+    assert got.witness.startswith("KeyError")
