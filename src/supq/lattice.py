@@ -51,6 +51,10 @@ class SearchCapExceeded(CapExceeded):
     """An exhaustive search exceeded its node budget."""
 
 
+class NotAutomorphism(LatticeError):
+    """The permutation is not an order automorphism."""
+
+
 def cached(key: str):
     """Compute a derived value once per object and keep it in
     `obj._cache[key]`.  A build that raises stores nothing; a list result
@@ -566,3 +570,15 @@ def find_order_isomorphism(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMO
 
 def automorphisms(L: Lattice) -> list[tuple[int, ...]]:
     return order_automorphisms(L.leq)
+
+
+def _automorphism(P: Poset | Lattice, g) -> tuple[int, ...]:
+    """g as a tuple, once it is known to be an order automorphism of P."""
+    g = tuple(int(v) for v in g)
+    if sorted(g) != list(range(P.n)):
+        raise NotAutomorphism("not a permutation of the elements")
+    moved = np.argwhere(P.leq != P.leq[np.ix_(g, g)])
+    if len(moved):
+        i, j = moved[0]
+        raise NotAutomorphism(f"order not preserved at pair ({i}, {j})")
+    return g

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from supq.lattice import CapExceeded, Lattice, LatticeError, _freeze, cached, join_irreducibles
+from supq.lattice import (
+    CapExceeded,
+    Lattice,
+    LatticeError,
+    NotAutomorphism,
+    _automorphism,
+    _freeze,
+    cached,
+    join_irreducibles,
+)
 from supq.maps import (
     LatticeMap,
     MapError,
@@ -21,7 +30,6 @@ from supq.maps import (
     c_map,
     e_map,
     e_tables,
-    identity_map,
     left_adjoint_tables,
     leq_tables,
     pointwise_join,
@@ -32,7 +40,6 @@ from supq.maps import (
     sup_interior_tables,
     sup_witness,
     tensor_over,
-    top_q_map,
 )
 
 DEFAULT_HOMSET_CAP = 100_000  # members of an enumerated homset
@@ -43,10 +50,6 @@ SLOT_CAP = 8**6  # slots n^|J| of the dense member table (mk 6, the largest time
 
 class NotDualizing(LatticeError):
     """The element is not dualizing, so no automorphism corresponds to it."""
-
-
-class NotAutomorphism(LatticeError):
-    """The permutation is not a lattice automorphism."""
 
 
 class NotCompletelyDistributive(LatticeError):
@@ -108,8 +111,10 @@ def star(f: LatticeMap) -> LatticeMap:
 
 
 def is_completely_distributive(L: Lattice) -> bool:
-    """Holds exactly when the identity map is tight."""
-    return is_tight(identity_map(L))
+    """Holds exactly when the identity map is tight, down(up(id)) = id, on
+    one row; cd-raney compares it with the tight mask of the homset."""
+    ident = np.arange(L.n, dtype=np.int16)
+    return bool((raney_down_tables(L, raney_up_tables(L, ident)) == ident).all())
 
 
 # -- the quantale operations ----------------------------------------------------
@@ -527,12 +532,14 @@ class EndoHomset:
     @cached("bot_idx")
     def bottom_index(self) -> int:
         L = self.lattice
-        return self.index_of(LatticeMap(L, L, [L.bottom] * L.n))
+        return int(self.index_rows(np.full(L.n, L.bottom, dtype=np.int16))[0])
 
     @property
     @cached("top_idx")
     def top_index(self) -> int:
-        return self.index_of(top_q_map(self.lattice, self.lattice))
+        """The greatest member, c_top = e(top, bottom)."""
+        L = self.lattice
+        return int(self.index_rows(e_tables(L, L, L.top, L.bottom))[0])
 
     # -- cached batch transforms ------------------------------------------
 
@@ -681,22 +688,16 @@ def dualizing_to_automorphism(H: EndoHomset, i: int) -> tuple[int, ...]:
 
 
 def automorphism_to_dualizing(H: EndoHomset, perm) -> int:
-    """Residual of the down-transform of the identity by the automorphism."""
+    """Residual of the down-transform of the identity by the automorphism.
+    The identity is its own right adjoint, so its down-transform is its star."""
     L = H.lattice
-    perm = tuple(int(v) for v in perm)
-    if sorted(perm) != list(range(L.n)):
-        raise NotAutomorphism("not a permutation of the elements")
-    for x in range(L.n):
-        for y in range(L.n):
-            if bool(L.leq[x, y]) != bool(L.leq[perm[x], perm[y]]):
-                raise NotAutomorphism(f"order not preserved at pair ({x}, {y})")
+    perm = _automorphism(L, perm)
     if not is_completely_distributive(L):
         raise NotCompletelyDistributive(
             "the dualizing correspondence needs a completely distributive lattice"
         )
-    o = raney_down(identity_map(L))
-    h = LatticeMap(L, L, perm)
-    return H.index_of(right_residual(o, h))
+    o = H.tables[H.star_indices[H.identity_index]]
+    return int(H.index_rows(rdiv_tables(L, o, perm))[0])
 
 
 # -- tight members under composition ---------------------------------------------------

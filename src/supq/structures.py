@@ -12,8 +12,10 @@ from supq.lattice import (
     MAX_DOWNSET_LATTICE_SIZE,
     CapExceeded,
     Lattice,
+    NotAutomorphism,
     Poset,
     SizeGuardExceeded,
+    _automorphism,
     _load_json,
     cached,
     cover_relation,
@@ -42,9 +44,7 @@ from supq.maps import (
 from supq.quantale import (
     TABLE_SCAN_CAP,
     EndoHomset,
-    NotAutomorphism,
     enumerate_homset,
-    enumerate_inf_maps,
     is_completely_distributive,
     is_dualizing,
     star,
@@ -384,18 +384,6 @@ def wk_compose(R: WeakeningRelation, S: WeakeningRelation) -> WeakeningRelation:
     return WeakeningRelation(R.poset, np.argwhere(R.matrix @ S.matrix))
 
 
-def _automorphism(P: Poset, g) -> tuple[int, ...]:
-    """g as a tuple, once it is known to be an order automorphism of P."""
-    g = tuple(int(v) for v in g)
-    if sorted(g) != list(range(P.n)):
-        raise NotAutomorphism("not a permutation of the poset")
-    moved = np.argwhere(P.leq != P.leq[np.ix_(g, g)])
-    if len(moved):
-        i, j = moved[0]
-        raise NotAutomorphism(f"order not preserved at pair ({i}, {j})")
-    return g
-
-
 def wk_from_automorphism(P: Poset, g) -> WeakeningRelation:
     """The relation (y, x) whenever x is not below the automorphic image of y."""
     g = _automorphism(P, g)
@@ -557,14 +545,17 @@ class AbstractRaneyVerdict:
 
 def abstract_raney_check(H: EndoHomset, family=None) -> AbstractRaneyVerdict:
     """Check the finite-chain-image hypothesis for a two-parameter family and
-    whether the identity arises as an extension over some meet-preserving map."""
+    whether the identity arises as an extension over some meet-preserving map.
+    The canonical family c_y o a_x is e(y, x); the meet-preserving maps are
+    the right adjoints of the members."""
     L = H.lattice
-    psi = family if family is not None else e_family(L)
-    T = np.array([[psi(y, x).table for x in range(L.n)] for y in range(L.n)], dtype=np.int16)  # [y, x, t]
+    vs = np.arange(L.n)
+    T = (e_tables(L, L, vs[:, None], vs[None]) if family is None  # [y, x, t]
+         else np.array([[family(y, x).table for x in vs] for y in vs], dtype=np.int16))
     comparable = L.leq | L.leq.T
     chain = bool(comparable[T[..., :, None], T[..., None, :]].all())
     # the extension of psi along each inf map G: the join over x of psi(G(x), x)
-    inf = enumerate_inf_maps(L)
+    inf = H.rho_tables
     ext = T[inf[:, 0], 0]
     for x in range(1, L.n):
         ext = L.join[ext, T[inf[:, x], x]]

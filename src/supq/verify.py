@@ -25,9 +25,7 @@ from supq.lattice import (
     meet_irreducibles,
 )
 from supq.maps import (
-    _elem_of_upmask,
     e_tables,
-    identity_map,
     leq_tables,
     sup_interior_tables,
     tensor_tables,
@@ -46,9 +44,6 @@ from supq.quantale import (
     is_girard,
     ldiv_tables,
     left_adjoint_tables,
-    raney_down,
-    raney_down_tables,
-    raney_up_tables,
     rdiv_tables,
     right_adjoint_tables,
     star,
@@ -324,26 +319,20 @@ def check_sup_interior_props(ctx: _Ctx):
     H = ctx.homset
     K = _monotone_inputs(ctx)
     out = sup_interior_tables(L, L, K)
-    for t in range(L.n):
-        if not L.leq[out[:, t], K[:, t]].all():
-            return "interior is not deflationary"
+    if not L.leq[out, K].all():
+        return "interior is not deflationary"
     if not (sup_interior_tables(L, L, out) == out).all():
         return "interior is not idempotent"
     idx = H.index_rows(out, strict=False)
     if (idx < 0).any():
         return "interior produced a map outside the homset"
-    # [f, k] = member f <= input k, on J as f preserves joins and k is monotone
+    # [f, k] = member f <= input k, on J as f preserves joins and k is monotone; int(k) is
+    # a member below k, so it is their join exactly when every one lies below int(k)
     J = join_irreducibles(L)
-    below_all = leq_tables(L, H.tables[:, J], K[:, J])
-    for k_i in range(len(K)):
-        below = below_all[:, k_i]
-        if below.any():
-            red = np.bitwise_and.reduce(L.upmask[H.tables[below].astype(np.int64)], axis=0)
-            join_tab = _elem_of_upmask(L, red)
-        else:
-            join_tab = np.full(L.n, L.bottom, dtype=np.int16)
-        if not (join_tab == out[k_i]).all():
-            return f"interior differs from the join of maps below input {k_i}"
+    members = H.tables[:, J]
+    above = (leq_tables(L, members, K[:, J]) & ~leq_tables(L, members, out[:, J])).any(axis=0)
+    if above.any():
+        return f"interior differs from the join of maps below input {int(np.argmax(above))}"
     i, j = np.indices((len(K), len(K))).reshape(2, -1)  # every ordered pair of inputs
     big = sup_interior_tables(L, L, L.join[K[i], K[j]])
     if not L.leq[out[i], big].all():
@@ -361,9 +350,10 @@ def _raney_adjunction_sides(ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
     j <= x; dually a monotone map lies below a meet-preserving one exactly
     when it does on the meet-irreducibles M.  So once every down(g) is found
     among the members and every up(f) among the inf maps (KeyError
-    otherwise), the sides are compared on J and on M."""
+    otherwise), the sides are compared on J and on M.  Both transforms are
+    the memoized up transforms: down on L is up on L.op."""
     L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
-    down, up = raney_down_tables(L, H_op.tables), raney_up_tables(L, H.tables)
+    down, up = H_op.up_transform_tables, H.up_transform_tables
     H.index_rows(down)  # the premises: each down(g) preserves joins,
     H_op.index_rows(up)  # each up(f) preserves meets
     J, M = join_irreducibles(L), meet_irreducibles(L)
@@ -380,13 +370,14 @@ def check_raney_adjunction(ctx: _Ctx):
 
 
 def check_raney_transform_exchange(ctx: _Ctx):
+    """The lower adjoint of up(f) is star(f) = down(rho f) for every member f,
+    and for every inf map as a member of the homset of L.op, its dual."""
     L = ctx.L
     H, H_op = ctx.homset, ctx.inf_homset
-    if not (right_adjoint_tables(L, L, raney_down_tables(L, H_op.tables))
-            == raney_up_tables(L, H_op.rho_tables)).all():
+    if not (right_adjoint_tables(L, L, H_op.up_transform_tables)
+            == H_op.tables[H_op.star_indices]).all():
         return "upper adjoint of the down transform differs from the up transform of the lower adjoint"
-    if not (left_adjoint_tables(L, L, raney_up_tables(L, H.tables))
-            == raney_down_tables(L, H.rho_tables)).all():
+    if not (left_adjoint_tables(L, L, H.up_transform_tables) == H.tables[H.star_indices]).all():
         return "lower adjoint of the up transform differs from the down transform of the upper adjoint"
     return None
 
@@ -425,7 +416,6 @@ def check_naturality_composite(ctx: _Ctx):
 
 def check_tight_subset(ctx: _Ctx):
     H = ctx.homset_capped(MATRIX_CAP, "tight subset scan")
-    L = ctx.L
     tight = H.tight_indices()
     mask = H.tight_mask
     members = np.arange(H.m)
@@ -446,7 +436,7 @@ def check_tight_subset(ctx: _Ctx):
     for start in range(0, len(tight), step):
         if not mask[H.join_indices(tight[start:start + step], tight)].all():
             return "tight subset is not closed under joins"
-    down_idx = np.unique(H.index_rows(raney_down_tables(L, ctx.inf_tables)))
+    down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
     surjective = len(down_idx) == H.m
@@ -571,7 +561,7 @@ def check_girard_cyclic(ctx: _Ctx):
     cd = is_completely_distributive(L)
     cyc = set(find_cyclic(H))
     duals = set(find_dualizing(H))
-    o_idx = H.index_rows(raney_down_tables(L, np.arange(L.n, dtype=np.int16)[None, :]))[0]
+    o_idx = H.star_indices[H.identity_index]  # down(id) = star(id)
     if is_girard(H) != cd:
         return "self-duality of the homset disagrees with complete distributivity"
     if cd:
@@ -712,7 +702,7 @@ def check_wk_bijection(ctx: _Ctx):
     weakening relations, the downsets of P x P^op, as maps.  An injection
     into a finite set of its own size is onto, so every weakening relation
     is reached."""
-    P, D, H = ctx.poset, ctx.L, ctx.homset
+    P, H = ctx.poset, ctx.homset
     rels = wk_tables(P, H.tables)
     differs = np.flatnonzero((supmap_tables(P, rels) != H.tables).any(axis=1))
     if len(differs):
@@ -727,7 +717,7 @@ def check_wk_bijection(ctx: _Ctx):
         return f"{weakening} weakening relations vs {H.m} maps"
     if not (rels[H.identity_index] == P.leq).all():
         return "identity map does not give the order relation"
-    if not (rels[H.index_of(raney_down(identity_map(D)))] == ~P.leq.T).all():
+    if not (rels[H.star_indices[H.identity_index]] == ~P.leq.T).all():  # down(id) = star(id)
         return "down transform of the identity does not give the complement relation"
     return None
 

@@ -2,17 +2,21 @@
 of the verifier, checked against the member-by-member loops they replace,
 and the batched kernels that the single-map functions are one-row views of,
 among them the element-major residual kernels against the row-major loops
-they replace."""
+they replace, and the transform facts read from the homset tables against
+the single-map derivations they replace."""
 import itertools
 
 import numpy as np
 import pytest
 
-from supq import verify
+import supq
+from supq import quantale, structures, verify
 from supq.lattice import (
     Lattice,
+    NotAutomorphism,
     Poset,
     SearchCapExceeded,
+    automorphisms,
     downset_lattice,
     dual,
     find_order_isomorphism,
@@ -26,10 +30,12 @@ from supq.lattice import (
 )
 from supq.maps import (
     LatticeMap,
+    _elem_of_upmask,
     a_map,
     c_map,
     e_map,
     e_tables,
+    identity_map,
     is_inf_preserving,
     is_sup_preserving,
     left_adjoint_tables,
@@ -42,14 +48,27 @@ from supq.maps import (
 )
 from supq.quantale import (
     EndoHomset,
+    NotCompletelyDistributive,
+    automorphism_to_dualizing,
     enumerate_homset,
+    enumerate_inf_maps,
+    is_completely_distributive,
+    is_tight,
     ldiv_tables,
+    raney_down,
     raney_down_tables,
     raney_up_tables,
     rdiv_tables,
+    right_residual,
     tensor_meet_tables,
 )
-from supq.structures import wk_tables
+from supq.structures import (
+    abstract_raney_check,
+    downset_automorphism,
+    e_family,
+    wk_from_automorphism,
+    wk_tables,
+)
 from supq.verify import (
     BLOCK_ROWS,
     CHECKS,
@@ -1080,27 +1099,208 @@ def _off(L, irreducibles):
     return max(x for x in range(L.n) if x not in set(irreducibles))
 
 
-@pytest.mark.parametrize("name, irreducibles", [("raney_down_tables", join_irreducibles),
-                                                ("raney_up_tables", meet_irreducibles)],
+@pytest.mark.parametrize("on_op, irreducibles", [(True, join_irreducibles),
+                                               (False, meet_irreducibles)],
                          ids=["down", "up"])
 @pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_boolean(2),
                                   lambda: make_chain(4)])
 def test_raney_adjunction_fails_on_a_transform_broken_off_the_irreducibles(
-        monkeypatch, name, irreducibles, make):
+        monkeypatch, on_op, irreducibles, make):
     """One down(g) changed off J, or one up(f) off M, leaves every compared
-    column alone; only the membership lookups can see it."""
+    column alone; only the membership lookups can see it.  The check reads
+    both transforms from the memoized up transforms of the homsets of L and
+    L.op, the up transform on L.op being the down transform on L, so the
+    kernel behind them is broken on one of the two lattices."""
     L = make()
     kept = irreducibles(L)
-    real, x = getattr(verify, name), _off(L, kept)
+    real, x = quantale.raney_up_tables, _off(L, kept)
+    target = L.op if on_op else L
 
     def broken(lattice, tables):
-        out = real(lattice, tables).copy()
+        out = real(lattice, tables)
+        if lattice is not target:
+            return out
+        out = out.copy()
         r = len(out) // 2
         out[r, x] = L.top if out[r, x] != L.top else L.bottom
         assert (out[:, kept] == real(lattice, tables)[:, kept]).all()
         return out
 
-    monkeypatch.setattr(verify, name, broken)
+    monkeypatch.setattr(quantale, "raney_up_tables", broken)
     (got,) = run_suite(L, SuiteConfig(checks=("raney-adjunction",))).results
     assert got.status == "fail"
     assert got.witness.startswith("KeyError")
+
+
+# -- the transform facts, each read from one table ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def raney_homsets(kernel_homsets):
+    """The corpus, m3 x chain2, the opposite of n5 and mk 6 (13,376 members)."""
+    return {**kernel_homsets, "dual-n5": enumerate_homset(dual(make_n5())),
+            "mk6": enumerate_homset(make_mk(6))}
+
+
+def test_complete_distributivity_is_the_tightness_of_the_identity(raney_homsets):
+    """The one-row table derivation, the single-map one and the tight mask agree."""
+    for name, H in raney_homsets.items():
+        L = H.lattice
+        cd = is_completely_distributive(L)
+        assert cd == is_tight(identity_map(L)) == bool(H.tight_mask[H.identity_index]), name
+
+
+def test_the_down_transform_of_the_identity_is_its_star(raney_homsets):
+    for name, H in raney_homsets.items():
+        L = H.lattice
+        o = H.tables[H.star_indices[H.identity_index]]
+        assert tuple(int(v) for v in o) == raney_down(identity_map(L)).table, name
+
+
+def test_automorphism_to_dualizing_equals_the_single_map_residual(raney_homsets):
+    """On every completely distributive lattice, for every automorphism g:
+    the index of down(id) / g, from the single maps."""
+    seen = 0
+    for name, H in raney_homsets.items():
+        L = H.lattice
+        if not is_completely_distributive(L):
+            with pytest.raises(NotCompletelyDistributive):
+                automorphism_to_dualizing(H, tuple(range(L.n)))
+            continue
+        o = raney_down(identity_map(L))
+        for g in automorphisms(L):
+            want = H.index_of(right_residual(o, LatticeMap(L, L, g)))
+            assert automorphism_to_dualizing(H, g) == want, (name, g)
+            seen += 1
+    assert seen == 30  # the automorphisms of the 16 distributive corpus lattices
+
+
+def test_the_right_adjoints_of_the_members_are_the_inf_maps(raney_homsets):
+    for name, H in raney_homsets.items():
+        inf = enumerate_inf_maps(H.lattice)
+        assert np.array_equal(np.unique(H.rho_tables, axis=0), inf), name
+
+
+def test_the_canonical_family_is_the_table_of_e_maps(raney_homsets):
+    """c_y o a_x = e(y, x); the verdict is the same whether the family is
+    tabulated from its single maps or read from the e-map kernel."""
+    for name, H in raney_homsets.items():
+        L = H.lattice
+        psi = e_family(L)
+        fam = np.array([[psi(y, x).table for x in range(L.n)] for y in range(L.n)])
+        vs = np.arange(L.n)
+        assert (fam == e_tables(L, L, vs[:, None], vs[None])).all(), name
+        assert abstract_raney_check(H) == abstract_raney_check(H, psi), name
+
+
+def _automorphism_text_by_loop(leq, g):
+    """The refusal of a permutation, as automorphism_to_dualizing once
+    worded it: the pairs (x, y) in row-major order."""
+    n = len(leq)
+    if sorted(g) != list(range(n)):
+        return "not a permutation of the elements"
+    for x in range(n):
+        for y in range(n):
+            if bool(leq[x, y]) != bool(leq[g[x], g[y]]):
+                return f"order not preserved at pair ({x}, {y})"
+    return None
+
+
+def _refusal(build, *args):
+    try:
+        build(*args)
+    except NotAutomorphism as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("make", [lambda: make_chain(3), lambda: make_boolean(2), lambda: make_mk(3),
+                                  make_n5])
+def test_not_automorphism_has_one_text_for_lattices_and_posets(make):
+    """Every map of the elements into themselves, refused with the same text
+    by the dualizing correspondence and by the weakening constructors on the
+    lattice's own order, before any completeness test."""
+    L = make()
+    H, P = enumerate_homset(L), Poset(L.leq)
+    refused = 0
+    for g in itertools.product(range(L.n), repeat=L.n):
+        want = _automorphism_text_by_loop(L.leq, g)
+        if want is None:
+            continue
+        refused += 1
+        assert _refusal(automorphism_to_dualizing, H, g) == want, g
+        assert _refusal(wk_from_automorphism, P, g) == want, g
+        assert _refusal(downset_automorphism, P, g) == want, g
+    assert refused == L.n ** L.n - len(automorphisms(L))
+
+
+def _interior_join_witness_by_loop(L, H, K, out):
+    """The first input whose interior differs from the join of the members
+    below it, one input at a time."""
+    J = join_irreducibles(L)
+    below_all = leq_tables(L, H.tables[:, J], K[:, J])
+    for k_i in range(len(K)):
+        below = below_all[:, k_i]
+        if below.any():
+            red = np.bitwise_and.reduce(L.upmask[H.tables[below].astype(np.int64)], axis=0)
+            join_tab = _elem_of_upmask(L, red)
+        else:
+            join_tab = np.full(L.n, L.bottom, dtype=np.int16)
+        if not (join_tab == out[k_i]).all():
+            return f"interior differs from the join of maps below input {k_i}"
+    return None
+
+
+def test_sup_interior_props_names_the_input_of_the_per_input_loop(monkeypatch, kernel_homsets):
+    """With the true interiors, and with the interior of one input sent to
+    the bottom map, a member that the check still finds in the homset."""
+    real = verify.sup_interior_tables
+    for name, H in kernel_homsets.items():
+        ctx = _Ctx(H.lattice, SuiteConfig())
+        L, H, K = ctx.L, ctx.homset, _monotone_inputs(ctx)
+        out = real(L, L, K)
+        assert _interior_join_witness_by_loop(L, H, K, out) is None, name
+        assert check_sup_interior_props(ctx) is None, name
+        moved = np.flatnonzero((out != L.bottom).any(axis=1))
+        if not moved.size:
+            continue
+        row = int(moved[len(moved) // 2])
+        bad = out.copy()
+        bad[row] = L.bottom
+        want = _interior_join_witness_by_loop(L, H, K, bad)
+        assert want == f"interior differs from the join of maps below input {row}", name
+        calls = []
+
+        def first_broken(source, target, tables):
+            calls.append(None)
+            return bad.copy() if len(calls) == 1 else real(source, target, tables)
+
+        monkeypatch.setattr(verify, "sup_interior_tables", first_broken)
+        assert check_sup_interior_props(ctx) == want, name
+        monkeypatch.setattr(verify, "sup_interior_tables", real)
+
+
+@pytest.mark.parametrize("make", [lambda: make_boolean(3), lambda: make_mk(5), make_n5],
+                         ids=["boolean3", "m5", "n5"])
+def test_the_suite_builds_no_single_maps_and_no_second_inf_homset(monkeypatch, make):
+    """With no poset, every check reads the transforms, the star of the
+    identity and the inf maps from the homset tables: no LatticeMap is built
+    and enumerate_inf_maps is never called."""
+    built, inf_calls = [], []
+    init = LatticeMap.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counted_inf(*args, **kwargs):
+        inf_calls.append(None)
+        return enumerate_inf_maps(*args, **kwargs)
+
+    monkeypatch.setattr(LatticeMap, "__init__", counted_init)
+    for module in (supq, quantale, structures, verify):
+        if hasattr(module, "enumerate_inf_maps"):
+            monkeypatch.setattr(module, "enumerate_inf_maps", counted_inf)
+    report = run_suite(make())
+    assert report.failed == 0
+    assert built == [] and inf_calls == []
