@@ -38,7 +38,6 @@ from supq.maps import (
     right_adjoint_tables,
     sup_interior,
     sup_interior_tables,
-    sup_witness,
     tensor_over,
 )
 
@@ -110,9 +109,11 @@ def star(f: LatticeMap) -> LatticeMap:
     return raney_down(right_adjoint(f))
 
 
+@cached("cd")
 def is_completely_distributive(L: Lattice) -> bool:
     """Holds exactly when the identity map is tight, down(up(id)) = id, on
-    one row; cd-raney compares it with the tight mask of the homset."""
+    one row, computed once per lattice; cd-raney compares it with the tight
+    mask of the homset."""
     ident = np.arange(L.n, dtype=np.int16)
     return bool((raney_down_tables(L, raney_up_tables(L, ident)) == ident).all())
 
@@ -359,10 +360,16 @@ def _checked(idx: np.ndarray, hit: np.ndarray, strict: bool) -> np.ndarray:
 
 
 class EndoHomset:
-    """The lex-sorted table of every join-preserving endomap of a lattice.
-    Derived tables and search results are computed once into `_cache` by
-    `lattice.cached`: `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
-    `tight_has_unit` under "tight_unit", `homset_irreducibles` under "irreducibles".
+    """The table of every join-preserving endomap of a lattice, lex-sorted as
+    `enumerate_homset` builds it.  Derived tables and search results are
+    computed once into `_cache` by `lattice.cached`: the lookup under "keys",
+    the composite and join weights under "comp_w" and "join_w", the
+    distinguished members under "id_idx", "bot_idx" and "top_idx", the
+    transforms under "rho", "up_t", "tight_t", "tight_mask" and "star_idx",
+    the order matrix under "leq_q", the opposite homset under "op", the
+    sup-interior memo under "interior", `find_cyclic` under "cyclic",
+    `find_dualizing` under "dualizing", `tight_has_unit` under "tight_unit"
+    and `homset_irreducibles` under "irreducibles".
 
     Member lookup.  A join-preserving f is fixed by its values on the
     join-irreducibles J = (j_0, j_1, ...), since f(x) is the join of f(j)
@@ -585,24 +592,95 @@ class EndoHomset:
         on_J = self.tables[:, join_irreducibles(self.lattice)]
         return _freeze(leq_tables(self.lattice, on_J, on_J))
 
-    # -- residuals by every divisor --------------------------------------------
+    # -- residuals by index -------------------------------------------------------
 
-    def rdiv_indices(self, i) -> np.ndarray:
-        """Index of h/g for every divisor g: one row for h = member i, or
-        shape (len(i), m) for an array i of members."""
-        hs = np.atleast_1d(i)
-        got = rdiv_tables(self.lattice, np.repeat(self.tables[hs], self.m, axis=0),
-                          np.tile(self.tables, (len(hs), 1)))
-        idx = self.index_rows(got).reshape(len(hs), self.m)
-        return idx if np.ndim(i) else idx[0]
+    @property
+    @cached("op")
+    def op(self) -> "EndoHomset":
+        """The homset of L.op whose member i is rho of member i: a right
+        adjoint preserves meets, the joins of L.op.  g o f <= h exactly when
+        rho_f o rho_g >= rho_h, so rho(h / f) = rho_f \\ rho_h there, and h / f
+        is its left residual, index for index."""
+        return EndoHomset(self.lattice.op, self.rho_tables)
+
+    @cached("interior")
+    def _interior_memo(self) -> np.ndarray:
+        """memo[q] = index of the sup-interior of the monotone maps with
+        J-key q, or -1 until it is first asked for; slot keys only."""
+        return np.full(self.lattice.n ** len(self._keys()[1]), -1, dtype=np.int32)
+
+    def _key_rows(self, keys: np.ndarray) -> np.ndarray:
+        """The least monotone map with the values of each key on the key
+        columns, x -> join of f(c) over the columns c <= x: it agrees there
+        with every monotone row of that key, and a radix key gives the row."""
+        L = self.lattice
+        _, cols, radix, _ = self._keys()
+        vals = keys[:, None] // radix % L.n  # [row, k] = value at cols[k]
+        rows = np.full((len(keys), L.n), L.bottom, dtype=np.int16)
+        for k, j in enumerate(cols):
+            above = np.flatnonzero(L.leq[j])
+            rows[:, above] = L.join[rows[:, above], vals[:, k, None]]
+        return rows
+
+    def _interior_keys(self, q: np.ndarray) -> np.ndarray:
+        """Index of the sup-interior of the monotone map with each key in q,
+        an array of any shape: on a slot table through the memo, once per key
+        and homset, and above it once per distinct key and call."""
+        L = self.lattice
+        if self._keys()[0] == "slot":
+            memo = self._interior_memo()
+            idx = memo[q]
+            new = np.unique(q[idx < 0])
+            if new.size:
+                memo[new] = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
+                idx = memo[q]
+            return idx
+        new, inv = np.unique(q, return_inverse=True)
+        got = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
+        return got[inv.reshape(-1)].reshape(q.shape)
+
+    def interior_indices(self, rows) -> np.ndarray:
+        """Index of the sup-interior of each monotone row, for rows of shape
+        (..., n).  A member lies below a monotone k exactly when it does on
+        J, as f(x) is the join of f(j) over the j <= x, so int(k), the join
+        of the members below k, depends only on the J-key of k."""
+        L = self.lattice
+        rows = np.asarray(rows, dtype=np.int16)
+        flat = rows.reshape(-1, L.n)
+        kind, cols, radix, _ = self._keys()
+        if kind == "dict":
+            new, inv = np.unique(flat, axis=0, return_inverse=True)
+            got = self.index_rows(sup_interior_tables(L, L, new))[inv.reshape(-1)]
+        else:
+            got = self._interior_keys(_row_keys(flat, cols, radix))
+        return got.reshape(rows.shape[:-1])
+
+    def ldiv_index(self, gs, hs, outer: bool = True) -> np.ndarray:
+        """Index of g \\ h, the sup-interior of rho_g o h, for every member g
+        in gs and h in hs, shape (len(gs), len(hs)); with outer off, for each
+        pair (gs[k], hs[k]).  rho_g o h is monotone, and its key is that of
+        the composite in compose_indices, rho_tables[g] @ W[:, h]."""
+        gs, hs = np.atleast_1d(gs), np.atleast_1d(hs)
+        rho, kind = self.rho_tables[gs], self._keys()[0]
+        if kind == "dict":
+            h = self.tables[hs]
+            return self.interior_indices(
+                np.take_along_axis(rho[:, None], h[None], 2) if outer else np.take_along_axis(rho, h, 1))
+        W = self._composite_weights()
+        r, w = rho.astype(W.dtype), W[:, hs]
+        q = r @ w if outer else np.einsum("kv,vk->k", r, w)
+        return self._interior_keys(q.astype(np.intp) if kind == "slot" else q)
 
     def ldiv_indices(self, i) -> np.ndarray:
         """Index of g\\h for every divisor g: one row for h = member i, or
         shape (len(i), m) for an array i of members."""
-        hs = np.atleast_1d(i)
-        got = ldiv_tables(self.lattice, np.tile(self.rho_tables, (len(hs), 1)),
-                          np.repeat(self.tables[hs], self.m, axis=0))
-        idx = self.index_rows(got).reshape(len(hs), self.m)
+        idx = self.ldiv_index(np.arange(self.m), i).T
+        return idx if np.ndim(i) else idx[0]
+
+    def rdiv_indices(self, i) -> np.ndarray:
+        """Index of h/g for every divisor g: one row for h = member i, or
+        shape (len(i), m) for an array i of members."""
+        idx = self.op.ldiv_index(np.arange(self.m), i).T
         return idx if np.ndim(i) else idx[0]
 
 
@@ -632,37 +710,30 @@ def _generator_indices(H: EndoHomset) -> list[int]:
 
 @cached("cyclic")
 def find_cyclic(H: EndoHomset) -> list[int]:
-    """All cyclic members, by generator prefilter plus a full confirming scan."""
-    L = H.lattice
-    alive = np.ones(H.m, dtype=bool)
+    """All cyclic members, by generator prefilter plus a full confirming scan;
+    h / g is the left residual g \\ h of the opposite homset."""
+    alive = np.arange(H.m)
     for gi in _generator_indices(H):
-        lhs = rdiv_tables(L, H.tables, H.tables[gi])
-        rhs = ldiv_tables(L, H.rho_tables[gi], H.tables)
-        alive &= (lhs == rhs).all(axis=1)
-        if not alive.any():
+        alive = alive[H.op.ldiv_index(gi, alive)[0] == H.ldiv_index(gi, alive)[0]]
+        if not alive.size:
             return []
-    return [int(i) for i in np.flatnonzero(alive) if is_cyclic(H, int(i))]
+    return [int(i) for i in alive if is_cyclic(H, int(i))]
 
 
 @cached("dualizing")
 def find_dualizing(H: EndoHomset) -> list[int]:
     """All dualizing members, by generator prefilter plus a confirming scan."""
-    L = H.lattice
-    alive = np.ones(H.m, dtype=bool)
+    alive = np.arange(H.m)
     for gi in _generator_indices(H):
-        g_tab = H.tables[gi]
         # h / (g \ h) must be g again
-        back = rdiv_tables(L, H.tables, ldiv_tables(L, H.rho_tables[gi], H.tables))
-        alive &= (back == g_tab).all(axis=1)
-        if not alive.any():
+        alive = alive[H.op.ldiv_index(H.ldiv_index(gi, alive)[0], alive, outer=False) == gi]
+        if not alive.size:
             return []
-        # (h / g) \ h must be g again; each h / g is a member, so its adjoint is cached
-        over = H.index_rows(rdiv_tables(L, H.tables, g_tab))
-        back = ldiv_tables(L, H.rho_tables[over], H.tables)
-        alive &= (back == g_tab).all(axis=1)
-        if not alive.any():
+        # (h / g) \ h must be g again
+        alive = alive[H.ldiv_index(H.op.ldiv_index(gi, alive)[0], alive, outer=False) == gi]
+        if not alive.size:
             return []
-    return [int(i) for i in np.flatnonzero(alive) if is_dualizing(H, int(i))]
+    return [int(i) for i in alive if is_dualizing(H, int(i))]
 
 
 def is_girard(H: EndoHomset) -> bool:
@@ -696,8 +767,8 @@ def automorphism_to_dualizing(H: EndoHomset, perm) -> int:
         raise NotCompletelyDistributive(
             "the dualizing correspondence needs a completely distributive lattice"
         )
-    o = H.tables[H.star_indices[H.identity_index]]
-    return int(H.index_rows(rdiv_tables(L, o, perm))[0])
+    o = H.star_indices[H.identity_index]
+    return int(H.op.ldiv_index(H.index_rows(perm)[0], o)[0, 0])  # o / perm
 
 
 # -- tight members under composition ---------------------------------------------------

@@ -4,7 +4,7 @@ and the classification of natural two-parameter families.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from supq.lattice import (
     MAX_DOWNSET_LATTICE_SIZE,
     CapExceeded,
     Lattice,
-    NotAutomorphism,
     Poset,
     SizeGuardExceeded,
     _automorphism,
@@ -21,7 +20,6 @@ from supq.lattice import (
     cover_relation,
     downset_lattice,
     find_order_isomorphism,
-    is_distributive,
     join_irreducibles,
     make_mk,
     meet_irreducibles,
@@ -44,10 +42,7 @@ from supq.maps import (
 from supq.quantale import (
     TABLE_SCAN_CAP,
     EndoHomset,
-    enumerate_homset,
     is_completely_distributive,
-    is_dualizing,
-    star,
 )
 
 

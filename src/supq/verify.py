@@ -42,9 +42,7 @@ from supq.quantale import (
     find_dualizing,
     is_completely_distributive,
     is_girard,
-    ldiv_tables,
     left_adjoint_tables,
-    rdiv_tables,
     right_adjoint_tables,
     star,
     tensor_meet_tables,
@@ -516,32 +514,30 @@ def check_division_formulas(ctx: _Ctx):
     st = H.tables[H.star_indices.astype(np.int64)]
     up_bot, st_top = up[:, bot], st[:, top]
     ys, xs = np.divmod(np.arange(n * n), n)
-    e_tabs, t_tabs = e_tables(L, L, ys, xs), tensor_tables(L, L, ys, xs)
-    e_rho, t_rho = H.rho_tables[H.index_rows(e_tabs)], H.rho_tables[H.index_rows(t_tabs)]
+    e_idx = H.index_rows(e_tables(L, L, ys, xs))
+    t_idx = H.index_rows(tensor_tables(L, L, ys, xs))
+    members = np.arange(m)
 
-    def per_pair(tabs):  # each divisor row once for every member
-        return np.repeat(tabs, m, axis=0)
+    def div(divisors):  # [pair, f, t] = f / divisor, the left residual of the opposite homset
+        return H.tables[H.op.ldiv_index(divisors, members)]
 
-    def blocked(tabs):  # rows (pair, member) as [pair, member, t]
-        return tabs.reshape(-1, m, n)
+    def codiv(divisors):  # [pair, f, t] = divisor \ f
+        return H.tables[H.ldiv_index(divisors, members)]
 
     step = max(1, BLOCK_ROWS // m)  # pairs per block of at most BLOCK_ROWS rows
     for start in range(0, n * n, step):
         p = slice(start, start + step)
         y, x = ys[p, None], xs[p, None]
         up_x, st_y = up[:, xs[p]].T, st[:, ys[p]].T  # [pair, f] = up_f(x), star_f(y)
-        members = np.tile(H.tables, (len(y), 1))
-        e_div = blocked(rdiv_tables(L, members, per_pair(e_tabs[p])))
-        e_codiv = blocked(ldiv_tables(L, per_pair(e_rho[p]), members))
-        t_div = blocked(rdiv_tables(L, members, per_pair(t_tabs[p])))
-        t_codiv = blocked(ldiv_tables(L, per_pair(t_rho[p]), members))
+        e_div, e_codiv = div(e_idx[p]), codiv(e_idx[p])
+        t_div, t_codiv = div(t_idx[p]), codiv(t_idx[p])
         over = L.meet[e_tables(L, L, up_x, bot), tensor_tables(L, L, up_bot, y)]
         under = L.meet[e_tables(L, L, top, st_y), tensor_tables(L, L, x, st_top)]
         bad = np.stack([
             e_div != tensor_tables(L, L, up_x, y),
             e_codiv != tensor_tables(L, L, x, st_y),
-            t_div != blocked(sup_interior_tables(L, L, over.reshape(-1, n))),
-            t_codiv != blocked(sup_interior_tables(L, L, under.reshape(-1, n))),
+            t_div != H.tables[H.interior_indices(over)],
+            t_codiv != H.tables[H.interior_indices(under)],
             (t_div != e_tables(L, L, up_x, y)) & (up_bot == bot)[:, None],
             (t_codiv != e_tables(L, L, x, st_y)) & (st_top == top)[:, None],
         ]).any(axis=(2, 3))  # [formula, pair]

@@ -457,13 +457,13 @@ def test_dualizing_members_frozen():
 
 def test_searches_run_once_per_homset(monkeypatch):
     calls = []
-    original = quantale.rdiv_tables
+    original = quantale.EndoHomset.ldiv_index
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(quantale, "rdiv_tables", counted)
+    monkeypatch.setattr(quantale.EndoHomset, "ldiv_index", counted)
     for search in (find_dualizing, find_cyclic):
         H = enumerate_homset(make_chain(3))
         first = search(H)

@@ -169,6 +169,118 @@ def test_single_member_residuals_match_the_per_member_formulas(corpus_homsets):
             assert (H.rdiv_indices(h) == _rdiv_row(H, h)).all(), (name, h)
 
 
+# -- residuals by index against the row kernels -------------------------------------------
+
+
+def _ldiv_by_rows(H, hs):
+    """[h, g] = g \\ h, by the row kernel ldiv_tables and a strict lookup."""
+    got = ldiv_tables(H.lattice, np.tile(H.rho_tables, (len(hs), 1)), np.repeat(H.tables[hs], H.m, axis=0))
+    return H.index_rows(got).reshape(len(hs), H.m)
+
+
+def _rdiv_by_rows(H, hs):
+    """[h, f] = h / f, by the row kernel rdiv_tables and a strict lookup."""
+    got = rdiv_tables(H.lattice, np.repeat(H.tables[hs], H.m, axis=0), np.tile(H.tables, (len(hs), 1)))
+    return H.index_rows(got).reshape(len(hs), H.m)
+
+
+def test_residual_indices_equal_the_row_kernels(kernel_homsets):
+    """Every h on the homsets of at most 512 members; twelve h on m5 and on
+    m3 x chain2 (2,500 members)."""
+    for name, H in kernel_homsets.items():
+        hs = np.arange(H.m) if H.m <= 512 else np.linspace(0, H.m - 1, 12).astype(int)
+        for block in np.array_split(hs, max(1, len(hs) * H.m // BLOCK_ROWS)):
+            assert (H.ldiv_indices(block) == _ldiv_by_rows(H, block)).all(), name
+            assert (H.rdiv_indices(block) == _rdiv_by_rows(H, block)).all(), name
+
+
+@pytest.mark.parametrize("lookup", ["slot", "sorted", "dict"])
+def test_residual_indices_agree_across_lookups_and_pairings(corpus_homsets, lookup):
+    """Above the slot cap the interiors run once per distinct radix key or
+    row; the paired form is the diagonal of the outer one."""
+    rng = np.random.default_rng(3)
+    for name in ("m3", "n5", "boolean2", "downset-vee", "downset-chain2-plus-point"):
+        H = _looked_up_by(corpus_homsets[name], lookup)
+        hs = np.arange(H.m)
+        assert (H.ldiv_indices(hs) == _ldiv_by_rows(H, hs)).all(), name
+        assert (H.rdiv_indices(hs) == _rdiv_by_rows(H, hs)).all(), name
+        gs, hs = rng.integers(0, H.m, 40), rng.integers(0, H.m, 40)
+        assert (H.ldiv_index(gs, hs, outer=False) == np.diagonal(H.ldiv_index(gs, hs))).all(), name
+
+
+def _find_cyclic_by_rows(H):
+    """find_cyclic as the row kernels compute it: the generator prefilter on
+    whole residual rows, then both residuals by every divisor."""
+    L = H.lattice
+    alive = np.ones(H.m, dtype=bool)
+    for gi in quantale._generator_indices(H):
+        alive &= (rdiv_tables(L, H.tables, H.tables[gi]) == ldiv_tables(L, H.rho_tables[gi], H.tables)).all(axis=1)
+    return [int(h) for h in np.flatnonzero(alive) if (_ldiv_by_rows(H, [h]) == _rdiv_by_rows(H, [h])).all()]
+
+
+def _find_dualizing_by_rows(H):
+    """find_dualizing as the row kernels compute it."""
+    L = H.lattice
+    alive = np.ones(H.m, dtype=bool)
+    for gi in quantale._generator_indices(H):
+        g_tab = H.tables[gi]
+        back = rdiv_tables(L, H.tables, ldiv_tables(L, H.rho_tables[gi], H.tables))
+        alive &= (back == g_tab).all(axis=1)
+        over = H.index_rows(rdiv_tables(L, H.tables, g_tab))
+        alive &= (ldiv_tables(L, H.rho_tables[over], H.tables) == g_tab).all(axis=1)
+    out, members = [], np.arange(H.m)
+    for h in np.flatnonzero(alive):
+        ld, rd = _ldiv_by_rows(H, [h])[0], _rdiv_by_rows(H, [h])[0]
+        if (rd[ld] == members).all() and (ld[rd] == members).all():
+            out.append(int(h))
+    return out
+
+
+def test_searches_agree_with_the_row_kernels_on_the_corpus():
+    for name, L, _ in corpus():
+        H = enumerate_homset(L)
+        assert quantale.find_cyclic(H) == _find_cyclic_by_rows(H), name
+        assert quantale.find_dualizing(H) == _find_dualizing_by_rows(H), name
+
+
+def test_monotone_rows_that_agree_on_J_have_one_interior():
+    """On every corpus lattice with n^n <= 4000, all its monotone endomaps,
+    grouped by their values on the join-irreducibles."""
+    split = 0
+    for name, L, _ in corpus():
+        if L.n ** L.n > 4000:
+            continue
+        ctx = _Ctx(L, SuiteConfig())
+        K = _monotone_inputs(ctx)
+        out = sup_interior_tables(L, L, K)
+        _, first, group = np.unique(K[:, join_irreducibles(L)], axis=0, return_index=True, return_inverse=True)
+        assert (out == out[first[group.reshape(-1)]]).all(), name
+        split += len(first) < len(K)
+        for lookup in LOOKUPS:
+            assert (_looked_up_by(ctx.homset, lookup).interior_indices(K) == ctx.homset.index_rows(out)).all()
+    assert split >= 5  # lattices where rows that differ off J share their J-values
+
+
+def test_the_opposite_homset_holds_the_right_adjoints(kernel_homsets):
+    for name, H in kernel_homsets.items():
+        assert H.op.lattice is H.lattice.op
+        assert (H.op.tables == H.rho_tables).all(), name
+        assert (H.op.rho_tables == H.tables).all(), name
+        inf = enumerate_homset(H.lattice.op).tables  # lex-sorted, without repeats
+        assert H.op.m == len(inf) and (np.unique(H.op.tables, axis=0) == inf).all(), name
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_planted_memo_entry_fails_residual_adjunction(side):
+    ctx = _Ctx(make_mk(3), SuiteConfig())
+    H = ctx.homset
+    assert check_residual_adjunction(ctx) is None
+    memo = (H if side == "left" else H.op)._interior_memo()
+    key = int(np.flatnonzero(memo >= 0)[0])
+    memo[key] = (memo[key] + 1) % H.m
+    assert check_residual_adjunction(ctx).startswith(f"{side} residual adjunction fails")
+
+
 # -- the residual kernels against their row-major loops ----------------------------------
 
 
