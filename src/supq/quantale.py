@@ -7,6 +7,8 @@ cyclic and dualizing elements run as batched numpy passes.
 """
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from supq.lattice import (
@@ -286,19 +288,28 @@ def ldiv_tables(L: Lattice, rho_tabs: np.ndarray, h_tabs: np.ndarray) -> np.ndar
 
 def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
     """All join-preserving endomaps of L, enumerated through values on the
-    join-irreducibles and capped at `cap` members."""
+    join-irreducibles and capped at `cap` members.  The values on J are
+    assigned one join-irreducible at a time, and a partial assignment is
+    dropped as soon as it breaks f(c) <= f(a) v f(b) for assigned c <= a v b;
+    the full join check on the extended rows stays.  Past max(1000000,
+    16 * cap) candidate assignments, CapExceeded."""
     J = join_irreducibles(L)
     order = sorted(J, key=lambda j: int(L.leq[:, j].sum()))
     work_cap = max(1_000_000, 16 * cap)
     part = np.zeros((1, 0), dtype=np.int16)
-    for k, j in enumerate(order):
-        below = [p for p in range(k) if L.leq[order[p], j]]
-        if below:
-            allowed = np.ones((len(part), L.n), dtype=bool)
-            for p in below:
-                allowed &= L.leq[part[:, p]]
-        else:
-            allowed = np.ones((len(part), L.n), dtype=bool)
+    span = np.arange(L.n)[None]
+    for k in range(len(order)):
+        # at[p] = f(order[p]) on each partial row, and the new f(order[k])
+        # spans L; a join-preserving f has f(c) <= f(a) v f(b) whenever
+        # c <= a v b, monotonicity when a = b: test the triples that involve k
+        at = [part[:, p, None] for p in range(k)] + [span]
+        allowed = np.ones((len(part), L.n), dtype=bool)
+        triples = [(a, k, c) for a in range(k + 1) for c in range(k)]
+        triples += [(a, b, k) for a in range(k) for b in range(a, k)]
+        for a, b, c in triples:
+            ja, jb, jc = order[a], order[b], order[c]
+            if L.leq[jc, L.join[ja, jb]] and (a == b or not (L.leq[jc, ja] or L.leq[jc, jb])):
+                allowed &= L.leq[at[c], L.join[at[a], at[b]]]
         rows, vals = np.nonzero(allowed)
         if len(rows) > work_cap:
             raise CapExceeded(
@@ -342,14 +353,6 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
     return enumerate_homset(L.op, cap).tables
 
 
-def _row_keys(rows: np.ndarray, cols: np.ndarray, radix: np.ndarray) -> np.ndarray:
-    """The sum of radix[k] * row[cols[k]] for each row, in the dtype of radix."""
-    q = np.zeros(len(rows), dtype=radix.dtype)
-    for k, x in enumerate(cols):
-        q += rows[:, x] * radix[k]
-    return q
-
-
 def _checked(idx: np.ndarray, hit: np.ndarray, strict: bool) -> np.ndarray:
     """idx where hit holds; elsewhere KeyError when strict, else -1."""
     if strict:
@@ -373,21 +376,21 @@ class EndoHomset:
 
     Member lookup.  A join-preserving f is fixed by its values on the
     join-irreducibles J = (j_0, j_1, ...), since f(x) is the join of f(j)
-    over the j <= x.  So while n^|J| <= SLOT_CAP a member is found by its
-    J-key, the sum of n^k * f(j_k), in a dense array of n^|J| slots that
-    hold the member index or -1.  Building it checks once that every member
-    is join-preserving and that no two share their J-key (ValueError
+    over the j <= x.  So every member is found by its J-key, the sum of
+    n^k * f(j_k).  Building the keys checks once that every member is
+    join-preserving and that no two share their J-key (ValueError
     otherwise); composites and joins of members are join-preserving, so
     `compose_indices` and `join_indices` need only their J-keys: g o f has
-    the float64 product tables[g] @ W[:, f], exact as every key is below
-    n^|J| <= 2^18 < 2^53, and g v f the sum of |J| gathers.  `index_rows`
-    takes any rows, join-preserving or not, so it also compares the rest
-    of the row with the slot's member.  boolean 4 (16^4 slots) and mk 6
-    (8^6, the cap) fit.  Above the cap (the 8-chain has 8^7 slots, mk 7
-    9^7, the 9-chain 9^8 for 12,870 maps) the key is the radix key
-    over all n elements, the sum of n^x * f(x), kept sorted and
-    binary-searched while n^n < 2^62, and a byte-string dictionary of the
-    rows beyond that."""
+    the product tables[g] @ W[:, f], and g v f the sum of |J| gathers.
+    `index_rows` takes any rows, join-preserving or not, so it also
+    compares the rest of the row with the member its key finds.  While
+    n^|J| <= SLOT_CAP (boolean 4 with 16^4 keys, mk 6 with 8^6, the cap) a
+    key is looked up in a dense array of n^|J| slots that hold the member
+    index or -1, and W is float64 so the product runs in BLAS, exact as
+    every key is below 2^53.  Above the cap (the 8-chain has 8^7 keys, mk 7
+    9^7, the 9-chain 9^8 for 12,870 maps) the keys are kept sorted and
+    binary-searched, and W is int64, exact while n^|J| < 2^63; a larger
+    key space raises CapExceeded."""
 
     def __init__(self, L: Lattice, tables: np.ndarray):
         self.lattice = L
@@ -399,88 +402,73 @@ class EndoHomset:
 
     @cached("keys")
     def _keys(self):
-        """(kind, key columns, radix, lookup): the slot table and the columns
-        off J, the sorted radix keys and their order or, with no key columns,
-        the row dictionary."""
-        n = self.lattice.n
-        J = np.array(join_irreducibles(self.lattice), dtype=np.intp)
-        if n ** len(J) <= SLOT_CAP:
-            return self._slot_keys(J)
-        if n ** n < 2**62:
-            return self._sorted_keys()
-        return self._dict_keys()
-
-    def _slot_keys(self, J: np.ndarray):
-        """The slot table of the J-keys, once every member is seen to preserve
-        the empty and binary joins and no two share their J-values."""
+        """(J, radix, slot, (sorted keys, order)): the join-irreducibles, the
+        radix n^k of column J[k], the slot table of the J-keys while
+        n^|J| <= SLOT_CAP (None above it) and the members' J-keys in
+        increasing order with the member of each, once every member is seen
+        to preserve the empty and binary joins and no two share their
+        J-values."""
         L, t = self.lattice, self.tables
+        J = np.array(join_irreducibles(L), dtype=np.intp)
+        size = L.n ** len(J)
+        if size >= 2**63:
+            raise CapExceeded(f"J-key space of {size} keys exceeds the int64 range", size)
         ok = t[:, L.bottom] == L.bottom
         for a in range(L.n - 1):
             b = np.arange(a + 1, L.n)
             ok &= (t[:, L.join[a, b]] == L.join[t[:, [a]], t[:, b]]).all(axis=1)
         if not ok.all():
             raise ValueError(f"member {int(np.argmin(ok))} is not join-preserving")
-        radix = np.int32(L.n) ** np.arange(len(J), dtype=np.int32)
-        keys = _row_keys(t, J, radix)
-        slot = np.full(L.n ** len(J), -1, dtype=np.int32)
-        slot[keys] = np.arange(self.m)
-        clash = np.flatnonzero(slot[keys] != np.arange(self.m))
+        radix = np.int64(L.n) ** np.arange(len(J), dtype=np.int64)
+        keys = t[:, J].astype(np.int64) @ radix
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        clash = np.flatnonzero(keys[1:] == keys[:-1])
         if clash.size:
-            i = int(clash[0])
-            raise ValueError(f"members {i} and {int(slot[keys[i]])} agree on the join-irreducibles")
-        return ("slot", J, radix, (slot, np.setdiff1d(np.arange(L.n), J)))
-
-    def _sorted_keys(self):
-        n = self.lattice.n
-        cols, radix = np.arange(n), np.int64(n) ** np.arange(n, dtype=np.int64)
-        keys = _row_keys(self.tables, cols, radix)
-        order = np.argsort(keys)
-        return ("radix", cols, radix, (keys[order], order))
-
-    def _dict_keys(self):
-        return ("dict", None, None, {t.tobytes(): i for i, t in enumerate(self.tables)})
+            p = int(clash[0])
+            raise ValueError(f"members {order[p]} and {order[p + 1]} agree on the join-irreducibles")
+        slot = None
+        if size <= SLOT_CAP:
+            slot = np.full(size, -1, dtype=np.int32)
+            slot[keys] = order
+        return J, radix, slot, (keys, order)
 
     def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
         """Index of each row, a table of values of the lattice, in the homset
         table; -1 for absent rows when strict is off."""
         rows = _as_rows(rows)
-        kind, cols, radix, look = self._keys()
-        if kind == "dict":
-            idx = np.array([look.get(r.tobytes(), -1) for r in rows], dtype=np.int64)
-            return _checked(idx, idx >= 0, strict)
-        q = _row_keys(rows, cols, radix)
-        if kind == "radix":
-            return self._index_keys(q, strict)
         # the key fixes the J-values of a row of lattice values, so the one
-        # member with them, if any, is the row when it also agrees off J
-        slot, off_J = look
-        idx = slot[q]
-        hit = idx >= 0
-        for x in off_J:
-            hit &= self.tables[:, x].take(idx) == rows[:, x]
-        return _checked(idx, hit, strict)
+        # member with them, if any, is the row when the whole row agrees; a
+        # key that no member has gives -1, whose row tables[-1] differs
+        idx = self._index_keys(self._j_keys(rows), strict=False)
+        return _checked(idx, (self.tables[idx] == rows).all(axis=1), strict)
+
+    def _j_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The J-key of each row of lattice values, for rows of shape (..., n)."""
+        J, radix, _, _ = self._keys()
+        return rows[..., J].astype(np.int64) @ radix
 
     def _index_keys(self, q: np.ndarray, strict: bool = True) -> np.ndarray:
-        """Index of the member with each key in q, an array of any shape, where
-        q holds the keys of join-preserving maps."""
-        kind, _, _, look = self._keys()
-        if kind == "slot":
-            idx = look[0][q]
+        """Index of the member with each J-key in q, an array of any shape,
+        where q holds the keys of join-preserving maps."""
+        _, _, slot, (keys, order) = self._keys()
+        if slot is not None:
+            idx = slot[q]
             return _checked(idx, idx >= 0, strict)
-        sorted_keys, order = look
-        pos = np.minimum(np.searchsorted(sorted_keys, q), self.m - 1)
-        return _checked(order[pos], sorted_keys[pos] == q, strict)
+        pos = np.minimum(np.searchsorted(keys, q), self.m - 1)
+        return _checked(order[pos], keys[pos] == q, strict)
 
     @cached("comp_w")
     def _composite_weights(self) -> np.ndarray:
-        """W[v, f] = sum of radix[k] over the k with f(cols[k]) = v, so that
-        the key of g o f, the sum of radix[k] * g(f(cols[k])), is
-        tables[g] @ W[:, f].  float64 for the slot keys, which run the
-        product in BLAS; int64 for the radix keys."""
-        kind, cols, radix, _ = self._keys()
-        W = np.zeros((self.lattice.n, self.m), dtype=np.float64 if kind == "slot" else np.int64)
+        """W[v, f] = sum of radix[k] over the k with f(J[k]) = v, so that
+        the key of g o f, the sum of radix[k] * g(f(J[k])), is
+        tables[g] @ W[:, f].  float64 on the slot table, which runs the
+        product in BLAS, exact as its keys lie below 2^53; int64 above it,
+        exact as the keys lie below n^|J| < 2^63."""
+        J, radix, slot, _ = self._keys()
+        W = np.zeros((self.lattice.n, self.m), dtype=np.int64 if slot is None else np.float64)
         members = np.arange(self.m)
-        for k, x in enumerate(cols):
+        for k, x in enumerate(J):
             W[self.tables[:, x], members] += radix[k]
         return _freeze(W)
 
@@ -489,21 +477,15 @@ class EndoHomset:
         (len(gs), len(fs)).  A composite that is not a member raises KeyError,
         as in index_rows."""
         gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
-        kind = self._keys()[0]
-        if kind == "dict":
-            rows = self.tables[gs][:, self.tables[fs]]  # [a, b, x] = g_a(f_b(x))
-            return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
         W = self._composite_weights()
-        # slot keys lie below n^|J| <= 2^18 and radix keys below n^n < 2^62,
-        # so the float64 and int64 products are exact
         q = self.tables[gs].astype(W.dtype) @ W[:, fs]
-        return self._index_keys(q.astype(np.intp) if kind == "slot" else q)
+        return self._index_keys(q.astype(np.int64, copy=False))
 
     @cached("join_w")
     def _join_weights(self) -> np.ndarray:
         """jw[k, a, b] = radix[k] * join(a, b): the key of g v f is the sum
-        over k of jw[k, g(cols[k]), f(cols[k])]."""
-        _, _, radix, _ = self._keys()
+        over k of jw[k, g(J[k]), f(J[k])]."""
+        _, radix, _, _ = self._keys()
         return _freeze(radix[:, None, None] * self.lattice.join.astype(radix.dtype))
 
     def join_indices(self, gs, fs) -> np.ndarray:
@@ -511,14 +493,11 @@ class EndoHomset:
         fs, shape (len(gs), len(fs)).  A join that is not a member raises
         KeyError, as in index_rows."""
         gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
-        kind, cols, _, _ = self._keys()
+        J = self._keys()[0]
         g_tabs, f_tabs = self.tables[gs], self.tables[fs]
-        if kind == "dict":
-            rows = self.lattice.join[g_tabs[:, None, :], f_tabs[None, :, :]]
-            return self.index_rows(rows.reshape(-1, self.lattice.n)).reshape(len(gs), len(fs))
         jw = self._join_weights()
         q = np.zeros((len(gs), len(fs)), dtype=jw.dtype)
-        for k, x in enumerate(cols):
+        for k, x in enumerate(J):
             q += jw[k][g_tabs[:, x]].take(f_tabs[:, x], axis=1)
         return self._index_keys(q)
 
@@ -595,39 +574,47 @@ class EndoHomset:
     # -- residuals by index -------------------------------------------------------
 
     @property
-    @cached("op")
     def op(self) -> "EndoHomset":
         """The homset of L.op whose member i is rho of member i: a right
         adjoint preserves meets, the joins of L.op.  g o f <= h exactly when
         rho_f o rho_g >= rho_h, so rho(h / f) = rho_f \\ rho_h there, and h / f
-        is its left residual, index for index."""
-        return EndoHomset(self.lattice.op, self.rho_tables)
+        is its left residual, index for index.  Its right adjoints are the
+        left adjoints of the rho, the members themselves, and its opposite is
+        this homset, as L.op.op is L.  That link is weak: a cycle would keep
+        both homsets and their memos alive until the cyclic collector runs."""
+        got = self._cache.get("op")
+        H = got() if isinstance(got, weakref.ref) else got
+        if H is None:
+            H = EndoHomset(self.lattice.op, self.rho_tables)
+            H._cache["rho"], H._cache["op"] = self.tables, weakref.ref(self)
+            self._cache["op"] = H
+        return H
 
     @cached("interior")
     def _interior_memo(self) -> np.ndarray:
         """memo[q] = index of the sup-interior of the monotone maps with
-        J-key q, or -1 until it is first asked for; slot keys only."""
-        return np.full(self.lattice.n ** len(self._keys()[1]), -1, dtype=np.int32)
+        J-key q, or -1 until it is first asked for; on the slot table only."""
+        return np.full(self.lattice.n ** len(self._keys()[0]), -1, dtype=np.int32)
 
     def _key_rows(self, keys: np.ndarray) -> np.ndarray:
-        """The least monotone map with the values of each key on the key
-        columns, x -> join of f(c) over the columns c <= x: it agrees there
-        with every monotone row of that key, and a radix key gives the row."""
+        """The least monotone map with the values of each J-key on J,
+        x -> join of f(j) over the j <= x in J: it agrees on J with every
+        monotone row of that key."""
         L = self.lattice
-        _, cols, radix, _ = self._keys()
-        vals = keys[:, None] // radix % L.n  # [row, k] = value at cols[k]
+        J, radix, _, _ = self._keys()
+        vals = keys[:, None] // radix % L.n  # [row, k] = value at J[k]
         rows = np.full((len(keys), L.n), L.bottom, dtype=np.int16)
-        for k, j in enumerate(cols):
+        for k, j in enumerate(J):
             above = np.flatnonzero(L.leq[j])
             rows[:, above] = L.join[rows[:, above], vals[:, k, None]]
         return rows
 
     def _interior_keys(self, q: np.ndarray) -> np.ndarray:
-        """Index of the sup-interior of the monotone map with each key in q,
-        an array of any shape: on a slot table through the memo, once per key
-        and homset, and above it once per distinct key and call."""
+        """Index of the sup-interior of the monotone map with each J-key in
+        q, an array of any shape: on the slot table through the memo, once
+        per key and homset, and above it once per distinct key and call."""
         L = self.lattice
-        if self._keys()[0] == "slot":
+        if self._keys()[2] is not None:
             memo = self._interior_memo()
             idx = memo[q]
             new = np.unique(q[idx < 0])
@@ -644,16 +631,7 @@ class EndoHomset:
         (..., n).  A member lies below a monotone k exactly when it does on
         J, as f(x) is the join of f(j) over the j <= x, so int(k), the join
         of the members below k, depends only on the J-key of k."""
-        L = self.lattice
-        rows = np.asarray(rows, dtype=np.int16)
-        flat = rows.reshape(-1, L.n)
-        kind, cols, radix, _ = self._keys()
-        if kind == "dict":
-            new, inv = np.unique(flat, axis=0, return_inverse=True)
-            got = self.index_rows(sup_interior_tables(L, L, new))[inv.reshape(-1)]
-        else:
-            got = self._interior_keys(_row_keys(flat, cols, radix))
-        return got.reshape(rows.shape[:-1])
+        return self._interior_keys(self._j_keys(np.asarray(rows, dtype=np.int16)))
 
     def ldiv_index(self, gs, hs, outer: bool = True) -> np.ndarray:
         """Index of g \\ h, the sup-interior of rho_g o h, for every member g
@@ -661,15 +639,10 @@ class EndoHomset:
         pair (gs[k], hs[k]).  rho_g o h is monotone, and its key is that of
         the composite in compose_indices, rho_tables[g] @ W[:, h]."""
         gs, hs = np.atleast_1d(gs), np.atleast_1d(hs)
-        rho, kind = self.rho_tables[gs], self._keys()[0]
-        if kind == "dict":
-            h = self.tables[hs]
-            return self.interior_indices(
-                np.take_along_axis(rho[:, None], h[None], 2) if outer else np.take_along_axis(rho, h, 1))
         W = self._composite_weights()
-        r, w = rho.astype(W.dtype), W[:, hs]
+        r, w = self.rho_tables[gs].astype(W.dtype), W[:, hs]
         q = r @ w if outer else np.einsum("kv,vk->k", r, w)
-        return self._interior_keys(q.astype(np.intp) if kind == "slot" else q)
+        return self._interior_keys(q.astype(np.int64, copy=False))
 
     def ldiv_indices(self, i) -> np.ndarray:
         """Index of g\\h for every divisor g: one row for h = member i, or

@@ -157,6 +157,18 @@ def test_homset_cap():
     assert enumerate_homset(make_boolean(3), cap=512).m == 512
 
 
+def test_mk7_fits_the_work_cap_of_its_homset_cap():
+    """The 9^7 assignments to the seven atoms of mk 7 pass the order
+    constraints alone, past the work cap of 16 * 150,000; pruning the
+    triples c <= a v b with f(c) not below f(a) v f(b) as the atoms are
+    assigned keeps the enumeration under it, and the cap error then carries
+    the real member count."""
+    assert enumerate_homset(make_mk(7), cap=150_000).m == 130_986
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_homset(make_mk(7))
+    assert exc.value.partial_count == 130_986
+
+
 def test_inf_maps_are_the_dual_homset():
     for name, L in CORPUS.items():
         tabs = enumerate_inf_maps(L)

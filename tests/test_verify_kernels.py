@@ -4,7 +4,9 @@ and the batched kernels that the single-map functions are one-row views of,
 among them the element-major residual kernels against the row-major loops
 they replace, and the transform facts read from the homset tables against
 the single-map derivations they replace."""
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import supq
 from supq import quantale, structures, verify
 from supq.lattice import (
+    CapExceeded,
     Lattice,
     NotAutomorphism,
     Poset,
@@ -83,6 +86,7 @@ from supq.verify import (
     check_wk_bijection,
     check_wk_composition,
     corpus,
+    report_to_json,
     run_suite,
 )
 
@@ -194,13 +198,13 @@ def test_residual_indices_equal_the_row_kernels(kernel_homsets):
             assert (H.rdiv_indices(block) == _rdiv_by_rows(H, block)).all(), name
 
 
-@pytest.mark.parametrize("lookup", ["slot", "sorted", "dict"])
-def test_residual_indices_agree_across_lookups_and_pairings(corpus_homsets, lookup):
-    """Above the slot cap the interiors run once per distinct radix key or
-    row; the paired form is the diagonal of the outer one."""
+@pytest.mark.parametrize("lookup", ["slot", "sorted"])
+def test_residual_indices_agree_across_lookups_and_pairings(corpus_homsets, lookup, monkeypatch):
+    """Above the slot cap the interiors run once per distinct J-key and
+    call; the paired form is the diagonal of the outer one."""
     rng = np.random.default_rng(3)
     for name in ("m3", "n5", "boolean2", "downset-vee", "downset-chain2-plus-point"):
-        H = _looked_up_by(corpus_homsets[name], lookup)
+        H = _looked_up_by(corpus_homsets[name], lookup, monkeypatch)
         hs = np.arange(H.m)
         assert (H.ldiv_indices(hs) == _ldiv_by_rows(H, hs)).all(), name
         assert (H.rdiv_indices(hs) == _rdiv_by_rows(H, hs)).all(), name
@@ -257,7 +261,9 @@ def test_monotone_rows_that_agree_on_J_have_one_interior():
         assert (out == out[first[group.reshape(-1)]]).all(), name
         split += len(first) < len(K)
         for lookup in LOOKUPS:
-            assert (_looked_up_by(ctx.homset, lookup).interior_indices(K) == ctx.homset.index_rows(out)).all()
+            with pytest.MonkeyPatch.context() as mp:
+                got = _looked_up_by(ctx.homset, lookup, mp).interior_indices(K)
+            assert (got == ctx.homset.index_rows(out)).all(), (name, lookup)
     assert split >= 5  # lattices where rows that differ off J share their J-values
 
 
@@ -265,9 +271,27 @@ def test_the_opposite_homset_holds_the_right_adjoints(kernel_homsets):
     for name, H in kernel_homsets.items():
         assert H.op.lattice is H.lattice.op
         assert (H.op.tables == H.rho_tables).all(), name
-        assert (H.op.rho_tables == H.tables).all(), name
+        assert H.op.op is H
+        # the seeded adjoints, against an independent derivation
+        assert (right_adjoint_tables(H.lattice.op, H.lattice.op, H.rho_tables) == H.tables).all(), name
+        assert H.op.rho_tables is H.tables
         inf = enumerate_homset(H.lattice.op).tables  # lex-sorted, without repeats
         assert H.op.m == len(inf) and (np.unique(H.op.tables, axis=0) == inf).all(), name
+
+
+def test_the_opposite_homset_makes_no_reference_cycle():
+    """A homset is freed with its last reference, with the cyclic collector
+    off, while its opposite lives on and links to a rebuilt copy."""
+    gc.disable()
+    try:
+        H = enumerate_homset(make_mk(3))
+        O = H.op
+        gone = weakref.ref(H)
+        del H
+        assert gone() is None
+        assert O.op.op is O and (O.op.tables == O.rho_tables).all()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -799,22 +823,6 @@ def _joins_per_row(H, gs, fs):
     return np.stack([H.index_rows(H.lattice.join[H.tables[g][None, :], H.tables[fs]]) for g in gs])
 
 
-def _with_sorted_keys(H):
-    """The same homset looked up through the sorted radix keys that lattices
-    with n^|J| > SLOT_CAP and n^n < 2^62 use."""
-    S = EndoHomset(H.lattice, H.tables)
-    S._cache["keys"] = S._sorted_keys()
-    return S
-
-
-def _with_dict_keys(H):
-    """The same homset looked up through the byte-string dictionary that
-    lattices with n^|J| > SLOT_CAP and n^n >= 2^62 use."""
-    D = EndoHomset(H.lattice, H.tables)
-    D._cache["keys"] = D._dict_keys()
-    return D
-
-
 def _product(A, B):
     return Lattice(np.kron(A.leq, B.leq))
 
@@ -848,15 +856,23 @@ def test_join_indices_equal_the_looked_up_joins(kernel_homsets):
         assert (H.join_indices(members, picks[-1]) == _joins_per_row(H, members, [picks[-1]])).all(), name
 
 
-LOOKUPS = ("slot", "sorted", "dict")
+LOOKUPS = ("slot", "sorted")
 
 
-def _looked_up_by(H, lookup):
-    """The same homset with its members looked up through `lookup`: the slot
-    table of its J-keys, the sorted radix keys or the row dictionary."""
-    if lookup == "slot":
-        return H
-    return {"sorted": _with_sorted_keys, "dict": _with_dict_keys}[lookup](H)
+def _looked_up_by(H, lookup, monkeypatch):
+    """A fresh copy of H whose J-keys are looked up through `lookup`: the
+    slot table, or the sorted keys that lattices with n^|J| > SLOT_CAP use,
+    forced here by setting SLOT_CAP to 0 through `monkeypatch` for as long
+    as it holds, the opposite homset included."""
+    if lookup == "sorted":
+        monkeypatch.setattr(quantale, "SLOT_CAP", 0)
+    K = EndoHomset(H.lattice, H.tables)
+    assert _lookup_of(K) == lookup
+    return K
+
+
+def _lookup_of(H):
+    return "sorted" if H._keys()[2] is None else "slot"
 
 
 def _off_member_rows(H, rng, count=300):
@@ -871,10 +887,10 @@ def _off_member_rows(H, rng, count=300):
 ALL_PAIRS_MAX = 108  # members of downset-chain2-plus-point, the largest homset compared on every pair
 
 
-def test_the_three_lookups_give_the_same_indices(kernel_homsets):
+def test_the_two_lookups_give_the_same_indices(kernel_homsets):
     rng = np.random.default_rng(0)
     for name, H in kernel_homsets.items():
-        assert H._keys()[0] == "slot", name
+        assert _lookup_of(H) == "slot", name
         members = np.arange(H.m)
         if H.m <= ALL_PAIRS_MAX:
             sides = [(members, members), (3 % H.m, members)]
@@ -884,10 +900,10 @@ def test_the_three_lookups_give_the_same_indices(kernel_homsets):
         rows = np.concatenate([H.tables, _off_member_rows(H, rng)])
         got = {}
         for lookup in LOOKUPS:
-            K = _looked_up_by(H, lookup)
-            assert K._keys()[0] == ("radix" if lookup == "sorted" else lookup)
-            got[lookup] = [kernel(gs, fs) for kernel in (K.compose_indices, K.join_indices) for gs, fs in sides]
-            got[lookup].append(K.index_rows(rows, strict=False))
+            with pytest.MonkeyPatch.context() as mp:
+                K = _looked_up_by(H, lookup, mp)
+                got[lookup] = [kernel(gs, fs) for kernel in (K.compose_indices, K.join_indices) for gs, fs in sides]
+                got[lookup].append(K.index_rows(rows, strict=False))
         for lookup in LOOKUPS[1:]:
             for a, b in zip(got["slot"], got[lookup]):
                 assert (a == b).all(), (name, lookup)
@@ -906,48 +922,62 @@ def test_a_row_that_agrees_with_a_member_only_on_the_join_irreducibles_is_absent
         at = np.tile(others, H.m)
         rows[np.arange(len(rows)), at] = (rows[np.arange(len(rows)), at] + 1) % L.n
         for lookup in LOOKUPS:
-            K = _looked_up_by(H, lookup)
-            assert (K.index_rows(rows, strict=False) == -1).all(), (name, lookup)
-            with pytest.raises(KeyError):
-                K.index_rows(rows[-1])
-        # each row is looked up to its member's slot and refused by the full-row check
-        J = np.array(join_irreducibles(L))
-        _, cols, radix, (slot, _) = H._keys()
-        assert (cols == J).all()
+            with pytest.MonkeyPatch.context() as mp:
+                K = _looked_up_by(H, lookup, mp)
+                assert (K.index_rows(rows, strict=False) == -1).all(), (name, lookup)
+                with pytest.raises(KeyError):
+                    K.index_rows(rows[-1])
+        # each row's J-key finds its member, and the full-row check refuses it
+        J, radix, slot, _ = H._keys()
+        assert (J == join_irreducibles(L)).all()
         assert (slot[rows[:, J] @ radix] == np.repeat(np.arange(H.m), len(others))).all(), name
 
 
-def test_the_slot_table_refuses_members_that_break_exactness(kernel_homsets):
+@pytest.mark.parametrize("lookup", LOOKUPS)
+def test_the_slot_table_refuses_members_that_break_exactness(kernel_homsets, lookup, monkeypatch):
     H = kernel_homsets["n5"]
     L = H.lattice
     bad = H.tables[-1].copy()  # a member with its value at bottom raised to top
     bad[L.bottom] = L.top
+    if lookup == "sorted":
+        monkeypatch.setattr(quantale, "SLOT_CAP", 0)
     for tables, match in (
         (np.concatenate([H.tables, bad[None]]), f"member {H.m} is not join-preserving"),
         (np.concatenate([H.tables[:4], H.tables[2:3]]), "members 2 and 4 agree on the join-irreducibles"),
     ):
         K = EndoHomset(L, tables)
-        for lookup in (lambda: K.index_rows(K.tables[0]), lambda: K.compose_indices(0, 0),
-                       lambda: K.join_indices(0, 0)):
+        for call in (lambda: K.index_rows(K.tables[0]), lambda: K.compose_indices(0, 0),
+                     lambda: K.join_indices(0, 0)):
             with pytest.raises(ValueError, match=match):
-                lookup()
+                call()
 
 
 def test_the_lookup_follows_the_size_of_the_key_space():
-    def kind(L):
-        ends = np.array([[L.bottom] * L.n, np.arange(L.n)], dtype=np.int16)  # bottom and identity
-        return EndoHomset(L, ends)._keys()[0]
+    def ends(L):  # bottom and identity
+        return EndoHomset(L, np.array([[L.bottom] * L.n, np.arange(L.n)], dtype=np.int16))
 
-    assert kind(make_boolean(4)) == "slot"  # 16^4 slots
-    assert kind(make_mk(6)) == "slot"       # 8^6 slots, the cap
-    assert kind(make_mk(7)) == "radix"      # 9^7 slots, 9^9 radix keys
-    assert kind(make_chain(8)) == "radix"   # 8^7 slots
-    assert kind(make_chain(9)) == "radix"   # 9^8 slots, 9^9 radix keys
-    assert kind(make_chain(17)) == "dict"   # 17^16 slots, 17^17 radix keys
+    assert _lookup_of(ends(make_boolean(4))) == "slot"  # 16^4 keys
+    assert _lookup_of(ends(make_mk(6))) == "slot"       # 8^6 keys, the cap
+    assert _lookup_of(ends(make_mk(7))) == "sorted"     # 9^7 keys
+    assert _lookup_of(ends(make_chain(8))) == "sorted"  # 8^7 keys
+    assert _lookup_of(ends(make_chain(9))) == "sorted"  # 9^8 keys
+    K = ends(make_chain(17))                            # 17^16 keys, past 2^63
+    with pytest.raises(CapExceeded, match="exceeds the int64 range") as exc:
+        K.index_rows(K.tables)
+    assert exc.value.partial_count == 17**16
+
+
+def test_the_suite_reports_the_same_through_either_lookup(monkeypatch):
+    """chain 8 runs on the sorted J-keys, its homset and the opposite one
+    alike; with SLOT_CAP raised to its 8^7 keys it runs on slot tables."""
+    sorted_run = report_to_json([run_suite(make_chain(8), name="chain8")])
+    monkeypatch.setattr(quantale, "SLOT_CAP", 8**7)
+    assert sorted_run == report_to_json([run_suite(make_chain(8), name="chain8")])
+    assert '"status": "pass"' in sorted_run and '"status": "fail"' not in sorted_run
 
 
 @pytest.mark.parametrize("lookup", LOOKUPS)
-def test_a_missing_member_raises_key_error(kernel_homsets, lookup):
+def test_a_missing_member_raises_key_error(kernel_homsets, lookup, monkeypatch):
     H = kernel_homsets["n5"]
     members = np.arange(H.m)
     comp = H.compose_indices(members, members)
@@ -956,7 +986,7 @@ def test_a_missing_member_raises_key_error(kernel_homsets, lookup):
         # a member that some g o f (or g v f) reaches from two other members
         g0, f0 = next((g, f) for g, f in np.argwhere(table) if table[g, f] not in (g, f))
         k = int(table[g0, f0])
-        less = _looked_up_by(EndoHomset(H.lattice, np.delete(H.tables, k, axis=0)), lookup)
+        less = _looked_up_by(EndoHomset(H.lattice, np.delete(H.tables, k, axis=0)), lookup, monkeypatch)
         g, f = g0 - (g0 > k), f0 - (f0 > k)  # indices after the deletion
         assert (less.tables[g] == H.tables[g0]).all() and (less.tables[f] == H.tables[f0]).all()
         with pytest.raises(KeyError):
