@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import weakref
 
 import numpy as np
 
@@ -204,7 +205,7 @@ def _pack_rows(rel: np.ndarray) -> np.ndarray:
 class Lattice:
     """A finite lattice: a bounded poset with total join and meet tables."""
 
-    __slots__ = ("poset", "join", "meet", "bottom", "top", "_cache")
+    __slots__ = ("poset", "join", "meet", "bottom", "top", "_cache", "__weakref__")
 
     def __init__(self, leq, names=None, *, join=None, meet=None, _validated: bool = False):
         if isinstance(leq, Poset):
@@ -294,13 +295,19 @@ class Lattice:
         return _freeze(_pack_rows(self.leq))
 
     @property
-    @cached("op")
     def op(self) -> "Lattice":
         """The opposite lattice, built once by `dual` and linked back, so that
         L.op.op is L.  A meet-side operation on L is its join-side twin on
-        L.op, with the same tables on the same element indices."""
-        D = dual(self)
-        D._cache["op"] = self
+        L.op, with the same tables on the same element indices.  The link
+        back is weak, as a cycle would keep both lattices and their caches
+        alive until the cyclic collector runs; once L is gone, L.op.op is
+        built again."""
+        got = self._cache.get("op")
+        D = got() if isinstance(got, weakref.ref) else got
+        if D is None:
+            D = dual(self)
+            D._cache["op"] = weakref.ref(self)
+            self._cache["op"] = D
         return D
 
     @property

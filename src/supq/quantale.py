@@ -429,7 +429,7 @@ class EndoHomset:
             raise ValueError(f"members {order[p]} and {order[p + 1]} agree on the join-irreducibles")
         slot = None
         if size <= SLOT_CAP:
-            slot = np.full(size, -1, dtype=np.int32)
+            slot = np.full(size, -1, dtype=np.intp)
             slot[keys] = order
         return J, radix, slot, (keys, order)
 
@@ -472,13 +472,14 @@ class EndoHomset:
             W[self.tables[:, x], members] += radix[k]
         return _freeze(W)
 
-    def compose_indices(self, gs, fs) -> np.ndarray:
+    def compose_indices(self, gs, fs=None) -> np.ndarray:
         """Index of g o f for every member g in gs and f in fs, shape
-        (len(gs), len(fs)).  A composite that is not a member raises KeyError,
-        as in index_rows."""
-        gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
+        (len(gs), len(fs)); fs None stands for every member, in order, and
+        reads W itself rather than a copy of its columns.  A composite that
+        is not a member raises KeyError, as in index_rows."""
         W = self._composite_weights()
-        q = self.tables[gs].astype(W.dtype) @ W[:, fs]
+        w = W if fs is None else W[:, np.atleast_1d(fs)]
+        q = self.tables[np.atleast_1d(gs)].astype(W.dtype) @ w
         return self._index_keys(q.astype(np.int64, copy=False))
 
     @cached("join_w")
@@ -774,10 +775,9 @@ def conucleus_gap(H: EndoHomset):
     if (t_idx == np.arange(H.m)).all():
         return None
     L = H.lattice
-    members = np.arange(H.m)
     for i in range(H.m):
-        lhs = H.compose_indices(t_idx[i], t_idx)[0]       # T(f_i) o T(f_j) for all j
-        rhs = t_idx[H.compose_indices(i, members)[0]]     # T(f_i o f_j) for all j
+        lhs = H.compose_indices(t_idx[i], t_idx)[0]   # T(f_i) o T(f_j) for all j
+        rhs = t_idx[H.compose_indices(i)[0]]          # T(f_i o f_j) for all j
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             j = int(bad[0])

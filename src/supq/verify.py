@@ -413,27 +413,34 @@ def check_naturality_composite(ctx: _Ctx):
 
 
 def check_tight_subset(ctx: _Ctx):
+    """The tight members are closed under composition with any member and
+    under joins, and they are the image of the down transform.  When every
+    member is tight the two closure scans are skipped: composites and joins
+    of members are members, as the members preserve joins (checked when
+    their J-keys are built) and the enumeration holds every join-preserving
+    map."""
     H = ctx.homset_capped(MATRIX_CAP, "tight subset scan")
     tight = H.tight_indices()
     mask = H.tight_mask
-    members = np.arange(H.m)
-    step = max(1, BLOCK_ROWS // H.m)
-    left = np.empty(H.m, dtype=bool)  # [g]: g o f is tight for every f
-    right = np.ones(H.m, dtype=bool)  # [f]: g o f is tight for every g
-    for start in range(0, H.m, step):
-        block = members[start:start + step]
-        closed = mask[H.compose_indices(block, members)]
-        left[block] = closed.all(axis=1)
-        right &= closed.all(axis=0)
-    escaping = tight[~(left[tight] & right[tight])]
-    if escaping.size:
-        t = int(escaping[0])
-        side = "left" if not left[t] else "right"
-        return f"{side} composite with tight member {t} escapes the tight subset"
-    step = max(1, BLOCK_ROWS // max(1, len(tight)))
-    for start in range(0, len(tight), step):
-        if not mask[H.join_indices(tight[start:start + step], tight)].all():
-            return "tight subset is not closed under joins"
+    if not mask.all():
+        members = np.arange(H.m)
+        step = max(1, BLOCK_ROWS // H.m)
+        left = np.empty(H.m, dtype=bool)  # [g]: g o f is tight for every f
+        right = np.ones(H.m, dtype=bool)  # [f]: g o f is tight for every g
+        for start in range(0, H.m, step):
+            block = members[start:start + step]
+            closed = mask[H.compose_indices(block)]
+            left[block] = closed.all(axis=1)
+            right &= closed.all(axis=0)
+        escaping = tight[~(left[tight] & right[tight])]
+        if escaping.size:
+            t = int(escaping[0])
+            side = "left" if not left[t] else "right"
+            return f"{side} composite with tight member {t} escapes the tight subset"
+        step = max(1, BLOCK_ROWS // max(1, len(tight)))
+        for start in range(0, len(tight), step):
+            if not mask[H.join_indices(tight[start:start + step], tight)].all():
+                return "tight subset is not closed under joins"
     down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
@@ -470,7 +477,7 @@ def check_residual_adjunction(ctx: _Ctx):
     rd = np.empty((m, m), dtype=dtype)    # [f, h] = h / f
     for start in range(0, m, step):
         block = np.arange(start, min(start + step, m))
-        comp[block] = H.compose_indices(block, np.arange(m))
+        comp[block] = H.compose_indices(block)
         ld[:, block] = H.ldiv_indices(block).T
         rd[:, block] = H.rdiv_indices(block).T
     below, sizes, rows = leq.astype(np.float32), leq.sum(axis=0, dtype=np.float32), np.arange(m)[:, None]
@@ -718,7 +725,22 @@ def check_wk_bijection(ctx: _Ctx):
     return None
 
 
+def _packed_rows(rows: np.ndarray) -> np.ndarray:
+    """The k = len(rows) rows rows[y] of k-bit masks packed 63 // k to an
+    int64 word: row y goes to word y // (63 // k) at bit k * (y % (63 // k)),
+    so one word holds all k rows while k <= 7.  Shape (words,) + rows.shape[1:]."""
+    k = len(rows)
+    per = 63 // max(k, 1)
+    words = np.zeros((-(-k // per),) + rows.shape[1:], dtype=np.int64)
+    for y in range(k):
+        words[y // per] |= rows[y] << np.int64(k * (y % per))
+    return words
+
+
 def check_wk_composition(ctx: _Ctx):
+    """R_i;R_j is the relation of f_i o f_j for every pair, compared as
+    packed relation codes, in one blocked pass whose witness is the first
+    failing pair (i, j) in row-major order."""
     P, H = ctx.poset, ctx.homset
     rels = wk_tables(P, H.tables)
     rowbits = rels @ (np.int64(1) << np.arange(P.n, dtype=np.int64))  # [f, y] = row y of R_f as bits
@@ -729,13 +751,14 @@ def check_wk_composition(ctx: _Ctx):
     unions = np.zeros((len(sets), H.m), dtype=np.int64)
     for z in range(P.n):
         unions |= np.where((sets[:, None] >> z) & 1 == 1, rowbits[:, z], 0)
+    code = _packed_rows(rowbits.T)  # [word, f] = packed rows of R_f
     members = np.arange(H.m)
     step = max(1, BLOCK_ROWS // H.m)
     for start in range(0, H.m, step):
         block = members[start:start + step]
-        comp = H.compose_indices(block, members)  # [i, j] = f_i o f_j
-        got = unions[row_set[block]]  # [i, y, j] = row y of R_i;R_j
-        bad = (got != rowbits[comp].transpose(0, 2, 1)).any(axis=1)
+        comp = H.compose_indices(block)  # [i, j] = f_i o f_j
+        got = _packed_rows(unions[row_set[block].T])  # [word, i, j] = packed rows of R_i;R_j
+        bad = (got != code.take(comp, axis=1)).any(axis=0)
         if bad.any():
             b, j = np.argwhere(bad)[0]
             return f"relational composition differs from map composition at ({block[b]}, {j})"

@@ -6,6 +6,10 @@ from pathlib import Path
 # `python -m supq.cli` in subprocesses, which need it on PYTHONPATH
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+# the benchmark's workloads (perfbench/workloads.py) are test inputs too
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

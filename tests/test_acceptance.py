@@ -55,10 +55,13 @@ from supq.structures import (
     wk_from_automorphism,
     wk_from_supmap,
 )
-from supq.verify import _Ctx, SuiteConfig, check_division_formulas, corpus
+from supq.verify import _Ctx, SuiteConfig, check_division_formulas, corpus, report_to_json, run_suite
+
+from perfbench import workloads
 
 NON_DISTRIBUTIVE = {"m3", "m5", "n5"}
 GOLDEN_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "corpus.json"
+GOLDEN_MIDSIZE = GOLDEN_CORPUS.with_name("midsize.json")
 
 CRITERION_LINES = []
 
@@ -334,3 +337,10 @@ def test_criterion_10_corpus_verification_is_byte_deterministic():
     assert len(doc["reports"]) == 19
     for entry in doc["reports"]:
         assert not any(c["status"] == "fail" for c in entry["checks"])
+
+
+def test_midsize_verification_equals_its_golden():
+    """Criterion 10's byte-identity on the benchmark's midsize workload at
+    seed 0, homsets of 2,150 to 2,500 members, run in this process."""
+    reports = [run_suite(L, SuiteConfig(), name=name, poset=P) for name, L, P in workloads.build("midsize", 0)]
+    assert report_to_json(reports) == GOLDEN_MIDSIZE.read_text(encoding="utf-8")

@@ -90,6 +90,8 @@ from supq.verify import (
     run_suite,
 )
 
+from perfbench import workloads
+
 
 @pytest.fixture(scope="module")
 def corpus_homsets():
@@ -290,6 +292,44 @@ def test_the_opposite_homset_makes_no_reference_cycle():
         del H
         assert gone() is None
         assert O.op.op is O and (O.op.tables == O.rho_tables).all()
+    finally:
+        gc.enable()
+
+
+def test_the_opposite_lattice_makes_no_reference_cycle():
+    """A lattice is freed with its last reference, with the cyclic collector
+    off, while its opposite lives on and links to a rebuilt copy."""
+    gc.disable()
+    try:
+        L = make_n5()
+        D = L.op
+        assert D.op is L
+        gone = weakref.ref(L)
+        del L
+        assert gone() is None
+        again = D.op
+        assert again.op is D and (again.leq == make_n5().leq).all()
+        assert D.op is again
+    finally:
+        gc.enable()
+
+
+def test_suite_runs_leave_no_lattice_behind():
+    """Rounds of run_suite on fresh copies, with the cyclic collector off,
+    leave as many lattices alive as there were before them."""
+    entries = [e for e in corpus() if e[0] in ("m3", "boolean2", "downset-vee")] + workloads.build("midsize", 0)[2:]
+
+    def alive():
+        return sum(isinstance(o, Lattice) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for _ in range(3):
+            for name, L, P in entries:
+                run_suite(workloads.fresh_copy(L), SuiteConfig(), name=name, poset=P)
+            assert alive() == before
     finally:
         gc.enable()
 
@@ -1056,6 +1096,152 @@ def test_tight_subset_reports_the_per_member_witness(monkeypatch, make):
         flipped[k] = not flipped[k]
         _set_tight_mask(monkeypatch, H, flipped)
         assert check_tight_subset(ctx) == _tight_subset_per_member(ctx), k
+
+
+# -- old bodies of the pair scans ------------------------------------------------------------
+
+
+def _tight_subset_every_composite(ctx):
+    """check_tight_subset before its all-tight skip: every composite and
+    every join of tight members is looked up, whatever the mask holds."""
+    H = ctx.homset_capped(quantale.MATRIX_CAP, "tight subset scan")
+    tight = H.tight_indices()
+    mask = H.tight_mask
+    members = np.arange(H.m)
+    step = max(1, verify.BLOCK_ROWS // H.m)
+    left = np.empty(H.m, dtype=bool)
+    right = np.ones(H.m, dtype=bool)
+    for start in range(0, H.m, step):
+        block = members[start:start + step]
+        closed = mask[H.compose_indices(block, members)]
+        left[block] = closed.all(axis=1)
+        right &= closed.all(axis=0)
+    escaping = tight[~(left[tight] & right[tight])]
+    if escaping.size:
+        t = int(escaping[0])
+        side = "left" if not left[t] else "right"
+        return f"{side} composite with tight member {t} escapes the tight subset"
+    step = max(1, verify.BLOCK_ROWS // max(1, len(tight)))
+    for start in range(0, len(tight), step):
+        if not mask[H.join_indices(tight[start:start + step], tight)].all():
+            return "tight subset is not closed under joins"
+    down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))
+    if set(down_idx.tolist()) != set(int(i) for i in tight):
+        return "image of the down transform differs from the tight subset"
+    if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
+        return "down transform surjectivity disagrees with tightness of the identity"
+    return None
+
+
+def _wk_composition_by_rows(ctx):
+    """check_wk_composition before the packed codes: row y of R_i;R_j
+    against row y of the relation of each composite, one row at a time."""
+    P, H = ctx.poset, ctx.homset
+    rels = verify.wk_tables(P, H.tables)
+    rowbits = rels @ (np.int64(1) << np.arange(P.n, dtype=np.int64))
+    sets, row_set = np.unique(rowbits, return_inverse=True)
+    row_set = row_set.reshape(rowbits.shape)
+    unions = np.zeros((len(sets), H.m), dtype=np.int64)
+    for z in range(P.n):
+        unions |= np.where((sets[:, None] >> z) & 1 == 1, rowbits[:, z], 0)
+    members = np.arange(H.m)
+    step = max(1, verify.BLOCK_ROWS // H.m)
+    for start in range(0, H.m, step):
+        block = members[start:start + step]
+        comp = H.compose_indices(block, members)
+        got = unions[row_set[block]]  # [i, y, j] = row y of R_i;R_j
+        bad = (got != rowbits[comp].transpose(0, 2, 1)).any(axis=1)
+        if bad.any():
+            b, j = np.argwhere(bad)[0]
+            return f"relational composition differs from map composition at ({block[b]}, {j})"
+    return None
+
+
+@pytest.fixture(scope="module")
+def pair_scan_ctxs():
+    """A context for every corpus entry and every seed-0 midsize entry, by name."""
+    entries = corpus() + workloads.build("midsize", 0)
+    return {name: _Ctx(L, SuiteConfig(), poset=P) for name, L, P in entries}
+
+
+def test_the_pair_scans_agree_with_their_old_bodies(pair_scan_ctxs):
+    for name, ctx in pair_scan_ctxs.items():
+        assert check_tight_subset(ctx) == _tight_subset_every_composite(ctx) is None, name
+        if ctx.poset is not None:
+            assert check_wk_composition(ctx) == _wk_composition_by_rows(ctx) is None, name
+
+
+@pytest.mark.parametrize("name", ["m3", "m5"])
+def test_a_flipped_tight_entry_gives_the_old_verdict(pair_scan_ctxs, monkeypatch, name):
+    ctx = pair_scan_ctxs[name]
+    H = ctx.homset
+    real = np.array(H.tight_mask)
+    tight, loose = np.flatnonzero(real), np.flatnonzero(~real)
+    witnesses = set()
+    for k in (tight[0], tight[-1], loose[0], loose[-1], H.identity_index):
+        flipped = real.copy()
+        flipped[k] = not flipped[k]
+        _set_tight_mask(monkeypatch, H, flipped)
+        want = _tight_subset_every_composite(ctx)
+        assert check_tight_subset(ctx) == want, k
+        witnesses.add(want)
+    assert None not in witnesses
+
+
+@pytest.mark.parametrize("name", ["boolean3", "downset-vee-plus-point"])
+def test_tight_subset_looks_up_no_composite_when_every_member_is_tight(pair_scan_ctxs, monkeypatch, name):
+    ctx = pair_scan_ctxs[name]
+    assert ctx.homset.tight_mask.all()
+    calls = []
+
+    def refuse(self, gs, fs=None):
+        calls.append((gs, fs))
+        raise AssertionError("no composite or join is needed")
+
+    monkeypatch.setattr(EndoHomset, "compose_indices", refuse)
+    monkeypatch.setattr(EndoHomset, "join_indices", refuse)
+    assert check_tight_subset(ctx) is None
+    assert calls == []
+    with pytest.raises(AssertionError, match="no composite"):
+        _tight_subset_every_composite(ctx)
+
+
+@pytest.mark.parametrize("name, i, j", [
+    ("downset-chain2-plus-point", 40, 7),
+    ("downset-vee-plus-point", 1234, 0),
+    ("downset-vee-plus-point", 5, 2499),
+])
+def test_a_swapped_composite_gives_the_old_wk_witness(pair_scan_ctxs, monkeypatch, name, i, j):
+    ctx = pair_scan_ctxs[name]
+    H = ctx.homset
+    real = EndoHomset.compose_indices
+    right = int(real(H, i, j)[0, 0])
+    other = (right + 1) % H.m
+
+    def swapped(self, gs, fs=None):
+        out = real(self, gs, fs)
+        at_i = np.atleast_1d(gs) == i
+        at_j = np.arange(self.m) == j if fs is None else np.atleast_1d(fs) == j
+        out[np.ix_(at_i, at_j)] = other
+        return out
+
+    monkeypatch.setattr(EndoHomset, "compose_indices", swapped)
+    want = f"relational composition differs from map composition at ({i}, {j})"
+    assert _wk_composition_by_rows(ctx) == check_wk_composition(ctx) == want
+
+
+def test_packed_rows_round_trip():
+    rng = np.random.default_rng(0)
+    for k in range(1, 10):
+        rows = rng.integers(0, 1 << k, (k, 3, 5), dtype=np.int64)
+        rows[:, 0, 0] = (1 << k) - 1  # every bit of every row set once
+        words = verify._packed_rows(rows)
+        per = 63 // k
+        assert words.shape == (-(-k // per), 3, 5) and (words >= 0).all()
+        assert len(words) == (1 if k <= 7 else 2)
+        back = np.stack([words[y // per] >> (k * (y % per)) & ((1 << k) - 1) for y in range(k)])
+        assert (back == rows).all(), k
+    assert verify._packed_rows(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
 
 
 # -- the generator-map kernels ---------------------------------------------------------------
