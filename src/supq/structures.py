@@ -423,18 +423,23 @@ class NaturalClassification:
 def classify_natural(H: EndoHomset) -> NaturalClassification:
     """Seed every member f0, form psi(y, x) = c_y o f0 o a_x, and keep the
     distinct families satisfying both naturality equations against every
-    member of the homset.  All m * n^2 composites are one gather and one
-    `index_rows` lookup; families keep the order of their first seed.  The
+    member of the homset.  c_y, a_x and the seeds are members, so every
+    composite is found by its J-key: the rows f0 o a_x, then c_y o r once per
+    distinct row r.  Families keep the order of their first seed.  The
     result is not cached on the homset."""
     L = H.lattice
     n = L.n
     vs = np.arange(n)
-    c_tabs = e_tables(L, L, vs, L.bottom)  # c_y = e(y, bottom)
-    a_tabs = e_tables(L, L, L.top, vs)     # a_x = e(top, x)
-    comp = c_tabs[:, H.tables[:, a_tabs]]  # [y, seed, x, t]
-    fams = H.index_rows(comp.transpose(1, 0, 2, 3).reshape(-1, n)).reshape(H.m, n * n)
-    distinct, first, seeds = np.unique(fams, axis=0, return_index=True, return_counts=True)
-    e_table = H.index_rows(e_tables(L, L, vs[:, None], vs[None, :]).reshape(-1, n)).reshape(n, n)
+    c_idx = H.index_rows(e_tables(L, L, vs, L.bottom))  # c_y = e(y, bottom)
+    a_idx = H.index_rows(e_tables(L, L, L.top, vs))     # a_x = e(top, x)
+    seeded = H.compose_indices(np.arange(H.m), a_idx)   # [seed, x] = f0 o a_x
+    # return_index makes numpy sort stably, fast on these nearly sorted rows
+    rows, _, row_of = np.unique(seeded, axis=0, return_index=True, return_inverse=True)
+    comp = H.compose_indices(c_idx, rows.ravel()).reshape(n, len(rows), n)  # [y, row, x]
+    distinct, fam_of = np.unique(comp.transpose(1, 0, 2).reshape(len(rows), n * n),
+                                 axis=0, return_inverse=True)
+    _, first, seeds = np.unique(fam_of.ravel()[row_of.ravel()], return_index=True, return_counts=True)
+    e_table = H.compose_indices(c_idx, a_idx)
 
     natural = []
     for k in np.argsort(first):
@@ -454,23 +459,12 @@ def classify_natural(H: EndoHomset) -> NaturalClassification:
 
 def _family_is_natural(H: EndoHomset, fam: np.ndarray) -> bool:
     """psi(f(y), x) = f o psi(y, x) and psi(y, adj(g)(x)) = psi(y, x) o g for
-    all members f, g."""
-    L = H.lattice
-    n = L.n
-    for y in range(n):
-        for x in range(n):
-            psi_tab = H.tables[fam[y, x]]
-            # left equation, batched over f
-            left = H.tables[:, psi_tab.astype(np.int64)]  # rows f o psi(y,x)
-            want = fam[H.tables[:, y].astype(np.int64), x]
-            if not (H.index_rows(left) == want).all():
-                return False
-            # right equation, batched over g
-            right = psi_tab[H.tables.astype(np.int64)]  # rows psi(y,x) o g
-            want = fam[y, H.rho_tables[:, x].astype(np.int64)]
-            if not (H.index_rows(right) == want).all():
-                return False
-    return True
+    all members f, g, with every composite of members found by its J-key."""
+    left = H.compose_indices(np.arange(H.m), fam.ravel()).reshape(H.m, *fam.shape)  # [f, y, x]
+    if not (left == fam[H.tables]).all():
+        return False
+    right = H.compose_indices(fam.ravel()).reshape(*fam.shape, H.m)  # [y, x, g]
+    return bool((right == fam[:, H.rho_tables.T]).all())
 
 
 # -- abstract two-valued families ------------------------------------------------------------

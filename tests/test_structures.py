@@ -10,8 +10,9 @@ Oracles used here:
     cover-counting implementation;
   * weakening relations are enumerated by filtering all subsets of P x P;
   * naturality is re-verified by composing actual maps, not index tables,
-    and the gathered classification is compared with a scalar loop that
-    builds every composite as a LatticeMap;
+    and the classification from J-key composites is compared with a scalar
+    loop that builds every composite as a LatticeMap and with the row
+    gathers it replaced;
   * the abstract two-valued check is re-run with one extend_bimorphism per
     inf map, for the canonical family and for three others.
 """
@@ -39,6 +40,7 @@ from supq.maps import (
     a_map,
     c_map,
     e_map,
+    e_tables,
     extend_bimorphism,
     identity_map,
     pointwise_join,
@@ -682,9 +684,10 @@ def test_candidate_families_collapse_to_two():
         assert classify_natural(HOMSETS[name]).candidate_family_count == 2
 
 
-def classify_natural_by_maps(H):
-    """The scalar reference: each seed's composites c_y o f0 o a_x are built
-    as LatticeMap objects, one (y, x) at a time."""
+def candidate_families_by_maps(H):
+    """Each seed's composites c_y o f0 o a_x built as LatticeMap objects,
+    one (y, x) at a time: the distinct family tables with their seed
+    counts, in the order of their first seed."""
     L = H.lattice
     n = L.n
     families: dict[bytes, list] = {}
@@ -701,12 +704,21 @@ def classify_natural_by_maps(H):
             families[key][1] += 1
         else:
             families[key] = [fam, 1]
+    return list(families.values())
+
+
+def classify_natural_by_maps(H):
+    """The scalar reference: the candidate families of
+    `candidate_families_by_maps`, classified."""
+    L = H.lattice
+    n = L.n
+    families = candidate_families_by_maps(H)
     e_table = np.empty((n, n), dtype=np.int64)
     for y in range(n):
         for x in range(n):
             e_table[y, x] = H.index_of(e_map(L, L, y, x))
     natural = []
-    for fam, seeds in families.values():
+    for fam, seeds in families:
         if not _family_is_natural(H, fam):
             continue
         if (fam == H.bottom_index).all():
@@ -741,6 +753,84 @@ def test_non_natural_family_is_rejected_by_the_oracle():
     L = H.lattice
     fam = np.full((L.n, L.n), H.top_index, dtype=np.int64)
     assert not naturality_by_map_composition(H, fam)
+
+
+def _swapped_raney(H):
+    """The Raney family e(y, x) with its entries at (top, bottom) and
+    (top, top) swapped: e(top, bottom) is the greatest member, e(top, top)
+    the least."""
+    L = H.lattice
+    fam = np.array([[H.index_of(e_map(L, L, y, x)) for x in range(L.n)] for y in range(L.n)])
+    fam[L.top, L.bottom], fam[L.top, L.top] = fam[L.top, L.top], fam[L.top, L.bottom]
+    return fam
+
+
+@pytest.mark.parametrize("name, L", SMALL_CORPUS, ids=[name for name, _ in SMALL_CORPUS])
+def test_composite_naturality_equals_the_map_composition_oracle(name, L):
+    H = enumerate_homset(L)
+    fams = [fam for fam, _ in candidate_families_by_maps(H)]
+    fams.append(np.full((L.n, L.n), H.top_index, dtype=np.int64))
+    if L.n > 1:
+        fams.append(_swapped_raney(H))
+    verdicts = [_family_is_natural(H, fam) for fam in fams]
+    assert verdicts == [naturality_by_map_composition(H, fam) for fam in fams]
+    if L.n > 1:
+        assert verdicts[-2:] == [False, False]
+
+
+def _family_is_natural_by_gathers(H, fam):
+    """_family_is_natural before the J-key composites: the rows of f o psi
+    and psi o g gathered and looked up whole, one (y, x) at a time."""
+    n = H.lattice.n
+    for y in range(n):
+        for x in range(n):
+            psi_tab = H.tables[fam[y, x]]
+            left = H.tables[:, psi_tab.astype(np.int64)]
+            if not (H.index_rows(left) == fam[H.tables[:, y].astype(np.int64), x]).all():
+                return False
+            right = psi_tab[H.tables.astype(np.int64)]
+            if not (H.index_rows(right) == fam[y, H.rho_tables[:, x].astype(np.int64)]).all():
+                return False
+    return True
+
+
+def classify_natural_by_gathers(H):
+    """classify_natural before the J-key composites: all m * n^2 composites
+    c_y o f0 o a_x as one row gather and one whole-row lookup."""
+    L = H.lattice
+    n = L.n
+    vs = np.arange(n)
+    c_tabs = e_tables(L, L, vs, L.bottom)
+    a_tabs = e_tables(L, L, L.top, vs)
+    comp = c_tabs[:, H.tables[:, a_tabs]]  # [y, seed, x, t]
+    fams = H.index_rows(comp.transpose(1, 0, 2, 3).reshape(-1, n)).reshape(H.m, n * n)
+    distinct, first, seeds = np.unique(fams, axis=0, return_index=True, return_counts=True)
+    e_table = H.index_rows(e_tables(L, L, vs[:, None], vs[None, :]).reshape(-1, n)).reshape(n, n)
+    natural = []
+    for k in np.argsort(first):
+        fam = distinct[k].reshape(n, n)
+        if not _family_is_natural_by_gathers(H, fam):
+            continue
+        if (fam == H.bottom_index).all():
+            label = "trivial"
+        elif (fam == e_table).all():
+            label = "raney"
+        else:
+            label = "other"
+        natural.append(NaturalFamily(label=label, table=fam, seed_count=int(seeds[k])))
+    natural.sort(key=lambda f: f.label != "trivial")
+    return NaturalClassification(natural=tuple(natural), candidate_family_count=len(distinct))
+
+
+@pytest.mark.parametrize("name", ["boolean3", "m5"])
+def test_composite_classification_equals_the_gathered_one(name):
+    H = HOMSETS[name]
+    got, want = classify_natural(H), classify_natural_by_gathers(H)
+    assert got.natural == want.natural
+    assert [f.label for f in got.natural] == [f.label for f in want.natural] == ["trivial", "raney"]
+    assert [f.seed_count for f in got.natural] == [f.seed_count for f in want.natural]
+    assert [f.table.dtype for f in got.natural] == [f.table.dtype for f in want.natural]
+    assert got.candidate_family_count == want.candidate_family_count
 
 
 # -- abstract two-valued families -----------------------------------------------------

@@ -281,6 +281,14 @@ def test_the_opposite_homset_holds_the_right_adjoints(kernel_homsets):
         assert H.op.m == len(inf) and (np.unique(H.op.tables, axis=0) == inf).all(), name
 
 
+def test_the_opposite_homset_has_the_same_order_matrix(kernel_homsets):
+    """rho is order-preserving from Q(L) to Q(L.op), index for index: f <= g
+    exactly when rho_g <= rho_f in L, which is rho_f <= rho_g in L.op, so
+    the matrices are equal, not transposed."""
+    for name, H in kernel_homsets.items():
+        assert (H.op.leq_matrix() == H.leq_matrix()).all(), name
+
+
 def test_the_opposite_homset_makes_no_reference_cycle():
     """A homset is freed with its last reference, with the cyclic collector
     off, while its opposite lives on and links to a rebuilt copy."""
@@ -643,6 +651,53 @@ def test_naturality_composite_reports_the_fgt_witness(monkeypatch, make, g):
     want = _naturality_witness_fgt(H)
     assert want is not None
     assert check_naturality_composite(ctx) == want
+
+
+def test_naturality_case_split_equals_the_fgt_scan_on_the_corpus(monkeypatch, corpus_homsets):
+    for name, kept in corpus_homsets.items():
+        ctx = _Ctx(kept.lattice, SuiteConfig())
+        H = ctx.homset
+        assert check_naturality_composite(ctx) == _naturality_witness_fgt(H) is None, name
+        if H.m > 1:
+            bad = H.rho_tables.copy()
+            bad[[0, 1]] = bad[[1, 0]]
+            with monkeypatch.context() as mp:
+                mp.setitem(H._cache, "rho", bad)
+                want = _naturality_witness_fgt(H)
+                assert want is not None and check_naturality_composite(ctx) == want, name
+    assert {"boolean3", "downset-antichain3"} <= set(corpus_homsets)
+
+
+def _naturality_cases(H, rho):
+    """Which of A and not B, B and not A occur for some (g, t, x), with
+    A = [g(t) <= x] and B = [t <= rho_g(x)]."""
+    L = H.lattice
+    A = L.leq[H.tables]
+    B = L.leq.T[rho].transpose(0, 2, 1)
+    return bool((A & ~B).any()), bool((B & ~A).any())
+
+
+@pytest.mark.parametrize("plant, cases", [
+    ("swapped row", None),
+    ("entry moved down", (True, False)),  # only A and not B
+    ("entry moved up", (False, True)),    # only B and not A
+])
+def test_naturality_case_split_names_the_planted_witness(monkeypatch, plant, cases):
+    ctx = _Ctx(make_boolean(3), SuiteConfig())
+    H, L = ctx.homset, ctx.L
+    g, x = H.identity_index, next(v for v in range(L.n) if v not in (L.bottom, L.top))
+    bad = H.rho_tables.copy()
+    if plant == "swapped row":
+        bad[g] = H.rho_tables[(g + 1) % H.m]
+    else:
+        bad[g, x] = L.bottom if plant == "entry moved down" else L.top
+        assert _naturality_cases(H, bad) == cases
+    monkeypatch.setitem(H._cache, "rho", bad)
+    want = _naturality_witness_fgt(H)
+    assert want is not None
+    assert check_naturality_composite(ctx) == want
+    if cases is not None:
+        assert want.endswith(f"x={x})")
 
 
 # -- batched monotonicity ------------------------------------------------------------------
