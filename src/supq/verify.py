@@ -517,9 +517,12 @@ DIVISION_FORMULAS = (
 def check_division_formulas(ctx: _Ctx):
     """Residuals of every member f by every e map e(y, x) and every tensor y
     over x, against their closed forms in up_f and star_f; c_y = e(y, bottom)
-    and a_x = e(top, x) are among the e maps.  One blocked pass over the
-    pairs (y, x) in row-major order: the witness is the first failing pair,
-    then the first failing formula of DIVISION_FORMULAS."""
+    and a_x = e(top, x) are among the e maps.  Both sides of each formula are
+    members, so they are compared by their J-keys, from the J-values of each
+    closed form: two members agree exactly when they agree on J, as f(x) is
+    the join of f(j) over the j <= x.  One blocked pass over the pairs (y, x)
+    in row-major order: the witness is the first failing pair, then the first
+    failing formula of DIVISION_FORMULAS."""
     H = ctx.homset_capped(TABLE_SCAN_CAP, "generator division scan")
     L = ctx.L
     n, m, top, bot = L.n, H.m, L.top, L.bottom
@@ -527,15 +530,21 @@ def check_division_formulas(ctx: _Ctx):
     st = H.tables[H.star_indices.astype(np.int64)]
     up_bot, st_top = up[:, bot], st[:, top]
     ys, xs = np.divmod(np.arange(n * n), n)
-    e_idx = H.index_rows(e_tables(L, L, ys, xs))
-    t_idx = H.index_rows(tensor_tables(L, L, ys, xs))
-    members = np.arange(m)
+    e_rows, t_rows = e_tables(L, L, ys, xs), tensor_tables(L, L, ys, xs)
+    e_idx, t_idx = H.index_rows(e_rows), H.index_rows(t_rows)  # row v*n + w: e(v, w), v over w
+    J, radix, _, _ = H._keys()
+    e_on_J, t_on_J = (rows[:, J].reshape(n, n, len(J)) for rows in (e_rows, t_rows))  # [v, w, j]
+    e_key, t_key = e_on_J @ radix, t_on_J @ radix  # [v, w] = J-key of e(v, w), of v over w
+    members, keys = np.arange(m), H._j_keys(H.tables)
 
-    def div(divisors):  # [pair, f, t] = f / divisor, the left residual of the opposite homset
-        return H.tables[H.op.ldiv_index(divisors, members)]
+    def div(divisors):  # [pair, f] = f / divisor, the left residual of the opposite homset
+        return H.op.ldiv_index(divisors, members)
 
-    def codiv(divisors):  # [pair, f, t] = divisor \ f
-        return H.tables[H.ldiv_index(divisors, members)]
+    def codiv(divisors):  # [pair, f] = divisor \ f
+        return H.ldiv_index(divisors, members)
+
+    def interior(on_J):  # [pair, f] = the sup-interior of the monotone map with these J-values
+        return H._interior_keys(on_J.astype(np.int64) @ radix)
 
     step = max(1, BLOCK_ROWS // m)  # pairs per block of at most BLOCK_ROWS rows
     for start in range(0, n * n, step):
@@ -544,16 +553,16 @@ def check_division_formulas(ctx: _Ctx):
         up_x, st_y = up[:, xs[p]].T, st[:, ys[p]].T  # [pair, f] = up_f(x), star_f(y)
         e_div, e_codiv = div(e_idx[p]), codiv(e_idx[p])
         t_div, t_codiv = div(t_idx[p]), codiv(t_idx[p])
-        over = L.meet[e_tables(L, L, up_x, bot), tensor_tables(L, L, up_bot, y)]
-        under = L.meet[e_tables(L, L, top, st_y), tensor_tables(L, L, x, st_top)]
+        over = L.meet[e_on_J[up_x, bot], t_on_J[up_bot, y]]  # [pair, f, j]
+        under = L.meet[e_on_J[top, st_y], t_on_J[x, st_top]]
         bad = np.stack([
-            e_div != tensor_tables(L, L, up_x, y),
-            e_codiv != tensor_tables(L, L, x, st_y),
-            t_div != H.tables[H.interior_indices(over)],
-            t_codiv != H.tables[H.interior_indices(under)],
-            (t_div != e_tables(L, L, up_x, y)) & (up_bot == bot)[:, None],
-            (t_codiv != e_tables(L, L, x, st_y)) & (st_top == top)[:, None],
-        ]).any(axis=(2, 3))  # [formula, pair]
+            keys[e_div] != t_key[up_x, y],
+            keys[e_codiv] != t_key[x, st_y],
+            t_div != interior(over),
+            t_codiv != interior(under),
+            (keys[t_div] != e_key[up_x, y]) & (up_bot == bot),
+            (keys[t_codiv] != e_key[x, st_y]) & (st_top == top),
+        ]).any(axis=2)  # [formula, pair]
         if bad.any():
             pair = int(np.flatnonzero(bad.any(axis=0))[0])
             name = DIVISION_FORMULAS[int(np.argmax(bad[:, pair]))]

@@ -150,14 +150,27 @@ def test_search_cap_skips_the_check_and_clears_the_automorphism_count(monkeypatc
 
 
 def test_a_cap_raised_inside_a_kernel_skips_the_checks_that_reach_it(monkeypatch):
+    """The order-matrix cap skips the checks that build the matrix; the
+    irreducible counts come from the tensors, and the star witness of a
+    distributive homset is tested by the autodual check alone, so the
+    summary reads the star's verdict."""
     monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
     report = run_suite(make_chain(3), name="chain3")
     reason = "order matrix for 6 maps exceeds the 5 cap"
     assert _not_passed(report) == {
-        cid: ("skipped", reason) for cid in ("residual-adjunction", "homset-irreducibles", "autodual")
+        cid: ("skipped", reason) for cid in ("residual-adjunction", "autodual")
     }
-    assert report.summary["autodual_verdict"] == "inconclusive"
+    assert report.summary["autodual_verdict"] == "autodual"
     assert report.summary["tight_unital"] is True
+
+
+def test_the_autodual_verdict_of_a_non_distributive_homset_needs_no_order_matrix(monkeypatch):
+    monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
+    report = run_suite(make_mk(3), SuiteConfig(checks=("homset-irreducibles", "autodual")), name="m3")
+    assert [r.status for r in report.results] == ["pass", "pass"]
+    assert report.summary["autodual_verdict"] == "not-autodual"
+    rep = verify.autodual_report(verify.enumerate_homset(make_mk(3)))
+    assert (rep.join_irreducible_count, rep.meet_irreducible_count) == (15, 9)
 
 
 def test_the_irreducible_scan_reads_the_cap_of_the_verify_module(monkeypatch):

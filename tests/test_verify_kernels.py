@@ -20,6 +20,7 @@ from supq.lattice import (
     Poset,
     SearchCapExceeded,
     automorphisms,
+    cover_relation,
     downset_lattice,
     dual,
     find_order_isomorphism,
@@ -765,6 +766,65 @@ def test_a_crashing_check_fails_and_the_later_checks_still_run(monkeypatch, exc)
     assert all(r.status == "pass" for r in report.results[k + 1:])
 
 
+def test_a_failing_star_witness_fails_the_autodual_check_and_the_run_goes_on(monkeypatch):
+    star = EndoHomset.star_indices.fget
+    monkeypatch.setattr(EndoHomset, "star_indices", property(lambda H: np.roll(star(H), 1)))
+    report = run_suite(make_boolean(2), name="boolean2")
+    autodual = next(r for r in report.results if r.check_id == "autodual")
+    assert autodual.status == "fail"
+    assert autodual.witness == "autoduality witness is not an order-reversing bijection"
+
+
+def test_no_check_builds_the_order_matrix_of_m5(monkeypatch):
+    """m5 has 1,582 members, the largest homset of the corpus; with the
+    order matrix refused every check and summary flag comes out the same."""
+    want = run_suite(make_mk(5), name="m5")
+
+    def refuse(H):
+        raise RuntimeError("order matrix built")
+
+    monkeypatch.setattr(EndoHomset, "leq_matrix", refuse)
+    got = run_suite(make_mk(5), name="m5")
+    assert [r.to_doc() for r in got.results] == [r.to_doc() for r in want.results]
+    assert got.summary == want.summary
+
+
+# -- irreducibles from the tensors ---------------------------------------------------------
+
+
+def _irreducibles_by_cover_relation(H):
+    """The irreducible report from the covers of the whole order matrix, the
+    m x m self-product that the tensor form replaced."""
+    L = H.lattice
+    covers = cover_relation(H.leq_matrix())
+    j_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=0) == 1))
+    m_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=1) == 1))
+    jl, ml = join_irreducibles(L), meet_irreducibles(L)
+    ms, js = np.array(ml, dtype=np.int64)[:, None], np.array(jl, dtype=np.int64)[None, :]
+    tensors = [int(i) for i in H.index_rows(tensor_tables(L, L, ms, js).reshape(-1, L.n))]
+    es = [int(i) for i in H.index_rows(e_tables(L, L, js, ms).reshape(-1, L.n))]
+    return structures.IrreducibleReport(
+        join_irreducible_indices=j_idx,
+        meet_irreducible_indices=m_idx,
+        tensor_indices=tuple(tensors),
+        e_indices=tuple(es),
+        product_count=len(jl) * len(ml),
+        meet_equals_tensors=set(m_idx) == set(tensors),
+        e_within_join_irreducibles=set(es) <= set(j_idx),
+        tensors_pairwise_distinct=len(set(tensors)) == len(tensors),
+        e_pairwise_distinct=len(set(es)) == len(es),
+    )
+
+
+def test_irreducibles_from_the_tensors_equal_the_cover_relation():
+    """On every corpus homset and the three seed-0 midsize homsets (2,150 to
+    2,500 members, above the scan cap, so the report is built directly)."""
+    entries = corpus() + workloads.build("midsize", 0)
+    for name, L, _ in entries:
+        H = enumerate_homset(L)
+        assert structures._irreducibles(H) == _irreducibles_by_cover_relation(H), name
+
+
 # -- merged kernels ------------------------------------------------------------------------
 
 
@@ -1417,17 +1477,62 @@ def _division_witness_per_pair(ctx):
     return None
 
 
+def _division_witness_by_tables(ctx):
+    """The division formulas on whole tables: every residual and closed form
+    as its row of n values, the blocked pass the J-key comparison replaced."""
+    H, L = ctx.homset, ctx.L
+    n, m, top, bot = L.n, H.m, L.top, L.bottom
+    up = H.up_transform_tables
+    st = H.tables[H.star_indices.astype(np.int64)]
+    up_bot, st_top = up[:, bot], st[:, top]
+    ys, xs = np.divmod(np.arange(n * n), n)
+    e_idx = H.index_rows(e_tables(L, L, ys, xs))
+    t_idx = H.index_rows(tensor_tables(L, L, ys, xs))
+    members = np.arange(m)
+
+    def div(divisors):
+        return H.tables[H.op.ldiv_index(divisors, members)]
+
+    def codiv(divisors):
+        return H.tables[H.ldiv_index(divisors, members)]
+
+    step = max(1, verify.BLOCK_ROWS // m)
+    for start in range(0, n * n, step):
+        p = slice(start, start + step)
+        y, x = ys[p, None], xs[p, None]
+        up_x, st_y = up[:, xs[p]].T, st[:, ys[p]].T
+        e_div, e_codiv = div(e_idx[p]), codiv(e_idx[p])
+        t_div, t_codiv = div(t_idx[p]), codiv(t_idx[p])
+        over = L.meet[e_tables(L, L, up_x, bot), tensor_tables(L, L, up_bot, y)]
+        under = L.meet[e_tables(L, L, top, st_y), tensor_tables(L, L, x, st_top)]
+        bad = np.stack([
+            e_div != tensor_tables(L, L, up_x, y),
+            e_codiv != tensor_tables(L, L, x, st_y),
+            t_div != H.tables[H.interior_indices(over)],
+            t_codiv != H.tables[H.interior_indices(under)],
+            (t_div != e_tables(L, L, up_x, y)) & (up_bot == bot)[:, None],
+            (t_codiv != e_tables(L, L, x, st_y)) & (st_top == top)[:, None],
+        ]).any(axis=(2, 3))
+        if bad.any():
+            pair = int(np.flatnonzero(bad.any(axis=0))[0])
+            name = verify.DIVISION_FORMULAS[int(np.argmax(bad[:, pair]))]
+            return f"{name} fails at (y={ys[start + pair]}, x={xs[start + pair]})"
+    return None
+
+
 def test_division_formulas_pass_on_the_corpus_as_per_pair():
     for name, L, _ in corpus():
         ctx = _Ctx(L, SuiteConfig())
         if ctx.homset.m <= 512:
             assert check_division_formulas(ctx) is None, name
             assert _division_witness_per_pair(ctx) is None, name
+            assert _division_witness_by_tables(ctx) is None, name
 
 
 def test_division_formulas_report_the_per_pair_witness(monkeypatch):
-    """Each corrupted up-transform entry or star index gives the oracle's
-    witness: the first failing (y, x) in row-major order, then the first
+    """Each corrupted up-transform entry or star index gives the witness of
+    both oracles, per pair and on whole tables: the first failing (y, x) in
+    row-major order, then the first
     failing formula.  Whenever a reduced form applies it equals the tensor
     form, so a corrupted table fails the tensor form first.  In the dual
     pentagon the bottom is the last element, so the pairs with y = bottom,
@@ -1446,6 +1551,7 @@ def test_division_formulas_report_the_per_pair_witness(monkeypatch):
                 monkeypatch.setitem(H._cache, "up_t", bad)
                 want = _division_witness_per_pair(ctx)
                 assert want is not None and check_division_formulas(ctx) == want, (f, x)
+                assert _division_witness_by_tables(ctx) == want, (f, x)
                 seen.add(want.split(" fails")[0])
             monkeypatch.setitem(H._cache, "up_t", up)
             for g in (1, H.m // 2):
@@ -1453,11 +1559,28 @@ def test_division_formulas_report_the_per_pair_witness(monkeypatch):
                 bad[f] = (bad[f] + g) % H.m
                 monkeypatch.setitem(H._cache, "star_idx", bad)
                 want = _division_witness_per_pair(ctx)
-                assert check_division_formulas(ctx) == want, (f, g)
+                assert check_division_formulas(ctx) == want == _division_witness_by_tables(ctx), (f, g)
                 if want is not None:
                     seen.add(want.split(" fails")[0])
             monkeypatch.setitem(H._cache, "star_idx", star_idx)
     assert seen == set(verify.DIVISION_FORMULAS[:4])
+
+
+@pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_chain(4)])
+def test_a_planted_interior_entry_fails_division_as_on_whole_tables(make):
+    """A wrong memo entry, one that the interior of the meet in the tensor
+    division reads at a pair in the middle of the scan, gives the witness of
+    the table form, which reads the same memo; a residual that shares the
+    key may read it first."""
+    ctx = _Ctx(make(), SuiteConfig())
+    H, L = ctx.homset, ctx.L
+    assert check_division_formulas(ctx) is None
+    up, y, x = H.up_transform_tables, L.n // 2, L.n - 1
+    over = L.meet[e_tables(L, L, up[:, x], L.bottom), tensor_tables(L, L, up[:, L.bottom], y)]
+    memo, q = H._interior_memo(), H._j_keys(over)[H.m // 2]
+    memo[q] = (memo[q] + 1) % H.m
+    want = _division_witness_by_tables(ctx)
+    assert want is not None and check_division_formulas(ctx) == want
 
 
 # -- the transform adjunction on the irreducibles -----------------------------------------
