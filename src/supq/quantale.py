@@ -286,37 +286,39 @@ def ldiv_tables(L: Lattice, rho_tabs: np.ndarray, h_tabs: np.ndarray) -> np.ndar
 # -- homset enumeration ------------------------------------------------------------
 
 
-def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
-    """All join-preserving endomaps of L, enumerated through values on the
-    join-irreducibles and capped at `cap` members.  The values on J are
-    assigned one join-irreducible at a time, and a partial assignment is
-    dropped as soon as it breaks f(c) <= f(a) v f(b) for assigned c <= a v b;
-    the full join check on the extended rows stays.  Past max(1000000,
-    16 * cap) candidate assignments, CapExceeded."""
-    J = join_irreducibles(L)
-    order = sorted(J, key=lambda j: int(L.leq[:, j].sum()))
-    work_cap = max(1_000_000, 16 * cap)
+def assignments_on_J(L: Lattice, order: list[int], joins: bool = True, work_cap: int | None = None):
+    """Every assignment of values to the join-irreducibles `order`, one column
+    each, with f(c) <= f(a) v f(b) for c <= a v b; with joins off, only the
+    triples a = b, monotonicity on J.  One column at a time, dropping a
+    partial row once it breaks a triple; the rows come out in lexicographic
+    order.  Past `work_cap` candidate rows, CapExceeded."""
     part = np.zeros((1, 0), dtype=np.int16)
     span = np.arange(L.n)[None]
     for k in range(len(order)):
         # at[p] = f(order[p]) on each partial row, and the new f(order[k])
-        # spans L; a join-preserving f has f(c) <= f(a) v f(b) whenever
-        # c <= a v b, monotonicity when a = b: test the triples that involve k
+        # spans L: test the triples that involve k
         at = [part[:, p, None] for p in range(k)] + [span]
         allowed = np.ones((len(part), L.n), dtype=bool)
-        triples = [(a, k, c) for a in range(k + 1) for c in range(k)]
-        triples += [(a, b, k) for a in range(k) for b in range(a, k)]
+        triples = [(a, k, c) for a in range(k + 1) for c in range(k) if joins or a == k]
+        triples += [(a, b, k) for a in range(k) for b in range(a, k) if joins or a == b]
         for a, b, c in triples:
             ja, jb, jc = order[a], order[b], order[c]
             if L.leq[jc, L.join[ja, jb]] and (a == b or not (L.leq[jc, ja] or L.leq[jc, jb])):
                 allowed &= L.leq[at[c], L.join[at[a], at[b]]]
         rows, vals = np.nonzero(allowed)
-        if len(rows) > work_cap:
-            raise CapExceeded(
-                f"homset enumeration grew past {work_cap} candidate assignments", 0
-            )
+        if work_cap is not None and len(rows) > work_cap:
+            raise CapExceeded(f"homset enumeration grew past {work_cap} candidate assignments", 0)
         part = np.concatenate([part[rows], vals[:, None].astype(np.int16)], axis=1)
+    return part
 
+
+def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
+    """All join-preserving endomaps of L, capped at `cap` members: their values
+    on J from `assignments_on_J`, in the order of the down-sets, then the full
+    join check on the extended rows.  Past max(1000000, 16 * cap) candidate
+    assignments, CapExceeded."""
+    order = sorted(join_irreducibles(L), key=lambda j: int(L.leq[:, j].sum()))
+    part = assignments_on_J(L, order, work_cap=max(1_000_000, 16 * cap))
     pos_of = {j: k for k, j in enumerate(order)}
     chunks = []
     total = 0
@@ -603,22 +605,27 @@ class EndoHomset:
         monotone row of that key."""
         L = self.lattice
         J, radix, _, _ = self._keys()
-        vals = keys[:, None] // radix % L.n  # [row, k] = value at J[k]
-        rows = np.full((len(keys), L.n), L.bottom, dtype=np.int16)
+        jt = L.join.ravel()
+        cols = np.full((L.n, len(keys)), L.bottom, dtype=np.int64)  # [x, row], element-major
         for k, j in enumerate(J):
-            above = np.flatnonzero(L.leq[j])
-            rows[:, above] = L.join[rows[:, above], vals[:, k, None]]
-        return rows
+            v = keys // radix[k] % L.n  # the value at J[k]
+            for x in np.flatnonzero(L.leq[j]):
+                cols[x] = jt.take(cols[x] * L.n + v)
+        return cols.astype(np.int16).T
 
     def _interior_keys(self, q: np.ndarray) -> np.ndarray:
-        """Index of the sup-interior of the monotone map with each J-key in
+        """Index of the sup-interior of the monotone maps with each J-key in
         q, an array of any shape: on the slot table through the memo, once
-        per key and homset, and above it once per distinct key and call."""
+        per key and homset, and above it once per distinct key and call.  A
+        member lies below a monotone k exactly when it does on J, as f(x) is
+        the join of f(j) over the j <= x, so int(k), the join of the members
+        below k, depends only on the J-key of k."""
         L = self.lattice
         if self._keys()[2] is not None:
             memo = self._interior_memo()
             idx = memo[q]
-            new = np.unique(q[idx < 0])
+            new = np.sort(q[idx < 0])  # distinct by a sort: np.unique hashes, several times slower
+            new = new[np.diff(new, prepend=-1) != 0]
             if new.size:
                 memo[new] = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
                 idx = memo[q]
@@ -626,13 +633,6 @@ class EndoHomset:
         new, inv = np.unique(q, return_inverse=True)
         got = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
         return got[inv.reshape(-1)].reshape(q.shape)
-
-    def interior_indices(self, rows) -> np.ndarray:
-        """Index of the sup-interior of each monotone row, for rows of shape
-        (..., n).  A member lies below a monotone k exactly when it does on
-        J, as f(x) is the join of f(j) over the j <= x, so int(k), the join
-        of the members below k, depends only on the J-key of k."""
-        return self._interior_keys(self._j_keys(np.asarray(rows, dtype=np.int16)))
 
     def ldiv_index(self, gs, hs, outer: bool = True) -> np.ndarray:
         """Index of g \\ h, the sup-interior of rho_g o h, for every member g

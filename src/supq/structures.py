@@ -4,7 +4,7 @@ and the classification of natural two-parameter families.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,6 +185,7 @@ class IrreducibleReport:
     e_within_join_irreducibles: bool
     tensors_pairwise_distinct: bool
     e_pairwise_distinct: bool
+    lower_cover_edges: tuple = field(default=(), compare=False, repr=False)  # (f, g): g covered by f
 
 
 def homset_irreducibles(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> IrreducibleReport:
@@ -229,8 +230,9 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     lower.sort(axis=1)
     first = lower >= 0  # the first of each distinct lower cover
     first[:, 1:] &= lower[:, 1:] != lower[:, :-1]
-    j_idx = tuple(int(i) for i in np.flatnonzero(first.sum(axis=1) == 1))
-    m_idx = tuple(int(i) for i in np.flatnonzero(np.bincount(lower[first], minlength=H.m) == 1))
+    f, g = np.nonzero(first)[0], lower[first]
+    j_idx = tuple(int(i) for i in np.flatnonzero(np.bincount(f, minlength=H.m) == 1))
+    m_idx = tuple(int(i) for i in np.flatnonzero(np.bincount(g, minlength=H.m) == 1))
     return IrreducibleReport(
         join_irreducible_indices=j_idx,
         meet_irreducible_indices=m_idx,
@@ -241,6 +243,7 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
         e_within_join_irreducibles=set(es) <= set(j_idx),
         tensors_pairwise_distinct=len(set(tensors)) == len(tensors),
         e_pairwise_distinct=len(set(es)) == len(es),
+        lower_cover_edges=(f, g),
     )
 
 
@@ -262,41 +265,21 @@ def autodual_report(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> AutodualReport:
     if H.m > cap:
         raise CapExceeded(f"{H.m} maps exceed the search cap {cap}", H.m)
     report = homset_irreducibles(H, cap=cap)
-    nj = len(report.join_irreducible_indices)
-    nm = len(report.meet_irreducible_indices)
+    nj, nm = len(report.join_irreducible_indices), len(report.meet_irreducible_indices)
+    counts = {"join_irreducible_count": nj, "meet_irreducible_count": nm}
     if nj != nm:
         return AutodualReport(
-            verdict="not-autodual",
-            reason=f"join-irreducible count {nj} differs from meet-irreducible count {nm}",
-            join_irreducible_count=nj,
-            meet_irreducible_count=nm,
-        )
+            "not-autodual", f"join-irreducible count {nj} differs from meet-irreducible count {nm}", **counts)
     if is_completely_distributive(H.lattice):
         # the star map is an order-reversing involution of the homset; the
         # autodual check tests the witness
-        return AutodualReport(
-            verdict="autodual",
-            reason="star is an order-reversing bijection",
-            witness=tuple(int(v) for v in H.star_indices),
-            join_irreducible_count=nj,
-            meet_irreducible_count=nm,
-        )
+        return AutodualReport("autodual", "star is an order-reversing bijection",
+                              tuple(int(v) for v in H.star_indices), **counts)
     leq_q = H.leq_matrix()
     found = find_order_isomorphism(leq_q, leq_q.T.copy())
     if found is None:
-        return AutodualReport(
-            verdict="not-autodual",
-            reason="no order-reversing bijection exists",
-            join_irreducible_count=nj,
-            meet_irreducible_count=nm,
-        )
-    return AutodualReport(
-        verdict="autodual",
-        reason="order-reversing bijection found by search",
-        witness=found,
-        join_irreducible_count=nj,
-        meet_irreducible_count=nm,
-    )
+        return AutodualReport("not-autodual", "no order-reversing bijection exists", **counts)
+    return AutodualReport("autodual", "order-reversing bijection found by search", found, **counts)
 
 
 # -- weakening relations -----------------------------------------------------------------

@@ -27,7 +27,6 @@ from supq.lattice import (
 from supq.maps import (
     e_tables,
     leq_tables,
-    sup_interior_tables,
     tensor_tables,
 )
 from supq.quantale import (
@@ -35,6 +34,7 @@ from supq.quantale import (
     MATRIX_CAP,
     TABLE_SCAN_CAP,
     EndoHomset,
+    assignments_on_J,
     automorphism_to_dualizing,
     conucleus_gap,
     enumerate_homset,
@@ -44,7 +44,6 @@ from supq.quantale import (
     is_girard,
     left_adjoint_tables,
     right_adjoint_tables,
-    star,
     tensor_meet_tables,
     tight_has_unit,
 )
@@ -295,46 +294,62 @@ def check_infmap_join_decomposition(ctx: _Ctx):
     return None
 
 
-def _monotone_inputs(ctx: _Ctx) -> np.ndarray:
-    L = ctx.L
-    if L.n ** L.n <= 4000:
-        grids = np.indices((L.n,) * L.n).reshape(L.n, -1).T.astype(np.int16)
-        ok = np.ones(len(grids), dtype=bool)
-        for x in range(L.n):
-            for y in range(L.n):
-                if L.leq[x, y]:
-                    ok &= L.leq[grids[:, x], grids[:, y]]
-        return grids[ok]
-    H = ctx.homset
-    rng = np.random.default_rng(2024)
-    rows = rng.integers(0, H.m, size=200)
-    consts = rng.integers(0, L.n, size=200).astype(np.int16)
-    return L.join[H.tables[rows], consts[:, None]].astype(np.int16)
+def _monotone_keys(H: EndoHomset) -> tuple[np.ndarray, np.ndarray]:
+    """(D, vals): the J-keys of every monotone assignment of values to J, which
+    are the J-keys of the monotone maps, in increasing order, and vals[i, k]
+    the value at J[k] of D[i].  Assigned from J[-1], the most significant
+    digit, the rows come out in the order of their keys."""
+    J, radix, _, _ = H._keys()
+    vals = assignments_on_J(H.lattice, [int(j) for j in J[::-1]], joins=False)[:, ::-1]
+    return sum((vals[:, k] * radix[k] for k in range(len(J))), np.zeros(len(vals), dtype=np.int64)), vals
+
+
+def _cover_steps(L: Lattice, J: np.ndarray, radix: np.ndarray, q: np.ndarray, vals: np.ndarray):
+    """(i, q2): every step q[i] -> q2 that raises one J-value a of q to an upper
+    cover b below the values at the larger join-irreducibles, so that q2 stays
+    in D; vals[i, k] is the value of q[i] at J[k]."""
+    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]
+    for k, j in enumerate(J):
+        lim = None  # the meet of the values above J[k], if any
+        for k2 in np.flatnonzero(L.leq[j, J] & (J != j)):
+            lim = vals[:, k2] if lim is None else L.meet[lim, vals[:, k2]]
+        for a in np.flatnonzero(L.covers.any(axis=1)):
+            at_a = np.flatnonzero(vals[:, k] == a)
+            for b in np.flatnonzero(L.covers[a]):
+                i = at_a if lim is None else at_a[L.leq[b, lim[at_a]]]
+                steps.append((i, q[i] + (b - a) * radix[k]))
+    return tuple(np.concatenate(side) for side in zip(*steps))
 
 
 def check_sup_interior_props(ctx: _Ctx):
-    L = ctx.L
-    H = ctx.homset
-    K = _monotone_inputs(ctx)
-    out = sup_interior_tables(L, L, K)
-    if not L.leq[out, K].all():
-        return "interior is not deflationary"
-    if not (sup_interior_tables(L, L, out) == out).all():
+    """The memo's interior phi(q) (`EndoHomset._interior_keys`) on every key q
+    of D, the J-keys of the monotone maps: the keys the memo can be asked for.
+    phi(q) is a member, or its strict lookup raises KeyError.  The check
+    tests that phi fixes every member's key (idempotent), then block by block
+    that phi(q) lies below q on J (deflationary) and phi(q) <= phi(q2) for
+    every cover step q -> q2.  Every strict q < q2 in D is joined by steps:
+    raise the J-maximal coordinate where they differ.  So a member f below q
+    has f = phi(key f) <= phi(q), and phi(q) is the largest member below q."""
+    L, H = ctx.L, ctx.homset
+    J, radix, slot, (member_keys, members) = H._keys()
+    D, vals = _monotone_keys(H)
+    blocks = [slice(s, s + BLOCK_ROWS) for s in range(0, len(D), BLOCK_ROWS)]
+    phi = np.concatenate([H._interior_keys(D[b]) for b in blocks])
+    # now filled on D, the memo on the slot table gives phi at a key; above it, D's sorted keys do
+    phi_at = H._interior_memo().take if slot is not None else lambda q: phi[np.searchsorted(D, q)]
+    if not (phi_at(member_keys) == members).all():
         return "interior is not idempotent"
-    idx = H.index_rows(out, strict=False)
-    if (idx < 0).any():
-        return "interior produced a map outside the homset"
-    # [f, k] = member f <= input k, on J as f preserves joins and k is monotone; int(k) is
-    # a member below k, so it is their join exactly when every one lies below int(k)
-    J = join_irreducibles(L)
-    members = H.tables[:, J]
-    above = (leq_tables(L, members, K[:, J]) & ~leq_tables(L, members, out[:, J])).any(axis=0)
-    if above.any():
-        return f"interior differs from the join of maps below input {int(np.argmax(above))}"
-    i, j = np.indices((len(K), len(K))).reshape(2, -1)  # every ordered pair of inputs
-    big = sup_interior_tables(L, L, L.join[K[i], K[j]])
-    if not L.leq[out[i], big].all():
-        return "interior is not monotone as an operator"
+    on_J = H.tables[:, J]
+    # bits k*n + v: off[f] if f(J[k]) is not below v, at[g] if g(J[k]) = v; f <= g iff none shared
+    off, at = (np.packbits(np.pad(b.reshape(H.m, -1), ((0, 0), (0, -b[0].size % 64))),
+                           axis=1, bitorder="little").view(np.uint64)
+               for b in (~L.leq[on_J], on_J[..., None] == np.arange(L.n)))
+    for b in blocks:
+        if not L.leq[on_J[phi[b]], vals[b]].all():
+            return "interior is not deflationary"
+        i, q2 = _cover_steps(L, J, radix, D[b], vals[b])
+        if (at[phi_at(q2)] & off[phi[b][i]]).any():
+            return "interior is not monotone as an operator"
     return None
 
 
@@ -674,9 +689,10 @@ def check_autodual(ctx: _Ctx):
     if rep.verdict == "autodual":
         if not cd:
             return "order-reversing bijection found on a non-distributive lattice"
-        w = np.array(rep.witness)
-        leq = H.leq_matrix()
-        if sorted(rep.witness) != list(range(H.m)) or not (leq[np.ix_(w, w)] == leq.T).all():
+        w = np.array(rep.witness)  # a bijection reverses the order when it reverses the covers
+        f, g = homset_irreducibles(H, cap=ctx.config.max_autodual).lower_cover_edges
+        if sorted(rep.witness) != list(range(H.m)) or not np.array_equal(
+                np.sort(w[g] * H.m + w[f]), np.sort(f * H.m + g)):
             return "autoduality witness is not an order-reversing bijection"
     elif cd:
         return "distributive lattice reported as not autodual"
@@ -790,10 +806,10 @@ def check_wk_automorphism_dualizing(ctx: _Ctx):
         )
         if R.pairs != want:
             return f"automorphism relation has wrong pairs for {g}"
-        f = supmap_from_wk(R, D)
-        if H.index_of(f) not in duals:
+        i = H.index_of(supmap_from_wk(R, D))
+        if i not in duals:
             return f"relation of automorphism {g} is not dualizing"
-        if star(f).table != downset_automorphism(P, g).table:
+        if not np.array_equal(H.tables[H.star_indices[i]], downset_automorphism(P, g).table):
             return f"star of the relation map differs from the induced automorphism for {g}"
     return None
 

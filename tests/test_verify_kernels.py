@@ -78,7 +78,8 @@ from supq.verify import (
     CHECKS,
     SuiteConfig,
     _Ctx,
-    _monotone_inputs,
+    _cover_steps,
+    _monotone_keys,
     check_division_formulas,
     check_naturality_composite,
     check_residual_adjunction,
@@ -250,23 +251,43 @@ def test_searches_agree_with_the_row_kernels_on_the_corpus():
         assert quantale.find_dualizing(H) == _find_dualizing_by_rows(H), name
 
 
+def _monotone_endomaps(L):
+    """Every monotone endomap of L, for n^n <= 4000: every map, kept when it
+    preserves the order."""
+    grids = np.indices((L.n,) * L.n).reshape(L.n, -1).T.astype(np.int16)
+    ok = np.ones(len(grids), dtype=bool)
+    for x in range(L.n):
+        for y in range(L.n):
+            if L.leq[x, y]:
+                ok &= L.leq[grids[:, x], grids[:, y]]
+    return grids[ok]
+
+
+def _interior_indices(H, rows):
+    """Index of the sup-interior of each monotone row, through its J-key."""
+    return H._interior_keys(H._j_keys(np.asarray(rows, dtype=np.int16)))
+
+
+def _small_corpus():
+    """The corpus lattices with n^n <= 4000, whose monotone endomaps can be listed."""
+    return [(name, L) for name, L, _ in corpus() if L.n ** L.n <= 4000]
+
+
 def test_monotone_rows_that_agree_on_J_have_one_interior():
     """On every corpus lattice with n^n <= 4000, all its monotone endomaps,
     grouped by their values on the join-irreducibles."""
     split = 0
-    for name, L, _ in corpus():
-        if L.n ** L.n > 4000:
-            continue
-        ctx = _Ctx(L, SuiteConfig())
-        K = _monotone_inputs(ctx)
+    for name, L in _small_corpus():
+        H = enumerate_homset(L)
+        K = _monotone_endomaps(L)
         out = sup_interior_tables(L, L, K)
         _, first, group = np.unique(K[:, join_irreducibles(L)], axis=0, return_index=True, return_inverse=True)
         assert (out == out[first[group.reshape(-1)]]).all(), name
         split += len(first) < len(K)
         for lookup in LOOKUPS:
             with pytest.MonkeyPatch.context() as mp:
-                got = _looked_up_by(ctx.homset, lookup, mp).interior_indices(K)
-            assert (got == ctx.homset.index_rows(out)).all(), (name, lookup)
+                got = _interior_indices(_looked_up_by(H, lookup, mp), K)
+            assert (got == H.index_rows(out)).all(), (name, lookup)
     assert split >= 5  # lattices where rows that differ off J share their J-values
 
 
@@ -701,48 +722,145 @@ def test_naturality_case_split_names_the_planted_witness(monkeypatch, plant, cas
         assert want.endswith(f"x={x})")
 
 
-# -- batched monotonicity ------------------------------------------------------------------
+# -- the sup-interior check over D ---------------------------------------------------------
 
 
-def _record_interior_calls(monkeypatch, bottom_row=None):
-    """Record each interior call; on the third, the batched pair joins, send
-    row `bottom_row` of the result to the bottom map."""
-    calls = []
+def _sup_interior_props_on_rows(L, H, K, interior):
+    """The check as it ran on rows before it ranged over D: on monotone rows
+    K, with `interior` sending rows to rows, the join of the members below
+    each row and every ordered pair of rows."""
+    out = interior(K)
+    if not L.leq[out, K].all():
+        return "interior is not deflationary"
+    if not (interior(out) == out).all():
+        return "interior is not idempotent"
+    if (H.index_rows(out, strict=False) < 0).any():
+        return "interior produced a map outside the homset"
+    J = join_irreducibles(L)
+    members = H.tables[:, J]
+    above = (leq_tables(L, members, K[:, J]) & ~leq_tables(L, members, out[:, J])).any(axis=0)
+    if above.any():
+        return f"interior differs from the join of maps below input {int(np.argmax(above))}"
+    i, j = np.indices((len(K), len(K))).reshape(2, -1)
+    if not L.leq[out[i], interior(L.join[K[i], K[j]])].all():
+        return "interior is not monotone as an operator"
+    return None
 
-    def recording(source, target, tables):
-        calls.append(np.array(tables))
-        out = sup_interior_tables(source, target, tables)
-        if len(calls) == 3 and bottom_row is not None:
-            out[bottom_row] = target.bottom
+
+def _memo_interior(H):
+    """Rows to the rows of their interiors, read from the memo of H."""
+    return lambda rows: H.tables[_interior_indices(H, rows)]
+
+
+def _ctx_on(H):
+    """A check context whose homset is H itself, planted memo entries included."""
+    ctx = _Ctx(H.lattice, SuiteConfig())
+    ctx._built[H.lattice] = H
+    return ctx
+
+
+def _planted_witness(H, q):
+    """The witness of the check once the memo entry of key q is a member
+    strictly below its interior: idempotence fails at a member's key, else
+    the step into q."""
+    return ("interior is not idempotent" if np.isin(q, H._keys()[3][0])
+            else "interior is not monotone as an operator")
+
+
+def test_D_holds_the_J_keys_of_the_monotone_endomaps():
+    for name, L in _small_corpus():
+        H = enumerate_homset(L)
+        D, vals = _monotone_keys(H)
+        assert (D == np.unique(H._j_keys(_monotone_endomaps(L)))).all(), name
+        assert (vals == D[:, None] // H._keys()[1] % L.n).all(), name
+    for L in (make_mk(3), make_mk(5), make_boolean(3)):  # J is an antichain: every assignment is monotone
+        assert len(_monotone_keys(enumerate_homset(L))[0]) == L.n ** len(join_irreducibles(L))
+
+
+@pytest.mark.parametrize("make", [lambda: make_chain(3), lambda: make_mk(3), make_n5, lambda: make_boolean(2)])
+def test_monotonicity_covers_every_ordered_pair(make):
+    """The cover steps stay in D, and their transitive closure is the
+    componentwise order on D, by brute force: monotonicity on the steps is
+    monotonicity on every ordered pair."""
+    L = make()
+    H = enumerate_homset(L)
+    J, radix, _, _ = H._keys()
+    D, vals = _monotone_keys(H)
+    i, q2 = _cover_steps(L, J, radix, D, vals)
+    at = np.searchsorted(D, q2)
+    assert (D[np.minimum(at, len(D) - 1)] == q2).all()
+    reach = np.eye(len(D), dtype=bool)
+    reach[i, at] = True
+    for k in range(len(D)):
+        reach |= reach[:, k, None] & reach[k]
+    assert (reach == L.leq[vals[:, None, :], vals[None, :, :]].all(axis=2)).all()
+
+
+def test_monotonicity_catches_a_non_monotone_interior():
+    """A planted memo entry at a key that is no member's, below its true
+    interior: the idempotence and deflation tests pass, a step into it fails."""
+    H = enumerate_homset(make_mk(3))
+    D, _ = _monotone_keys(H)
+    true = H._interior_keys(D)
+    q = D[np.flatnonzero(~np.isin(D, H._keys()[3][0]) & (true != H.bottom_index))[-1]]
+    H._interior_memo()[q] = H.bottom_index
+    assert check_sup_interior_props(_ctx_on(H)) == "interior is not monotone as an operator"
+
+
+def test_a_planted_entry_above_its_key_fails_deflation():
+    H = enumerate_homset(make_n5())
+    D, vals = _monotone_keys(H)
+    q = D[np.flatnonzero(~np.isin(D, H._keys()[3][0]) & (vals != H.lattice.top).any(axis=1))[0]]
+    H._interior_keys(D)
+    H._interior_memo()[q] = H.top_index
+    assert check_sup_interior_props(_ctx_on(H)) == "interior is not deflationary"
+
+
+def test_a_non_member_interior_fails_the_check(monkeypatch):
+    real = quantale.sup_interior_tables
+
+    def off_the_homset(source, target, tables):
+        out = real(source, target, tables)
+        out[0] = target.top  # no join-preserving map sends bottom to top
         return out
 
-    monkeypatch.setattr(verify, "sup_interior_tables", recording)
-    return calls
+    monkeypatch.setattr(quantale, "sup_interior_tables", off_the_homset)
+    ctx = _Ctx(make_n5(), SuiteConfig())
+    [result] = verify._run_checks(CHECKS, ("sup-interior-props",), [cid for cid, _ in CHECKS], ctx)
+    assert result.status == "fail"
+    assert result.witness == "KeyError: 'row is not a join-preserving member of the homset'"
 
 
-@pytest.mark.parametrize("make", [lambda: make_chain(3), lambda: make_mk(3)])
-def test_monotonicity_covers_every_ordered_pair(monkeypatch, make):
-    ctx = _Ctx(make(), SuiteConfig())
-    L = ctx.L
-    K = _monotone_inputs(ctx)
-    k = len(K)
-    calls = _record_interior_calls(monkeypatch)
-    assert check_sup_interior_props(ctx) is None
-    assert len(calls) == 3 and calls[-1].shape == (k * k, L.n)
-    # row i * k + j is the join of inputs i and j
-    assert (calls[-1].reshape(k, k, L.n) == L.join[K[:, None, :], K[None, :, :]]).all()
+def test_sup_interior_props_pass_with_the_check_on_rows():
+    """On every corpus lattice with n^n <= 4000 and both lookups, the check
+    and the form on all monotone endomaps pass, with the interiors of the
+    kernel and of the memo."""
+    for name, L in _small_corpus():
+        K = _monotone_endomaps(L)
+        for lookup in LOOKUPS:
+            with pytest.MonkeyPatch.context() as mp:
+                H = _looked_up_by(enumerate_homset(L), lookup, mp)
+                assert check_sup_interior_props(_ctx_on(H)) is None, (name, lookup)
+                for interior in (lambda rows: sup_interior_tables(L, L, rows), _memo_interior(H)):
+                    assert _sup_interior_props_on_rows(L, H, K, interior) is None, (name, lookup)
 
 
-def test_monotonicity_catches_a_non_monotone_interior(monkeypatch):
-    ctx = _Ctx(make_chain(3), SuiteConfig())
-    K = _monotone_inputs(ctx)
-    k = len(K)
-    out = sup_interior_tables(ctx.L, ctx.L, K)
-    # the last pair (i, j) whose smaller interior, that of input i, is not the bottom map
-    row = max(r for r in range(k * k) if (out[r // k] != ctx.L.bottom).any())
-    assert row > k * k // 2
-    _record_interior_calls(monkeypatch, bottom_row=row)
-    assert check_sup_interior_props(ctx) == "interior is not monotone as an operator"
+def test_the_sorted_lookup_finds_each_step_target_in_D(monkeypatch):
+    """Above SLOT_CAP there is no memo: phi is computed once per key of D and
+    a step target is read at its place among D's sorted keys.  An interior
+    planted below its value at one key fails the check as on the slot table."""
+    real = EndoHomset._interior_keys
+    for L in (make_mk(3), make_n5(), make_boolean(3)):
+        with pytest.MonkeyPatch.context() as mp:
+            H = _looked_up_by(enumerate_homset(L), "sorted", mp)
+            D, _ = _monotone_keys(H)
+            true = real(H, D)
+            for q in D[np.flatnonzero(true != H.bottom_index)[::7]]:
+                mp.setattr(EndoHomset, "_interior_keys",
+                           lambda self, keys: np.where(keys == q, self.bottom_index, real(self, keys)))
+                assert check_sup_interior_props(_ctx_on(H)) == _planted_witness(H, q), q
+                mp.setattr(EndoHomset, "_interior_keys", real)
+            assert check_sup_interior_props(_ctx_on(H)) is None
 
 
 # -- fault containment ---------------------------------------------------------------------
@@ -773,6 +891,29 @@ def test_a_failing_star_witness_fails_the_autodual_check_and_the_run_goes_on(mon
     autodual = next(r for r in report.results if r.check_id == "autodual")
     assert autodual.status == "fail"
     assert autodual.witness == "autoduality witness is not an order-reversing bijection"
+
+
+def test_the_star_witness_is_tested_on_the_cover_edges_above_the_matrix_cap(monkeypatch):
+    """boolean2 has 16 members; with the order matrix capped at 5 and the
+    autoduality search allowed, the check tests the star on the lower-cover
+    edges: it passes (it was skipped by the cap), and a rolled star fails."""
+    monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
+    config = SuiteConfig(max_autodual=100, checks=("autodual",))
+    [result] = run_suite(make_boolean(2), config, name="boolean2").results
+    assert result.status == "pass"
+    star = EndoHomset.star_indices.fget
+    monkeypatch.setattr(EndoHomset, "star_indices", property(lambda H: np.roll(star(H), 1)))
+    [result] = run_suite(make_boolean(2), config, name="boolean2").results
+    assert (result.status, result.witness) == ("fail", "autoduality witness is not an order-reversing bijection")
+
+
+def test_the_lower_cover_edges_are_the_cover_relation(kernel_homsets):
+    for name, H in kernel_homsets.items():
+        if H.m <= 2000:
+            f, g = structures._irreducibles(H).lower_cover_edges
+            covers = np.zeros((H.m, H.m), dtype=bool)
+            covers[g, f] = True
+            assert len(f) == covers.sum() and (covers == cover_relation(H.leq_matrix())).all(), name
 
 
 def test_no_check_builds_the_order_matrix_of_m5(monkeypatch):
@@ -1508,8 +1649,8 @@ def _division_witness_by_tables(ctx):
         bad = np.stack([
             e_div != tensor_tables(L, L, up_x, y),
             e_codiv != tensor_tables(L, L, x, st_y),
-            t_div != H.tables[H.interior_indices(over)],
-            t_codiv != H.tables[H.interior_indices(under)],
+            t_div != H.tables[_interior_indices(H, over)],
+            t_codiv != H.tables[_interior_indices(H, under)],
             (t_div != e_tables(L, L, up_x, y)) & (up_bot == bot)[:, None],
             (t_codiv != e_tables(L, L, x, st_y)) & (st_top == top)[:, None],
         ]).any(axis=(2, 3))
@@ -1757,33 +1898,34 @@ def _interior_join_witness_by_loop(L, H, K, out):
     return None
 
 
-def test_sup_interior_props_names_the_input_of_the_per_input_loop(monkeypatch, kernel_homsets):
-    """With the true interiors, and with the interior of one input sent to
-    the bottom map, a member that the check still finds in the homset."""
-    real = verify.sup_interior_tables
+def test_sup_interior_props_fails_on_a_planted_entry_as_the_per_input_loop(kernel_homsets):
+    """One memo entry at a time planted at the bottom map, strictly below its
+    interior, at a spread of keys of D: the check fails, at a member's key
+    by idempotence and elsewhere on a step into it.  On the lattices whose
+    monotone endomaps can be listed, the form on rows and the per-input loop
+    then both name the first row with that key."""
+    small, seen = dict(_small_corpus()), []
     for name, H in kernel_homsets.items():
-        ctx = _Ctx(H.lattice, SuiteConfig())
-        L, H, K = ctx.L, ctx.homset, _monotone_inputs(ctx)
-        out = real(L, L, K)
-        assert _interior_join_witness_by_loop(L, H, K, out) is None, name
-        assert check_sup_interior_props(ctx) is None, name
-        moved = np.flatnonzero((out != L.bottom).any(axis=1))
-        if not moved.size:
-            continue
-        row = int(moved[len(moved) // 2])
-        bad = out.copy()
-        bad[row] = L.bottom
-        want = _interior_join_witness_by_loop(L, H, K, bad)
-        assert want == f"interior differs from the join of maps below input {row}", name
-        calls = []
-
-        def first_broken(source, target, tables):
-            calls.append(None)
-            return bad.copy() if len(calls) == 1 else real(source, target, tables)
-
-        monkeypatch.setattr(verify, "sup_interior_tables", first_broken)
-        assert check_sup_interior_props(ctx) == want, name
-        monkeypatch.setattr(verify, "sup_interior_tables", real)
+        L = H.lattice
+        D, _ = _monotone_keys(H)
+        memo, true = H._interior_memo(), H._interior_keys(D)
+        planted = D[np.flatnonzero(true != H.bottom_index)[::max(1, len(D) // 5)]]
+        K = _monotone_endomaps(L) if name in small else None
+        for q in planted:
+            memo[q] = H.bottom_index
+            seen.append(_planted_witness(H, q))
+            assert check_sup_interior_props(_ctx_on(H)) == seen[-1], (name, q)
+            if K is not None:
+                row = int(np.flatnonzero(H._j_keys(K) == q)[0])
+                want = f"interior differs from the join of maps below input {row}"
+                out = _memo_interior(H)(K)
+                assert _interior_join_witness_by_loop(L, H, K, out) == want, (name, q)
+                if (H._j_keys(out) == q).any():  # a planted member's row: its interior moves
+                    want = "interior is not idempotent"
+                assert _sup_interior_props_on_rows(L, H, K, _memo_interior(H)) == want, (name, q)
+            memo[q] = true[np.searchsorted(D, q)]
+        assert check_sup_interior_props(_ctx_on(H)) is None, name
+    assert len(seen) > 60 and len(set(seen)) == 2
 
 
 @pytest.mark.parametrize("make", [lambda: make_boolean(3), lambda: make_mk(5), make_n5],
