@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     caps.add_argument("--max-homset", type=int, default=SuiteConfig.max_homset,
                       help="skip homset checks beyond this many maps")
     caps.add_argument("--max-autodual", type=int, default=SuiteConfig.max_autodual,
-                      help="skip the autoduality search beyond this many maps")
+                      help="skip the autoduality check (its irreducible scan) beyond this many maps")
     picks = argparse.ArgumentParser(add_help=False)
     picks.add_argument("--checks", default=None, help="comma-separated list of check ids to run")
     picks.add_argument("--strict", action="store_true", help="treat skipped checks as an error exit")

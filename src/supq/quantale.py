@@ -33,7 +33,6 @@ from supq.maps import (
     e_map,
     e_tables,
     left_adjoint_tables,
-    leq_tables,
     pointwise_join,
     pointwise_meet,
     right_adjoint,
@@ -44,8 +43,8 @@ from supq.maps import (
 )
 
 DEFAULT_HOMSET_CAP = 100_000  # members of an enumerated homset
-MATRIX_CAP = 4096  # members of a homset whose full order matrix may be built
-TABLE_SCAN_CAP = 2000  # members of a homset for quadratic table scans and the autoduality search
+MATRIX_CAP = 4096  # members for the raney-adjunction and tight scans and the autodual search's order
+TABLE_SCAN_CAP = 2000  # members of a homset for the table scans and the autodual irreducible scan
 SLOT_CAP = 8**6  # slots n^|J| of the dense member table (mk 6, the largest timed); larger key spaces are searched
 
 
@@ -355,6 +354,12 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
     return enumerate_homset(L.op, cap).tables
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by a sort: on integer keys np.unique hashes, several times slower."""
+    a = np.sort(a, axis=None)
+    return a[np.r_[True, a[1:] != a[:-1]]] if a.size else a
+
+
 def _checked(idx: np.ndarray, hit: np.ndarray, strict: bool) -> np.ndarray:
     """idx where hit holds; elsewhere KeyError when strict, else -1."""
     if strict:
@@ -371,10 +376,10 @@ class EndoHomset:
     the composite and join weights under "comp_w" and "join_w", the
     distinguished members under "id_idx", "bot_idx" and "top_idx", the
     transforms under "rho", "up_t", "tight_t", "tight_mask" and "star_idx",
-    the order matrix under "leq_q", the opposite homset under "op", the
-    sup-interior memo under "interior", `find_cyclic` under "cyclic",
-    `find_dualizing` under "dualizing", `tight_has_unit` under "tight_unit"
-    and `homset_irreducibles` under "irreducibles".
+    the opposite homset under "op", the sup-interior memo under "interior",
+    `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
+    `tight_has_unit` under "tight_unit" and `homset_irreducibles` under
+    "irreducibles".
 
     Member lookup.  A join-preserving f is fixed by its values on the
     join-irreducibles J = (j_0, j_1, ...), since f(x) is the join of f(j)
@@ -561,19 +566,6 @@ class EndoHomset:
         """Index of the star of each member (down-transform of its adjoint)."""
         return _freeze(self.index_rows(raney_down_tables(self.lattice, self.rho_tables)))
 
-    # -- pointwise order ----------------------------------------------------
-
-    @cached("leq_q")
-    def leq_matrix(self) -> np.ndarray:
-        """Pointwise order between members, [i, k] = f_i <= f_k (guarded to
-        MATRIX_CAP members).  Members are join-preserving, so it is compared
-        on the join-irreducibles alone: f_i(x) is the join of f_i(j) over
-        the j <= x, so f_i(j) <= f_k(j) for every j in J gives f_i <= f_k."""
-        if self.m > MATRIX_CAP:
-            raise CapExceeded(f"order matrix for {self.m} maps exceeds the {MATRIX_CAP} cap", self.m)
-        on_J = self.tables[:, join_irreducibles(self.lattice)]
-        return _freeze(leq_tables(self.lattice, on_J, on_J))
-
     # -- residuals by index -------------------------------------------------------
 
     @property
@@ -624,8 +616,7 @@ class EndoHomset:
         if self._keys()[2] is not None:
             memo = self._interior_memo()
             idx = memo[q]
-            new = np.sort(q[idx < 0])  # distinct by a sort: np.unique hashes, several times slower
-            new = new[np.diff(new, prepend=-1) != 0]
+            new = _distinct(q[idx < 0])
             if new.size:
                 memo[new] = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
                 idx = memo[q]
@@ -679,7 +670,7 @@ def _generator_indices(H: EndoHomset) -> list[int]:
     L = H.lattice
     vs = np.arange(L.n)
     gens = np.concatenate([e_tables(L, L, vs, L.bottom), e_tables(L, L, L.top, vs)])
-    return [int(i) for i in np.unique(H.index_rows(gens))]
+    return [int(i) for i in _distinct(H.index_rows(gens))]
 
 
 @cached("cyclic")
@@ -755,7 +746,7 @@ def tight_has_unit(H: EndoHomset):
     takes; only the tight members that do are compared in full."""
     tight = H.tight_indices()
     sub = H.tables[tight]
-    vals = np.unique(sub)
+    vals = _distinct(sub)
     for u in tight[(sub[:, vals] == vals).all(axis=1)]:
         tab_u = H.tables[u]
         # u o t and t o u for each tight t

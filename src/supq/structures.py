@@ -35,10 +35,12 @@ from supq.maps import (
     identity_map,
     is_inf_preserving,
     is_sup_preserving,
+    leq_tables,
     pointwise_join,
     tensor_tables,
 )
 from supq.quantale import (
+    MATRIX_CAP,
     TABLE_SCAN_CAP,
     EndoHomset,
     is_completely_distributive,
@@ -275,7 +277,10 @@ def autodual_report(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> AutodualReport:
         # autodual check tests the witness
         return AutodualReport("autodual", "star is an order-reversing bijection",
                               tuple(int(v) for v in H.star_indices), **counts)
-    leq_q = H.leq_matrix()
+    if H.m > MATRIX_CAP:
+        raise CapExceeded(f"order matrix for {H.m} maps exceeds the {MATRIX_CAP} cap", H.m)
+    on_J = H.tables[:, join_irreducibles(H.lattice)]
+    leq_q = leq_tables(H.lattice, on_J, on_J)
     found = find_order_isomorphism(leq_q, leq_q.T.copy())
     if found is None:
         return AutodualReport("not-autodual", "no order-reversing bijection exists", **counts)

@@ -34,6 +34,7 @@ from supq.quantale import (
     MATRIX_CAP,
     TABLE_SCAN_CAP,
     EndoHomset,
+    _distinct,
     assignments_on_J,
     automorphism_to_dualizing,
     conucleus_gap,
@@ -462,11 +463,10 @@ def check_tight_subset(ctx: _Ctx):
         for start in range(0, len(tight), step):  # joins commute: pairs from the block on
             if not mask[H.join_indices(tight[start:start + step], tight[start:])].all():
                 return "tight subset is not closed under joins"
-    down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
+    down_idx = _distinct(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
-    surjective = len(down_idx) == H.m
-    if surjective != bool(mask[H.identity_index]):
+    if (len(down_idx) == H.m) != bool(mask[H.identity_index]):  # the down transform is onto
         return "down transform surjectivity disagrees with tightness of the identity"
     return None
 
@@ -482,40 +482,43 @@ def check_cd_raney(ctx: _Ctx):
     return None
 
 
+def _below_counts(H: EndoHomset) -> np.ndarray:
+    """cnt[q] = #{members below q on J} for every J-key q: the members' slots
+    summed down each axis with L.leq, the zeta transform of the product order
+    L^J, exact in the narrowest type that holds m as each sum counts members."""
+    n, (J, _, _, (keys, _)) = H.lattice.n, H._keys()
+    up = H.lattice.leq.T.astype(np.min_scalar_type(H.m))  # [v, u] = u <= v
+    cnt = np.bincount(keys, minlength=n ** len(J)).astype(up.dtype)
+    for k in range(len(J)):  # digit k is the middle axis of (n^(|J|-1-k), n, n^k)
+        cnt = (up @ cnt.reshape(-1, n, n ** k)).reshape(-1)
+    return cnt
+
+
 def check_residual_adjunction(ctx: _Ctx):
-    """g \\ h must be the largest f with g o f <= h, and h / f the largest g.  The
-    solutions {f : g o f <= h} form a down-set, as g o - is monotone, so they are the
-    down-set of g \\ h exactly when g o (g \\ h) <= h and the sizes agree (likewise for
-    h / f with - o f).  Sizes are float32 products of the counts #{f : g o f = a} with
-    the order matrix, exact as every count is at most m."""
+    """g \\ h must be the largest f with g o f <= h, and h / f the largest g.
+    Members preserve joins (checked when their J-keys are built) and g -| rho_g
+    (galois-adjunction), so g o f <= h exactly when f <= rho_g o h on J: the
+    solutions are the cnt[kappa] members below kappa, the J-values of rho_g o h
+    (`_below_counts`), and g \\ h is their largest exactly when it lies below
+    kappa with cnt[kappa] members below it.  The right side is the same on H.op,
+    whose rho_f \\ rho_h is rho(h / f).  The witness is the first failing h."""
     H = ctx.homset_capped(EXHAUSTIVE_PAIR_CAP, "exhaustive residual adjunction")
-    leq = H.leq_matrix()
-    m = H.m
-    step = max(1, BLOCK_ROWS // m)  # members per block of at most BLOCK_ROWS rows
-    dtype = np.min_scalar_type(m)  # narrow tables keep the peak memory of the check low
-    comp = np.empty((m, m), dtype=dtype)  # [g, f] = index of g o f
-    ld = np.empty((m, m), dtype=dtype)    # [g, h] = g \ h
-    rd = np.empty((m, m), dtype=dtype)    # [f, h] = h / f
-    for start in range(0, m, step):
-        block = np.arange(start, min(start + step, m))
-        comp[block] = H.compose_indices(block)
-        ld[:, block] = H.ldiv_indices(block).T
-        rd[:, block] = H.rdiv_indices(block).T
-    below, sizes, rows = leq.astype(np.float32), leq.sum(axis=0, dtype=np.float32), np.arange(m)[:, None]
-    bad_left = ~leq[comp[rows, ld], rows.T]   # [g, h]: g o (g \ h) <= h fails
-    bad_right = ~leq[comp[rd, rows], rows.T]  # [f, h]: (h / f) o f <= h fails
-    for start in range(0, m, step):  # ... or the sizes differ, counted one block of rows at a time
-        part = slice(start, start + step)
-        for tab, res, bad in ((comp, ld, bad_left), (comp.T, rd, bad_right)):
-            keys = tab[part] + rows[:min(step, m - start)] * m
-            counts = np.bincount(keys.ravel(), minlength=keys.size).reshape(-1, m)
-            bad[part] |= counts.astype(np.float32) @ below != sizes[res[part]]
-    failing = np.flatnonzero(bad_left.any(axis=0) | bad_right.any(axis=0))
-    if failing.size:
-        h = int(failing[0])
-        if bad_left[:, h].any():
-            return f"left residual adjunction fails at (g={int(np.argmax(bad_left[:, h]))}, h={h})"
-        return f"right residual adjunction fails at (f={int(np.argmax(bad_right[:, h]))}, h={h})"
+    sides = [(S, _below_counts(S), np.ascontiguousarray(S.rho_tables.T)) for S in (H, H.op)]
+    step = max(1, BLOCK_ROWS // H.m)  # members h per block of at most BLOCK_ROWS pairs
+    for start in range(0, H.m, step):
+        hs = np.arange(start, min(start + step, H.m))
+        bad = np.zeros((len(hs), 2, H.m), dtype=bool)  # [h, side, g]
+        for s, ((S, cnt, rho_T), res) in enumerate(zip(sides, (H.ldiv_indices(hs), H.rdiv_indices(hs)))):
+            J, radix, _, _ = S._keys()
+            q_res = q_kappa = 0
+            for k, j in enumerate(J):  # [h, g] = rho_g(h(J[k])) and res[h, g](J[k])
+                kappa, at = rho_T[S.tables[hs, j]], S.tables[:, j][res]
+                bad[:, s] |= ~S.lattice.leq[at, kappa]  # res[h, g] is not below kappa
+                q_res, q_kappa = q_res + at * radix[k], q_kappa + kappa * radix[k]
+            bad[:, s] |= cnt[q_res] != cnt[q_kappa]
+        if bad.any():
+            h, side, g = np.argwhere(bad)[0]  # the first failing h, the left side first, then g or f
+            return f"{('left', 'right')[side]} residual adjunction fails at ({'gf'[side]}={g}, h={hs[h]})"
     return None
 
 
@@ -853,23 +856,23 @@ POSET_CHECKS: list[tuple[str, object]] = [
 ALL_CHECK_IDS = [cid for cid, _ in CHECKS] + [cid for cid, _ in POSET_CHECKS]
 
 
-def _unless_capped(flag, default=None):
-    """flag(), or `default` when it raises CapExceeded."""
+def _unless_raised(flag, default=None):
+    """flag(), or `default` when it raises: past a cap, or in a kernel whose check fails."""
     try:
         return flag()
-    except CapExceeded:
+    except Exception:
         return default
 
 
 def _summary_flags(ctx: _Ctx) -> dict:
     return {
         "is_CD": is_distributive(ctx.L),
-        "is_girard": _unless_capped(lambda: is_girard(ctx.homset)),
-        "dualizing_count": _unless_capped(lambda: len(find_dualizing(ctx.homset))),
-        "automorphism_count": _unless_capped(lambda: len(automorphisms(ctx.L))),
-        "tight_unital": _unless_capped(
+        "is_girard": _unless_raised(lambda: is_girard(ctx.homset)),
+        "dualizing_count": _unless_raised(lambda: len(find_dualizing(ctx.homset))),
+        "automorphism_count": _unless_raised(lambda: len(automorphisms(ctx.L))),
+        "tight_unital": _unless_raised(
             lambda: tight_has_unit(ctx.homset_capped(MATRIX_CAP, "tight unit scan")) is not None),
-        "autodual_verdict": _unless_capped(
+        "autodual_verdict": _unless_raised(
             lambda: autodual_report(ctx.homset, cap=ctx.config.max_autodual).verdict, "inconclusive"),
     }
 

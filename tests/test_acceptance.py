@@ -57,6 +57,7 @@ from supq.structures import (
 )
 from supq.verify import _Ctx, SuiteConfig, check_division_formulas, corpus, report_to_json, run_suite
 
+from oracles import order_on_J
 from perfbench import workloads
 
 NON_DISTRIBUTIVE = {"m3", "m5", "n5"}
@@ -186,7 +187,7 @@ def test_criterion_05_residuals_are_brute_force_maxima(world):
         H = homsets[name]
         if H.m > 512:
             continue
-        leq = H.leq_matrix()
+        leq = order_on_J(H)
         tabs = H.tables.astype(np.int64)
         comp = np.empty((H.m, H.m), dtype=np.int64)
         for g in range(H.m):

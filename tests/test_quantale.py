@@ -65,6 +65,8 @@ from supq.quantale import (
 )
 from supq.verify import corpus
 
+from oracles import order_on_J
+
 CORPUS = {
     "chain2": make_chain(2),
     "chain3": make_chain(3),
@@ -216,24 +218,24 @@ def test_homset_closed_under_the_quantale_operations():
                 H.index_of(left_residual(g, f))
 
 
-def test_leq_matrix_matches_pointwise_scan():
+def test_the_order_on_J_matches_the_pointwise_scan():
     for name in ["chain3", "boolean2", "m3"]:
         H = HOMSETS[name]
         L = H.lattice
-        M = H.leq_matrix()
+        M = order_on_J(H)
         for i in range(H.m):
             for j in range(H.m):
                 expect = all(L.leq[H.tables[i][k], H.tables[j][k]] for k in range(L.n))
                 assert bool(M[i, j]) == expect
         assert (leq_tables(L, H.tables[::2], H.tables[1::3]) == M[::2, 1::3]).all()
-    # the matrix compares members on the join-irreducibles only; the scan of
+    # the helper compares members on the join-irreducibles only; the scan of
     # all n columns is the oracle, on every corpus homset of at most 512 maps
     # and on one of 2,500
     homsets = [enumerate_homset(L) for _, L, _ in corpus()]
     homsets = [H for H in homsets if H.m <= 512]
     homsets.append(enumerate_homset(Lattice(np.kron(make_mk(3).leq, make_chain(2).leq))))
     for H in homsets:
-        assert (H.leq_matrix() == leq_tables(H.lattice, H.tables, H.tables)).all()
+        assert (order_on_J(H) == leq_tables(H.lattice, H.tables, H.tables)).all()
 
 
 # -- transforms ------------------------------------------------------------------
@@ -502,13 +504,17 @@ def test_cached_table_is_built_once(monkeypatch):
 
 def test_cached_table_stores_nothing_when_its_build_raises(monkeypatch):
     H = enumerate_homset(make_chain(3))
-    monkeypatch.setattr(quantale, "MATRIX_CAP", H.m - 1)
-    with pytest.raises(CapExceeded, match="exceeds the 5 cap"):
-        H.leq_matrix()
-    assert "leq_q" not in H._cache
+
+    def capped(*args):
+        raise CapExceeded("adjoint tables capped at 5", H.m)
+
+    monkeypatch.setattr(quantale, "right_adjoint_tables", capped)
+    with pytest.raises(CapExceeded, match="capped at 5"):
+        H.rho_tables
+    assert "rho" not in H._cache
     monkeypatch.undo()
-    assert H.leq_matrix().shape == (H.m, H.m)
-    assert "leq_q" in H._cache
+    assert H.rho_tables.shape == (H.m, H.lattice.n)
+    assert "rho" in H._cache
 
 
 def test_cached_search_results_are_fresh_lists():

@@ -88,6 +88,8 @@ from supq.structures import (
 )
 from supq.verify import corpus
 
+from oracles import order_on_J
+
 LATTICES = {
     "chain2": make_chain(2),
     "chain3": make_chain(3),
@@ -215,7 +217,7 @@ def test_endomap_composition_forms_a_quantale_matching_the_homset_scans():
         if H.m > 108:
             continue
         members = np.arange(H.m)
-        Q = FiniteQuantale(Lattice(H.leq_matrix()), H.compose_indices(members, members))
+        Q = FiniteQuantale(Lattice(order_on_J(H)), H.compose_indices(members, members))
         ld, rd = H.ldiv_indices(members), H.rdiv_indices(members)  # [h, g]
         for g in range(H.m):
             for h in range(H.m):
@@ -234,7 +236,7 @@ def irreducibles_by_pair_scan(H):
     """Oracle from the definition: x is join-irreducible when x = a v b forces
     x in {a, b}; dually with meets computed as joins of common lower bounds."""
     L = H.lattice
-    leq = H.leq_matrix()
+    leq = order_on_J(H)
     tables = H.tables.astype(np.int64)
     join_idx = np.empty((H.m, H.m), dtype=np.int64)
     for a in range(H.m):
@@ -259,7 +261,7 @@ def irreducibles_by_difference_count(H):
     """Oracle from the neighbour characterization: x is join-irreducible when
     some y < x leaves only {x} of the principal downset uncovered, dually for
     meet-irreducible."""
-    leq = H.leq_matrix()
+    leq = order_on_J(H)
     A = leq.astype(np.float32)
     strict = leq & ~np.eye(H.m, dtype=bool)
     up_diff = A @ (1.0 - A).T          # |up(x) \ up(y)|
@@ -367,7 +369,7 @@ def test_autodual_verdicts(name):
     if is_distributive(H.lattice):
         assert rep.verdict == "autodual"
         w = np.array(rep.witness)
-        leq = H.leq_matrix()
+        leq = order_on_J(H)
         assert sorted(rep.witness) == list(range(H.m))
         assert (leq[np.ix_(w, w)] == leq.T).all()
     else:
@@ -436,7 +438,7 @@ def test_weakening_relation_order_matches_map_order(name):
     P = POSETS[name]
     D = downset_lattice(P)
     H = enumerate_homset(D)
-    leq = H.leq_matrix()
+    leq = order_on_J(H)
     rels = [wk_from_supmap(P, LatticeMap(D, D, H.tables[i])) for i in range(H.m)]
     for i in range(H.m):
         for j in range(H.m):

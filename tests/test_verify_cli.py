@@ -1,4 +1,5 @@
 """Tests for the check suite runner and the command-line interface."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from supq import quantale, verify
+from supq import structures, verify
 from supq.lattice import (
     Poset,
     SearchCapExceeded,
@@ -149,21 +150,34 @@ def test_search_cap_skips_the_check_and_clears_the_automorphism_count(monkeypatc
     assert report.summary["dualizing_count"] == 2
 
 
+def _equal_irreducible_counts(monkeypatch):
+    """Make autodual_report read as many meet- as join-irreducibles, as no
+    non-distributive corpus lattice has, so that it reaches its search; the
+    homset-irreducibles check reads the binding of the verify module."""
+    real = structures.homset_irreducibles
+
+    def equal(H, cap):
+        rep = real(H, cap=cap)
+        return dataclasses.replace(rep, meet_irreducible_indices=rep.join_irreducible_indices)
+
+    monkeypatch.setattr(structures, "homset_irreducibles", equal)
+
+
 def test_a_cap_raised_inside_a_kernel_skips_the_checks_that_reach_it(monkeypatch):
-    """The order-matrix cap skips the checks that build the matrix; the
-    irreducible counts come from the tensors, and the autodual check tests
-    the star witness of a distributive homset on its lower-cover edges, so
-    the summary reads the star's verdict."""
-    monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
-    report = run_suite(make_chain(3), name="chain3")
-    reason = "order matrix for 6 maps exceeds the 5 cap"
-    assert _not_passed(report) == {"residual-adjunction": ("skipped", reason)}
-    assert report.summary["autodual_verdict"] == "autodual"
-    assert report.summary["tight_unital"] is True
+    """autodual_report builds the order of the members for its search under
+    MATRIX_CAP, read from the structures module.  With the counts made equal
+    on m3 the cap skips the autodual check and leaves the summary's verdict
+    inconclusive; every other check and flag comes out as without it."""
+    want = run_suite(make_mk(3), name="m3")
+    _equal_irreducible_counts(monkeypatch)
+    monkeypatch.setattr(structures, "MATRIX_CAP", 5)
+    report = run_suite(make_mk(3), name="m3")
+    assert _not_passed(report) == {"autodual": ("skipped", "order matrix for 50 maps exceeds the 5 cap")}
+    assert report.summary == {**want.summary, "autodual_verdict": "inconclusive"}
 
 
 def test_the_autodual_verdict_of_a_non_distributive_homset_needs_no_order_matrix(monkeypatch):
-    monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
+    monkeypatch.setattr(structures, "MATRIX_CAP", 5)
     report = run_suite(make_mk(3), SuiteConfig(checks=("homset-irreducibles", "autodual")), name="m3")
     assert [r.status for r in report.results] == ["pass", "pass"]
     assert report.summary["autodual_verdict"] == "not-autodual"

@@ -4,6 +4,7 @@ and the batched kernels that the single-map functions are one-row views of,
 among them the element-major residual kernels against the row-major loops
 they replace, and the transform facts read from the homset tables against
 the single-map derivations they replace."""
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -78,9 +79,12 @@ from supq.verify import (
     CHECKS,
     SuiteConfig,
     _Ctx,
+    _below_counts,
     _cover_steps,
     _monotone_keys,
+    check_autodual,
     check_division_formulas,
+    check_galois_adjunction,
     check_naturality_composite,
     check_residual_adjunction,
     check_sup_interior_props,
@@ -92,6 +96,7 @@ from supq.verify import (
     run_suite,
 )
 
+from oracles import order_on_J, residual_adjunction_by_order_matrix
 from perfbench import workloads
 
 
@@ -121,7 +126,7 @@ def _rdiv_row(H, h):
 
 def _residual_witness_h_major(H):
     """The residual adjunction, one divisor row per member h."""
-    leq = H.leq_matrix()
+    leq = order_on_J(H)
     tabs = H.tables.astype(np.int64)
     comp = np.stack([H.index_rows(H.tables[g][tabs]) for g in range(H.m)])
     for h in range(H.m):
@@ -308,7 +313,7 @@ def test_the_opposite_homset_has_the_same_order_matrix(kernel_homsets):
     exactly when rho_g <= rho_f in L, which is rho_f <= rho_g in L.op, so
     the matrices are equal, not transposed."""
     for name, H in kernel_homsets.items():
-        assert (H.op.leq_matrix() == H.leq_matrix()).all(), name
+        assert (order_on_J(H.op) == order_on_J(H)).all(), name
 
 
 def test_the_opposite_homset_makes_no_reference_cycle():
@@ -373,6 +378,53 @@ def test_a_planted_memo_entry_fails_residual_adjunction(side):
     key = int(np.flatnonzero(memo >= 0)[0])
     memo[key] = (memo[key] + 1) % H.m
     assert check_residual_adjunction(ctx).startswith(f"{side} residual adjunction fails")
+
+
+def test_below_counts_equal_a_brute_force_count():
+    """cnt[q], the zeta transform of the members' slots, against the number of
+    members below the J-values of q, over every key, on both sides."""
+    lattices = {name: L for name, L, _ in corpus()}
+    for name in ("chain3", "m3", "n5", "boolean2", "downset-chain2-plus-point"):
+        H = enumerate_homset(lattices[name])
+        for S in (H, H.op):
+            L = S.lattice
+            J, radix, _, _ = S._keys()
+            q = np.arange(L.n ** len(J))
+            vals = (q[:, None] // radix % L.n).astype(np.int16)  # [q, k] = the value at J[k]
+            want = leq_tables(L, S.tables[:, J], vals).sum(axis=0)
+            assert (_below_counts(S) == want).all(), name
+
+
+def test_a_planted_wrong_rho_row_fails_galois_adjunction(monkeypatch):
+    """The count form reads g o f <= h as f <= rho_g o h; galois-adjunction is
+    the check that each rho_g is the right adjoint of g."""
+    ctx = _Ctx(make_mk(3), SuiteConfig())
+    H = ctx.homset
+    assert check_galois_adjunction(ctx) is None
+    bad = H.rho_tables.copy()
+    bad[7] = H.rho_tables[8]
+    monkeypatch.setitem(H._cache, "rho", bad)
+    assert check_galois_adjunction(ctx) == "adjunction fails for member 7"
+
+
+def test_the_count_form_agrees_with_the_order_matrix_body_on_the_corpus():
+    """On every corpus homset of at most 512 members, clean and with one
+    planted memo entry on each side, the count form gives the witness of the
+    body it replaced, which counted with the m x m order matrix."""
+    for name, L, _ in corpus():
+        for side in (None, "left", "right"):
+            H = enumerate_homset(L)
+            if H.m > 512:
+                break
+            ctx = _ctx_on(H)
+            assert check_residual_adjunction(ctx) is None, name
+            if side is not None:
+                memo = (H if side == "left" else H.op)._interior_memo()
+                key = int(np.flatnonzero(memo >= 0)[0])
+                memo[key] = (memo[key] + 1) % H.m
+            got = check_residual_adjunction(ctx)
+            assert got == residual_adjunction_by_order_matrix(H), (name, side)
+            assert (got is None) == (side is None or H.m == 1), (name, side)
 
 
 # -- the residual kernels against their row-major loops ----------------------------------
@@ -618,13 +670,13 @@ def _one_sided_spot(H, method, kind):
     """A corruption (h, g, to) of `method` that only one half of the count
     form catches.  "inside": `to` is the bottom member, which solves
     g o f <= h (resp. f o g <= h) for every h, below a true residual with a
-    larger down-set, so only the size count fails.  "same-size": `to` has a
-    down-set of the true residual's size but is another member, so it is not
-    below the residual and lies outside the solution set; only membership
-    fails.  h starts a third of the way into the members and g at the last
-    one, so on boolean3 the spot lies past the first block of divisors and
-    in the last block of count rows."""
-    leq = H.leq_matrix()
+    larger down-set, so it lies below kappa and only the count fails.
+    "same-size": `to` has a down-set of the true residual's size but is
+    another member, so it is not below the residual and lies outside the
+    solution set; only membership, below kappa, fails.  h starts a third of
+    the way into the members, past the first block of h on boolean3, and g
+    at the last one."""
+    leq = order_on_J(H)
     sizes = leq.sum(axis=0)
     for h in range(H.m // 3, H.m):
         res = getattr(H, method)(h)
@@ -831,6 +883,31 @@ def test_a_non_member_interior_fails_the_check(monkeypatch):
     assert result.witness == "KeyError: 'row is not a join-preserving member of the homset'"
 
 
+def test_a_broken_kernel_leaves_the_summary_flags_unsettled(monkeypatch):
+    """The summary flags that reach a broken kernel read as if capped, and the
+    report still comes back with the check that reaches it failed."""
+    real = quantale.sup_interior_tables
+
+    def off_the_homset(source, target, tables):
+        out = real(source, target, tables)
+        out[0] = target.top
+        return out
+
+    monkeypatch.setattr(quantale, "sup_interior_tables", off_the_homset)
+    report = run_suite(make_n5(), SuiteConfig(checks=("sup-interior-props",)), name="n5")
+    [result] = report.results
+    assert (result.status, result.witness) == (
+        "fail", "KeyError: 'row is not a join-preserving member of the homset'")
+    assert report.summary == {
+        "is_CD": False,
+        "is_girard": None,
+        "dualizing_count": None,
+        "automorphism_count": 1,
+        "tight_unital": False,
+        "autodual_verdict": "inconclusive",
+    }
+
+
 def test_sup_interior_props_pass_with_the_check_on_rows():
     """On every corpus lattice with n^n <= 4000 and both lookups, the check
     and the form on all monotone endomaps pass, with the interiors of the
@@ -897,7 +974,7 @@ def test_the_star_witness_is_tested_on_the_cover_edges_above_the_matrix_cap(monk
     """boolean2 has 16 members; with the order matrix capped at 5 and the
     autoduality search allowed, the check tests the star on the lower-cover
     edges: it passes (it was skipped by the cap), and a rolled star fails."""
-    monkeypatch.setattr(quantale, "MATRIX_CAP", 5)
+    monkeypatch.setattr(structures, "MATRIX_CAP", 5)
     config = SuiteConfig(max_autodual=100, checks=("autodual",))
     [result] = run_suite(make_boolean(2), config, name="boolean2").results
     assert result.status == "pass"
@@ -913,21 +990,57 @@ def test_the_lower_cover_edges_are_the_cover_relation(kernel_homsets):
             f, g = structures._irreducibles(H).lower_cover_edges
             covers = np.zeros((H.m, H.m), dtype=bool)
             covers[g, f] = True
-            assert len(f) == covers.sum() and (covers == cover_relation(H.leq_matrix())).all(), name
+            assert len(f) == covers.sum() and (covers == cover_relation(order_on_J(H))).all(), name
 
 
 def test_no_check_builds_the_order_matrix_of_m5(monkeypatch):
     """m5 has 1,582 members, the largest homset of the corpus; with the
-    order matrix refused every check and summary flag comes out the same."""
+    order and the search of autodual_report refused, every check and summary
+    flag comes out the same."""
     want = run_suite(make_mk(5), name="m5")
 
-    def refuse(H):
+    def refuse(*args, **kwargs):
         raise RuntimeError("order matrix built")
 
-    monkeypatch.setattr(EndoHomset, "leq_matrix", refuse)
+    assert not hasattr(EndoHomset, "leq_matrix")
+    monkeypatch.setattr(structures, "leq_tables", refuse)
+    monkeypatch.setattr(structures, "find_order_isomorphism", refuse)
     got = run_suite(make_mk(5), name="m5")
     assert [r.to_doc() for r in got.results] == [r.to_doc() for r in want.results]
     assert got.summary == want.summary
+
+
+def test_an_equal_count_report_reaches_the_search_and_takes_its_verdict(monkeypatch):
+    """No non-distributive lattice has as many meet- as join-irreducibles in
+    Q(L), so only a patched report reaches the search of autodual_report; it
+    searches the order of the members, and its answer is the verdict."""
+    real = structures.homset_irreducibles
+
+    def equal(H, cap):
+        rep = real(H, cap=cap)
+        return dataclasses.replace(rep, meet_irreducible_indices=rep.join_irreducible_indices)
+
+    monkeypatch.setattr(structures, "homset_irreducibles", equal)
+    search = structures.find_order_isomorphism
+    asked = []
+
+    def recorded(leq1, leq2):
+        asked.append((leq1, leq2))
+        return search(leq1, leq2)
+
+    monkeypatch.setattr(structures, "find_order_isomorphism", recorded)
+    ctx = _Ctx(make_n5(), SuiteConfig())
+    H = ctx.homset
+    rep = structures.autodual_report(H)
+    assert (rep.verdict, rep.reason) == ("not-autodual", "no order-reversing bijection exists")
+    [(leq1, leq2)] = asked
+    assert (leq1 == order_on_J(H)).all() and (leq2 == order_on_J(H).T).all()
+    assert check_autodual(ctx) is None
+    monkeypatch.setattr(structures, "find_order_isomorphism", lambda leq1, leq2: tuple(range(H.m)))
+    rep = structures.autodual_report(H)
+    assert (rep.verdict, rep.reason, rep.witness) == (
+        "autodual", "order-reversing bijection found by search", tuple(range(H.m)))
+    assert check_autodual(ctx) == "order-reversing bijection found on a non-distributive lattice"
 
 
 # -- irreducibles from the tensors ---------------------------------------------------------
@@ -937,7 +1050,7 @@ def _irreducibles_by_cover_relation(H):
     """The irreducible report from the covers of the whole order matrix, the
     m x m self-product that the tensor form replaced."""
     L = H.lattice
-    covers = cover_relation(H.leq_matrix())
+    covers = cover_relation(order_on_J(H))
     j_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=0) == 1))
     m_idx = tuple(int(i) for i in np.flatnonzero(covers.sum(axis=1) == 1))
     jl, ml = join_irreducibles(L), meet_irreducibles(L)
