@@ -194,14 +194,6 @@ def _int_mask(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
-def _pack_rows(rel: np.ndarray) -> np.ndarray:
-    """Row i of a boolean relation packed into one uint64 (n <= 64 only)."""
-    if len(rel) > 64:
-        raise SizeGuardExceeded("bitmask tables need n <= 64")
-    weights = (np.uint64(1) << np.arange(len(rel), dtype=np.uint64))
-    return (rel * weights[None, :]).sum(axis=1, dtype=np.uint64)
-
-
 class Lattice:
     """A finite lattice: a bounded poset with total join and meet tables."""
 
@@ -286,13 +278,6 @@ class Lattice:
     def covers(self) -> np.ndarray:
         """covers[i, j] is True when j covers i."""
         return _freeze(cover_relation(self.leq))
-
-    @property
-    @cached("upmask")
-    def upmask(self) -> np.ndarray:
-        """upmask[i] packs the up-set of i into a uint64 (n <= 64 only);
-        L.op.upmask packs the down-sets."""
-        return _freeze(_pack_rows(self.leq))
 
     @property
     def op(self) -> "Lattice":

@@ -238,20 +238,28 @@ def leq_tables(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- adjoints ----------------------------------------------------------------
+# -- joins of families and adjoints -------------------------------------------
 
 
-@cached("mask_lookup")
-def _mask_lookup(L: Lattice):
-    order = np.argsort(L.upmask)
-    return L.upmask[order], order
+def _flat_index_dtype(n: int):
+    """The dtype of element vectors whose flat index a*n + b into an n x n
+    table is formed in place: int16 while n*n <= 2^15, else int32."""
+    return np.int16 if n * n <= 1 << 15 else np.int32
 
 
-def _elem_of_upmask(L: Lattice, red: np.ndarray) -> np.ndarray:
-    """Each value of `red` is an intersection of up-sets; return the joins."""
-    vals, order = _mask_lookup(L)
-    pos = np.searchsorted(vals, red.ravel())
-    return order[pos].reshape(red.shape).astype(np.int16)
+def join_fold(L: Lattice, vecs: np.ndarray) -> np.ndarray:
+    """The join in L over the first axis of `vecs`, a stack of element
+    vectors, or bottom for an empty stack: the one kernel that reads joins of
+    families off L.join, one `take` on the raveled table per vector at
+    a*n + b, in the dtype of _flat_index_dtype(n)."""
+    n, dt = L.n, _flat_index_dtype(L.n)
+    if not len(vecs):
+        return np.full(vecs.shape[1:], L.bottom, dtype=dt)
+    jt = L.join.ravel().astype(dt, copy=False)
+    acc = vecs[0].astype(dt)
+    for v in vecs[1:]:
+        acc = jt.take(acc * dt(n) + v)
+    return acc
 
 
 def _as_rows(tables) -> np.ndarray:
@@ -261,16 +269,12 @@ def _as_rows(tables) -> np.ndarray:
 
 def right_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
     """Rowwise right adjoint of join-preserving tables from source to target:
-    each row becomes the table of y -> join of {x : f(x) <= y} on target."""
-    f = _as_rows(tables)
-    out = np.empty((len(f), target.n), dtype=np.int16)
-    for y in range(target.n):
-        mask = target.leq[:, y][f]  # (m, source.n): f(x) <= y
-        red = np.bitwise_and.reduce(
-            np.where(mask, source.upmask[None, :], source.upmask[source.bottom]), axis=1
-        )
-        out[:, y] = _elem_of_upmask(source, red)
-    return out
+    each row becomes the table of y -> join of {x : f(x) <= y} on target,
+    folded by `join_fold` over every x, as bottom where f(x) not<= y."""
+    f = np.ascontiguousarray(_as_rows(tables).T, dtype=np.intp)  # [x, row]
+    xs = np.arange(source.n, dtype=np.int16)[:, None]
+    out = [join_fold(source, np.where(target.leq[:, y].take(f), xs, source.bottom)) for y in range(target.n)]
+    return np.ascontiguousarray(np.stack(out).T, dtype=np.int16)
 
 
 def left_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
@@ -307,12 +311,6 @@ def _interior_steps(L: Lattice) -> tuple[tuple, tuple]:
     covers = tuple((x, int(p)) for x in L.descending_order for p in np.flatnonzero(L.covers[x]))
     pairs = tuple((x, a, b) for x in range(L.n) for a, b in L.incomparable_join_pairs[x])
     return covers, pairs
-
-
-def _flat_index_dtype(n: int):
-    """The dtype of element vectors whose flat index a*n + b into an n x n
-    table is formed in place: int16 while n*n <= 2^15, else int32."""
-    return np.int16 if n * n <= 1 << 15 else np.int32
 
 
 def sup_interior_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:

@@ -25,13 +25,13 @@ from supq.maps import (
     LatticeMap,
     MapError,
     _as_rows,
-    _elem_of_upmask,
     _flat_index_dtype,
     _interior_steps,
     a_map,
     c_map,
     e_map,
     e_tables,
+    join_fold,
     left_adjoint_tables,
     pointwise_join,
     pointwise_meet,
@@ -60,16 +60,11 @@ class NotCompletelyDistributive(LatticeError):
 
 
 def raney_down_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
-    """Rowwise transform g -> (x -> join of g(t) over t not above x)."""
-    g = _as_rows(tables)
-    sel = L.upmask[g]  # (m, n) uint64 of up-sets of values
-    out = np.empty_like(g)
-    neutral = L.upmask[L.bottom]
-    for x in range(L.n):
-        cols = np.flatnonzero(~L.leq[x])
-        red = np.bitwise_and.reduce(sel[:, cols], axis=1) if cols.size else np.full(len(g), neutral)
-        out[:, x] = _elem_of_upmask(L, red)
-    return out
+    """Rowwise transform g -> (x -> join of g(t) over t not above x), each
+    join folded by `join_fold` over those columns t of g."""
+    g = np.ascontiguousarray(_as_rows(tables).T)  # [t, row]
+    out = np.stack([join_fold(L, g[~L.leq[x]]) for x in range(L.n)])
+    return np.ascontiguousarray(out.T, dtype=np.int16)
 
 
 def raney_up_tables(L: Lattice, tables: np.ndarray) -> np.ndarray:
@@ -311,38 +306,35 @@ def assignments_on_J(L: Lattice, order: list[int], joins: bool = True, work_cap:
     return part
 
 
+def extend_from_J(L: Lattice, J, vals: np.ndarray) -> np.ndarray:
+    """The least monotone maps with the values vals[k] at J[k], element-major:
+    [x, row] is the join of vals[k, row] over the k with J[k] <= x.  Values
+    monotone on J are kept there; a join-preserving map extends its own."""
+    below = L.leq[np.asarray(J, dtype=np.intp)]  # [k, x] = J[k] <= x
+    return np.stack([join_fold(L, vals[below[:, x]]) for x in range(L.n)])
+
+
 def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
     """All join-preserving endomaps of L, capped at `cap` members: their values
-    on J from `assignments_on_J`, in the order of the down-sets, then the full
-    join check on the extended rows.  Past max(1000000, 16 * cap) candidate
-    assignments, CapExceeded."""
+    on J from `assignments_on_J`, in the order of the down-sets, extended by
+    `extend_from_J`, then the full join check.  The assignments are monotone
+    on J, so no two extend to the same row.  Past max(1000000, 16 * cap)
+    candidate assignments, CapExceeded."""
     order = sorted(join_irreducibles(L), key=lambda j: int(L.leq[:, j].sum()))
     part = assignments_on_J(L, order, work_cap=max(1_000_000, 16 * cap))
-    pos_of = {j: k for k, j in enumerate(order)}
+    pair_items = [(x, pairs) for x, pairs in L.incomparable_join_pairs.items() if pairs]
     chunks = []
     total = 0
-    join_tab = L.join
-    pair_items = [(x, pairs) for x, pairs in L.incomparable_join_pairs.items() if pairs]
     for start in range(0, len(part), 1 << 16):
-        block = part[start : start + (1 << 16)]
-        ext = np.empty((len(block), L.n), dtype=np.int16)
-        for x in range(L.n):
-            cols = [pos_of[j] for j in order if L.leq[j, x]]
-            if cols:
-                red = np.bitwise_and.reduce(L.upmask[block[:, cols]], axis=1)
-                ext[:, x] = _elem_of_upmask(L, red)
-            else:
-                ext[:, x] = L.bottom
-        ok = np.ones(len(block), dtype=bool)
+        ext = extend_from_J(L, order, np.ascontiguousarray(part[start : start + (1 << 16)].T))
+        ok = np.ones(ext.shape[1], dtype=bool)
         for x, pairs in pair_items:
             for a, b in pairs:
-                ok &= ext[:, x] == join_tab[ext[:, a], ext[:, b]]
-        chunks.append(ext[ok])
-        total += int(ok.sum())
+                ok &= ext[x] == join_fold(L, ext[[a, b]])
+        chunks.append(ext.T[ok].astype(np.int16, copy=False))
+        total += len(chunks[-1])
         if total > 4 * cap:
-            found = len(np.unique(np.concatenate(chunks), axis=0))
-            if found > cap:
-                raise CapExceeded(f"homset has more than {cap} maps", found)
+            raise CapExceeded(f"homset has more than {cap} maps", total)
     tables = np.unique(np.concatenate(chunks), axis=0)
     if len(tables) > cap:
         raise CapExceeded(f"homset has more than {cap} maps", len(tables))
@@ -592,18 +584,12 @@ class EndoHomset:
         return np.full(self.lattice.n ** len(self._keys()[0]), -1, dtype=np.int32)
 
     def _key_rows(self, keys: np.ndarray) -> np.ndarray:
-        """The least monotone map with the values of each J-key on J,
-        x -> join of f(j) over the j <= x in J: it agrees on J with every
-        monotone row of that key."""
+        """The least monotone map with the values of each J-key on J: it
+        agrees on J with every monotone row of that key."""
         L = self.lattice
         J, radix, _, _ = self._keys()
-        jt = L.join.ravel()
-        cols = np.full((L.n, len(keys)), L.bottom, dtype=np.int64)  # [x, row], element-major
-        for k, j in enumerate(J):
-            v = keys // radix[k] % L.n  # the value at J[k]
-            for x in np.flatnonzero(L.leq[j]):
-                cols[x] = jt.take(cols[x] * L.n + v)
-        return cols.astype(np.int16).T
+        vals = keys // radix[:, None] % L.n  # [k, row] = the value at J[k]
+        return np.ascontiguousarray(extend_from_J(L, J, vals).T, dtype=np.int16)
 
     def _interior_keys(self, q: np.ndarray) -> np.ndarray:
         """Index of the sup-interior of the monotone maps with each J-key in

@@ -35,6 +35,7 @@ from supq.maps import (
     identity_map,
     is_inf_preserving,
     is_sup_preserving,
+    join_fold,
     leq_tables,
     pointwise_join,
     tensor_tables,
@@ -552,10 +553,7 @@ def abstract_raney_check(H: EndoHomset, family=None) -> AbstractRaneyVerdict:
     comparable = L.leq | L.leq.T
     chain = bool(comparable[T[..., :, None], T[..., None, :]].all())
     # the extension of psi along each inf map G: the join over x of psi(G(x), x)
-    inf = H.rho_tables
-    ext = T[inf[:, 0], 0]
-    for x in range(1, L.n):
-        ext = L.join[ext, T[inf[:, x], x]]
+    ext = join_fold(L, T[H.rho_tables.T, vs[:, None]])  # folds [x, G, t] over x
     found = bool((ext == np.arange(L.n)).all(axis=1).any())
     return AbstractRaneyVerdict(
         chain_image=chain,

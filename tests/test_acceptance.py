@@ -62,7 +62,6 @@ from perfbench import workloads
 
 NON_DISTRIBUTIVE = {"m3", "m5", "n5"}
 GOLDEN_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "corpus.json"
-GOLDEN_MIDSIZE = GOLDEN_CORPUS.with_name("midsize.json")
 
 CRITERION_LINES = []
 
@@ -340,8 +339,11 @@ def test_criterion_10_corpus_verification_is_byte_deterministic():
         assert not any(c["status"] == "fail" for c in entry["checks"])
 
 
-def test_midsize_verification_equals_its_golden():
+@pytest.mark.parametrize("workload", ["midsize", "large"])
+def test_midsize_verification_equals_its_golden(workload):
     """Criterion 10's byte-identity on the benchmark's midsize workload at
-    seed 0, homsets of 2,150 to 2,500 members, run in this process."""
-    reports = [run_suite(L, SuiteConfig(), name=name, poset=P) for name, L, P in workloads.build("midsize", 0)]
-    assert report_to_json(reports) == GOLDEN_MIDSIZE.read_text(encoding="utf-8")
+    seed 0, homsets of 2,150 to 2,500 members, and on its large workload,
+    whose m4 x chain2 has the largest slot table of the goldens, run in this
+    process."""
+    reports = [run_suite(L, SuiteConfig(), name=name, poset=P) for name, L, P in workloads.build(workload, 0)]
+    assert report_to_json(reports) == GOLDEN_CORPUS.with_name(f"{workload}.json").read_text(encoding="utf-8")

@@ -239,16 +239,6 @@ def test_descending_order_is_a_top_down_linear_extension():
                     assert pos[y] < pos[x]
 
 
-def test_bitmask_tables_agree_with_leq():
-    for L in corpus():
-        for i in range(L.n):
-            up = int(L.upmask[i])
-            down = int(L.op.upmask[i])
-            for j in range(L.n):
-                assert bool(up >> j & 1) == bool(L.leq[i, j])
-                assert bool(down >> j & 1) == bool(L.leq[j, i])
-
-
 def test_hash_id_separates_structures():
     assert make_chain(4).hash_id != make_boolean(2).hash_id
     assert make_chain(3).hash_id == make_mk(1).hash_id  # same order matrix

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import supq
-from supq import quantale, structures, verify
+from supq import cli, quantale, structures, verify
 from supq.lattice import (
     CapExceeded,
     Lattice,
@@ -35,7 +35,6 @@ from supq.lattice import (
 )
 from supq.maps import (
     LatticeMap,
-    _elem_of_upmask,
     a_map,
     c_map,
     e_map,
@@ -43,6 +42,7 @@ from supq.maps import (
     identity_map,
     is_inf_preserving,
     is_sup_preserving,
+    join_fold,
     left_adjoint_tables,
     leq_tables,
     right_adjoint_tables,
@@ -57,6 +57,7 @@ from supq.quantale import (
     automorphism_to_dualizing,
     enumerate_homset,
     enumerate_inf_maps,
+    extend_from_J,
     is_completely_distributive,
     is_tight,
     ldiv_tables,
@@ -93,6 +94,7 @@ from supq.verify import (
     check_wk_composition,
     corpus,
     report_to_json,
+    report_to_text,
     run_suite,
 )
 
@@ -581,6 +583,94 @@ def test_residual_kernels_past_the_int16_flat_index(L):
     _assert_same_rows(tensor_meet_tables(L, h, f), _tensor_meet_row_major(L, h, f))
 
 
+# -- the one join kernel -----------------------------------------------------------------
+
+
+def _join_by_loop(L, vecs):
+    """The join over the first axis of `vecs`, one entry and one join at a time."""
+    out = np.full(vecs.shape[1:], L.bottom, dtype=np.int64)
+    for at in np.ndindex(out.shape):
+        for v in vecs[(slice(None),) + at]:
+            out[at] = L.join[out[at], v]
+    return out
+
+
+def _families(n, k, rows):
+    """k vectors of `rows` elements, each running through the elements at its own stride."""
+    r = np.arange(rows)
+    return np.array([(r * (2 * i + 1) + i * i) % n for i in range(k)], dtype=np.int16).reshape(k, rows)
+
+
+def test_join_fold_equals_a_fold_of_the_join_table_on_the_corpus():
+    for name, L, _ in corpus():
+        for k in (0, 1, 2, L.n + 1):
+            vecs = _families(L.n, k, 3 * L.n)
+            assert (join_fold(L, vecs) == _join_by_loop(L, vecs)).all(), (name, k)
+            square = vecs.reshape(k, 3, L.n)
+            assert (join_fold(L, square) == _join_by_loop(L, square)).all(), (name, k)
+        a, b = np.divmod(np.arange(L.n ** 2), L.n)
+        assert (join_fold(L, np.stack([a, b])) == L.join[a, b]).all(), name
+
+
+@pytest.mark.parametrize("L", [downset_lattice(Poset(np.eye(7, dtype=bool))),
+                               downset_lattice(Poset(np.eye(8, dtype=bool))), _chain(200)],
+                         ids=["downset-antichain7", "downset-antichain8", "chain200"])
+def test_join_fold_past_64_elements(L):
+    """The downset lattices of the 7- and 8-point antichains, 128 and 256
+    elements, and the 200-chain; past 181 elements the flat index a*n + b is
+    int32 (at 256 an int16 index would wrap onto the right entry, at 200 it
+    would not).  Every pair is one row, and one row holds a family of every
+    element.  The identity is its own adjoint, tight, and the extension of
+    its values on J."""
+    a, b = np.divmod(np.arange(L.n ** 2), L.n)
+    assert (join_fold(L, np.stack([a, b]).astype(np.int16)) == L.join[a, b]).all()
+    one_row = _families(L.n, L.n, 1)
+    assert (join_fold(L, one_row) == _join_by_loop(L, one_row)).all()
+    assert join_fold(L, np.arange(L.n)[:, None]).tolist() == [L.top]
+    ident = np.arange(L.n, dtype=np.int16)
+    assert (right_adjoint_tables(L, L, ident) == ident).all()
+    assert (left_adjoint_tables(L, L, ident) == ident).all()
+    assert is_completely_distributive(L)
+    J = join_irreducibles(L)
+    assert (extend_from_J(L, J, ident[J, None])[:, 0] == ident).all()
+
+
+def _key_rows_by_insertion(H, keys):
+    """The least monotone rows of J-keys as `EndoHomset._key_rows` built
+    them before the join kernel: each J-value joined into every element
+    above its join-irreducible."""
+    L = H.lattice
+    J, radix, _, _ = H._keys()
+    jt = L.join.ravel()
+    cols = np.full((L.n, len(keys)), L.bottom, dtype=np.int64)
+    for k, j in enumerate(J):
+        v = keys // radix[k] % L.n
+        for x in np.flatnonzero(L.leq[j]):
+            cols[x] = jt.take(cols[x] * L.n + v)
+    return cols.astype(np.int16).T
+
+
+@pytest.mark.parametrize("make", [lambda: make_mk(3), lambda: make_mk(5), lambda: make_boolean(3)],
+                         ids=["m3", "m5", "boolean3"])
+def test_the_J_extension_equals_the_insertion_on_every_key(make):
+    H = enumerate_homset(make())
+    keys = np.arange(H.lattice.n ** len(H._keys()[0]), dtype=np.int64)
+    assert (H._key_rows(keys) == _key_rows_by_insertion(H, keys)).all()
+
+
+def test_lattice_level_checks_run_past_64_elements():
+    """On the 128-element downset lattice of the 7-point antichain,
+    distributivity-agreement passes and cd-raney is skipped by the
+    enumeration's work cap; both failed while the transforms needed
+    bitmask tables of at most 64 elements."""
+    L = downset_lattice(Poset(np.eye(7, dtype=bool)))
+    got = verify._run_checks(CHECKS, ("distributivity-agreement", "cd-raney"),
+                             [cid for cid, _ in CHECKS], _Ctx(L, SuiteConfig()))
+    assert [(r.check_id, r.status) for r in got] == [
+        ("distributivity-agreement", "pass"), ("cd-raney", "skipped")]
+    assert got[1].reason == "homset enumeration grew past 1600000 candidate assignments"
+
+
 # -- residual adjunction witnesses -------------------------------------------------------
 
 
@@ -906,6 +996,37 @@ def test_a_broken_kernel_leaves_the_summary_flags_unsettled(monkeypatch):
         "tight_unital": False,
         "autodual_verdict": "inconclusive",
     }
+
+
+def test_a_flag_whose_kernel_raises_fails_the_report(monkeypatch):
+    """With a filter that leaves out every check reaching a broken kernel,
+    the flags that reach it read as if capped, and each is named with its
+    typed error and counts as a failure, so the command line exits 1."""
+    real = quantale.sup_interior_tables
+
+    def off_the_homset(source, target, tables):
+        out = real(source, target, tables)
+        out[0] = target.top
+        return out
+
+    monkeypatch.setattr(quantale, "sup_interior_tables", off_the_homset)
+    report = run_suite(make_n5(), SuiteConfig(checks=("lattice-axioms",)), name="n5")
+    error = "KeyError: 'row is not a join-preserving member of the homset'"
+    assert [r.status for r in report.results] == ["pass"]
+    assert (report.summary["is_girard"], report.summary["dualizing_count"]) == (None, None)
+    assert report.summary["autodual_verdict"] == "inconclusive"
+    assert report.flag_errors == {"is_girard": error, "dualizing_count": error, "autodual_verdict": error}
+    assert report.failed == 3
+    assert report.to_doc()["flag_errors"] == report.flag_errors
+    assert f"[FAIL] flag is_girard: {error}" in report_to_text([report])
+    assert cli._exit_code([report], strict=True) == cli.EXIT_CHECK_FAILED
+
+
+def test_a_capped_flag_is_no_error():
+    report = run_suite(make_boolean(2), SuiteConfig(max_homset=1, checks=("lattice-axioms",)))
+    assert report.summary["is_girard"] is None
+    assert report.flag_errors == {} and report.failed == 0
+    assert "flag_errors" not in report.to_doc()
 
 
 def test_sup_interior_props_pass_with_the_check_on_rows():
@@ -2001,11 +2122,9 @@ def _interior_join_witness_by_loop(L, H, K, out):
     below_all = leq_tables(L, H.tables[:, J], K[:, J])
     for k_i in range(len(K)):
         below = below_all[:, k_i]
-        if below.any():
-            red = np.bitwise_and.reduce(L.upmask[H.tables[below].astype(np.int64)], axis=0)
-            join_tab = _elem_of_upmask(L, red)
-        else:
-            join_tab = np.full(L.n, L.bottom, dtype=np.int16)
+        join_tab = np.full(L.n, L.bottom, dtype=np.int16)
+        for row in H.tables[below]:
+            join_tab = L.join[join_tab, row]
         if not (join_tab == out[k_i]).all():
             return f"interior differs from the join of maps below input {k_i}"
     return None
