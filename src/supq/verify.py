@@ -26,7 +26,6 @@ from supq.lattice import (
 )
 from supq.maps import (
     e_tables,
-    leq_tables,
     tensor_tables,
 )
 from supq.quantale import (
@@ -363,29 +362,49 @@ def check_sup_interior_props(ctx: _Ctx):
 # -- transform and residual checks -----------------------------------------------------
 
 
-def _raney_adjunction_sides(ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
-    """[g, f] = down(g) <= f and [g, f] = g <= up(f), for every inf map g and
-    member f.  A join-preserving map lies below a monotone one exactly when
-    it does on the join-irreducibles J, as f(x) is the join of f(j) over the
-    j <= x; dually a monotone map lies below a meet-preserving one exactly
-    when it does on the meet-irreducibles M.  So once every down(g) is found
-    among the members and every up(f) among the inf maps (KeyError
-    otherwise), the sides are compared on J and on M.  Both transforms are
-    the memoized up transforms: down on L is up on L.op."""
-    L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
-    down, up = H_op.up_transform_tables, H.up_transform_tables
-    H.index_rows(down)  # the premises: each down(g) preserves joins,
-    H_op.index_rows(up)  # each up(f) preserves meets
-    J, M = join_irreducibles(L), meet_irreducibles(L)
-    return leq_tables(L, down[:, J], H.tables[:, J]), leq_tables(L, H_op.tables[:, M], up[:, M])
+def _not_below(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[i] = row A[i] does not lie below row B[i], compared on their columns."""
+    return ~L.leq[A, B].all(axis=1)
 
 
 def check_raney_adjunction(ctx: _Ctx):
-    ctx.homset_capped(MATRIX_CAP, "transform adjunction scan")
-    lhs, rhs = _raney_adjunction_sides(ctx)
-    if not (lhs == rhs).all():
-        g, f = np.argwhere(lhs != rhs)[0]
-        return f"transform adjunction fails at pair ({g}, {f})"
+    """down -| up: down(g) <= f exactly when g <= up(f), for every inf map g
+    and member f, tested as four facts.  Its premises come first: every
+    down(g) is looked up among the members with the strict
+    `EndoHomset.index_rows`, and every up(f) among the inf maps, kept as the
+    homset of L.op (KeyError otherwise); the lookups build the J-keys, which
+    checks that the members preserve joins.  A join-preserving map lies below a
+    monotone one exactly when it does on the join-irreducibles J, as f(x)
+    is the join of f(j) over the j <= x; dually a monotone map lies below a
+    meet-preserving one exactly on the meet-irreducibles M.  Between finite
+    posets, down -| up holds exactly when both are monotone, g <= up(down g)
+    for every g (on M) and down(up f) <= f for every f (on J); a map is
+    monotone when it is on the cover edges g < f of Q(L), those of the
+    irreducible kernel (`homset_irreducibles`).  up is tested on them on M.
+    rho is an order-reversing bijection of Q(L) onto the inf maps
+    (galois-adjunction), so down is monotone exactly when star = down o rho,
+    the down kernel on the rho rows (`star_indices`), reverses them: star(f)
+    <= star(g) on J.  Both transforms are the memoized up transforms: down
+    on L is up on L.op."""
+    H = ctx.homset_capped(MATRIX_CAP, "transform adjunction scan")
+    L, H_op = ctx.L, ctx.inf_homset
+    down, up = H_op.up_transform_tables, H.up_transform_tables
+    d = H.index_rows(down)  # the premises: each down(g) preserves joins,
+    u = H_op.index_rows(up)  # each up(f) preserves meets
+    J, M = join_irreducibles(L), meet_irreducibles(L)
+    f, g = homset_irreducibles(H, cap=MATRIX_CAP).lower_cover_edges
+    unit = _not_below(L, H_op.tables[:, M], up[d][:, M])
+    if unit.any():
+        return f"unit of the transform adjunction fails at inf map {int(np.argmax(unit))}"
+    counit = _not_below(L, down[u][:, J], H.tables[:, J])
+    if counit.any():
+        return f"counit of the transform adjunction fails at member {int(np.argmax(counit))}"
+    star = H.tables[H.star_indices][:, J]
+    for side, fails in (("up", _not_below(L, up[g][:, M], up[f][:, M])),
+                        ("down", _not_below(L, star[f], star[g]))):
+        if fails.any():
+            i = int(np.argmax(fails))
+            return f"{side} transform is not monotone on the cover edge ({g[i]}, {f[i]})"
     return None
 
 
@@ -441,39 +460,52 @@ def check_naturality_composite(ctx: _Ctx):
 
 
 def check_tight_subset(ctx: _Ctx):
-    """The tight members are closed under composition with any member and
-    under joins, and they are the image of the down transform.  When every
-    member is tight the two closure scans are skipped: composites and joins
-    of members are members, as the members preserve joins (checked when
-    their J-keys are built) and the enumeration holds every join-preserving
-    map."""
+    """The tight members T are the image of the down transform (all of Q(L)
+    exactly when the identity is tight), closed under joins and under
+    composition with any member.  When every member is tight the closures
+    hold: a composite or join of members preserves joins (checked when
+    their J-keys are built), so the complete enumeration holds it.
+    Otherwise they rest on the cover edges and the join-irreducibles JI(Q)
+    of Q(L) from the irreducible kernel (`homset_irreducibles`).  T is the
+    fixed points of the tight interior k, looked up among the members, and
+    a deflationary k (k(f) <= f on J) monotone on the cover edges has fixed
+    points closed under every join, bottom included: for t in S, t = k(t) <=
+    k(join S).  Every member is the join of the JI(Q) members below it, and
+    composition distributes over joins on both sides, on the left as each t
+    preserves joins; so T o Q and Q o T lie in T once T o JI(Q) and JI(Q) o
+    T do, 2 |T| |JI(Q)| composites."""
     H = ctx.homset_capped(MATRIX_CAP, "tight subset scan")
     tight = H.tight_indices()
     mask = H.tight_mask
-    if not mask.all():
-        members = np.arange(H.m)
-        step = max(1, BLOCK_ROWS // H.m)
-        left = np.empty(H.m, dtype=bool)  # [g]: g o f is tight for every f
-        right = np.ones(H.m, dtype=bool)  # [f]: g o f is tight for every g
-        for start in range(0, H.m, step):
-            block = members[start:start + step]
-            closed = mask[H.compose_indices(block)]
-            left[block] = closed.all(axis=1)
-            right &= closed.all(axis=0)
-        escaping = tight[~(left[tight] & right[tight])]
-        if escaping.size:
-            t = int(escaping[0])
-            side = "left" if not left[t] else "right"
-            return f"{side} composite with tight member {t} escapes the tight subset"
-        step = max(1, BLOCK_ROWS // max(1, len(tight)))
-        for start in range(0, len(tight), step):  # joins commute: pairs from the block on
-            if not mask[H.join_indices(tight[start:start + step], tight[start:])].all():
-                return "tight subset is not closed under joins"
     down_idx = _distinct(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):  # the down transform is onto
         return "down transform surjectivity disagrees with tightness of the identity"
+    if mask.all():
+        return None
+    L, J = ctx.L, join_irreducibles(ctx.L)
+    k = H.index_rows(H.tight_interior_tables)
+    rep = homset_irreducibles(H, cap=MATRIX_CAP)
+    f, g = rep.lower_cover_edges
+    on_J = H.tables[:, J]
+    if ((k == np.arange(H.m)) != mask).any():
+        return "tight subset differs from the fixed points of the tight interior"
+    grows = _not_below(L, on_J[k], on_J)
+    if grows.any():
+        return f"tight interior is not deflationary at member {int(np.argmax(grows))}"
+    fails = _not_below(L, on_J[k[g]], on_J[k[f]])
+    if fails.any():
+        i = int(np.argmax(fails))
+        return f"tight interior is not monotone on the cover edge ({g[i]}, {f[i]})"
+    gens = np.array(rep.join_irreducible_indices, dtype=np.intp)
+    left = mask[H.compose_indices(tight, gens)].all(axis=1)   # [t]: t o g is tight for every g
+    right = mask[H.compose_indices(gens, tight)].all(axis=0)  # [t]: g o t is tight for every g
+    escaping = np.flatnonzero(~(left & right))
+    if escaping.size:
+        i = int(escaping[0])
+        side = "left" if not left[i] else "right"
+        return f"{side} composite with tight member {tight[i]} escapes the tight subset"
     return None
 
 

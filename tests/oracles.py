@@ -2,8 +2,8 @@
 checks of the verifier replaced, kept to compare the new forms against."""
 import numpy as np
 
-from supq import verify
-from supq.lattice import join_irreducibles
+from supq import quantale, verify
+from supq.lattice import join_irreducibles, meet_irreducibles
 from supq.maps import leq_tables
 
 
@@ -48,4 +48,60 @@ def residual_adjunction_by_order_matrix(H):
         if bad_left[:, h].any():
             return f"left residual adjunction fails at (g={int(np.argmax(bad_left[:, h]))}, h={h})"
         return f"right residual adjunction fails at (f={int(np.argmax(bad_right[:, h]))}, h={h})"
+    return None
+
+
+def raney_adjunction_sides(ctx) -> tuple[np.ndarray, np.ndarray]:
+    """[g, f] = down(g) <= f and [g, f] = g <= up(f), for every inf map g and
+    member f, once every down(g) is found among the members and every up(f)
+    among the inf maps (KeyError otherwise); compared on J and on M."""
+    L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
+    down, up = H_op.up_transform_tables, H.up_transform_tables
+    H.index_rows(down)
+    H_op.index_rows(up)
+    J, M = join_irreducibles(L), meet_irreducibles(L)
+    return leq_tables(L, down[:, J], H.tables[:, J]), leq_tables(L, H_op.tables[:, M], up[:, M])
+
+
+def raney_adjunction_by_pairs(ctx):
+    """check_raney_adjunction before the cover-edge form: both sides of
+    down(g) <= f <=> g <= up(f) on all m_inf x m pairs."""
+    ctx.homset_capped(quantale.MATRIX_CAP, "transform adjunction scan")
+    lhs, rhs = raney_adjunction_sides(ctx)
+    if not (lhs == rhs).all():
+        g, f = np.argwhere(lhs != rhs)[0]
+        return f"transform adjunction fails at pair ({g}, {f})"
+    return None
+
+
+def tight_subset_every_composite(ctx):
+    """check_tight_subset before its all-tight skip and its cover-edge form:
+    every composite of members and every join of tight members is looked
+    up, whatever the mask holds, and then the down image is compared."""
+    H = ctx.homset_capped(quantale.MATRIX_CAP, "tight subset scan")
+    tight = H.tight_indices()
+    mask = H.tight_mask
+    members = np.arange(H.m)
+    step = max(1, verify.BLOCK_ROWS // H.m)
+    left = np.empty(H.m, dtype=bool)  # [g]: g o f is tight for every f
+    right = np.ones(H.m, dtype=bool)  # [f]: g o f is tight for every g
+    for start in range(0, H.m, step):
+        block = members[start:start + step]
+        closed = mask[H.compose_indices(block, members)]
+        left[block] = closed.all(axis=1)
+        right &= closed.all(axis=0)
+    escaping = tight[~(left[tight] & right[tight])]
+    if escaping.size:
+        t = int(escaping[0])
+        side = "left" if not left[t] else "right"
+        return f"{side} composite with tight member {t} escapes the tight subset"
+    step = max(1, verify.BLOCK_ROWS // max(1, len(tight)))
+    for start in range(0, len(tight), step):
+        if not mask[H.join_indices(tight[start:start + step], tight)].all():
+            return "tight subset is not closed under joins"
+    down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))
+    if set(down_idx.tolist()) != set(int(i) for i in tight):
+        return "image of the down transform differs from the tight subset"
+    if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
+        return "down transform surjectivity disagrees with tightness of the identity"
     return None

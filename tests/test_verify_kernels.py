@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import supq
-from supq import cli, quantale, structures, verify
+from supq import cli, maps, quantale, structures, verify
 from supq.lattice import (
     CapExceeded,
     Lattice,
@@ -87,6 +87,7 @@ from supq.verify import (
     check_division_formulas,
     check_galois_adjunction,
     check_naturality_composite,
+    check_raney_adjunction,
     check_residual_adjunction,
     check_sup_interior_props,
     check_tight_subset,
@@ -98,7 +99,13 @@ from supq.verify import (
     run_suite,
 )
 
-from oracles import order_on_J, residual_adjunction_by_order_matrix
+from oracles import (
+    order_on_J,
+    raney_adjunction_by_pairs,
+    raney_adjunction_sides,
+    residual_adjunction_by_order_matrix,
+    tight_subset_every_composite,
+)
 from perfbench import workloads
 
 
@@ -1106,12 +1113,25 @@ def test_the_star_witness_is_tested_on_the_cover_edges_above_the_matrix_cap(monk
 
 
 def test_the_lower_cover_edges_are_the_cover_relation(kernel_homsets):
+    """On the corpus and on m3 x chain2 (2,500 members, above TABLE_SCAN_CAP),
+    whose raney-adjunction and tight-subset rest on these edges."""
     for name, H in kernel_homsets.items():
-        if H.m <= 2000:
-            f, g = structures._irreducibles(H).lower_cover_edges
-            covers = np.zeros((H.m, H.m), dtype=bool)
-            covers[g, f] = True
-            assert len(f) == covers.sum() and (covers == cover_relation(order_on_J(H))).all(), name
+        f, g = structures._irreducibles(H).lower_cover_edges
+        covers = np.zeros((H.m, H.m), dtype=bool)
+        covers[g, f] = True
+        assert len(f) == covers.sum() and (covers == cover_relation(order_on_J(H))).all(), name
+
+
+def test_every_member_is_the_join_of_the_join_irreducible_members_below_it(kernel_homsets):
+    """The premise of the generator form of tight-subset, on the corpus and
+    m3 x chain2: the pointwise join of the JI(Q) members below f is f."""
+    for name, H in kernel_homsets.items():
+        L = H.lattice
+        below = order_on_J(H)
+        acc = np.full((H.m, L.n), L.bottom, dtype=np.int64)
+        for i in structures._irreducibles(H).join_irreducible_indices:
+            acc = np.where(below[i][:, None], L.join[acc, H.tables[i]], acc)
+        assert (acc == H.tables).all(), name
 
 
 def test_no_check_builds_the_order_matrix_of_m5(monkeypatch):
@@ -1557,70 +1577,102 @@ def _set_tight_mask(monkeypatch, H, mask):
     monkeypatch.setitem(H._cache, "tight_mask", np.asarray(mask, dtype=bool))
 
 
+IMAGE_WITNESS = "image of the down transform differs from the tight subset"
+
+
 @pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_chain(4)])
 def test_tight_subset_reports_the_per_member_witness(monkeypatch, make):
+    """Planted tight masks: the per-member oracle finds its composite, join
+    or image witness, and the check, which compares the down image first,
+    fails with the image witness on every mask but the real one."""
     ctx = _Ctx(make(), SuiteConfig())
     H, L = ctx.homset, ctx.L
-    monkeypatch.setattr(verify, "BLOCK_ROWS", 4 * H.m)  # several blocks
     assert check_tight_subset(ctx) is None
     real = np.array(H.tight_mask)
+
+    def planted(mask):
+        _set_tight_mask(monkeypatch, H, mask)
+        assert check_tight_subset(ctx) == (None if (np.asarray(mask) == real).all() else IMAGE_WITNESS)
+        return _tight_subset_per_member(ctx)
+
     # {t : t(a) = bottom} is closed under t o f for every f, so only a left
     # composite can escape it; {t : t(top) <= a} is closed under g o t, so
     # only a right one can; both are closed under joins
     sides = set()
     for a in range(L.n):
         for side, mask in (("left", H.tables[:, a] == L.bottom), ("right", L.leq[H.tables[:, L.top], a])):
-            _set_tight_mask(monkeypatch, H, mask)
-            want = _tight_subset_per_member(ctx)
-            assert check_tight_subset(ctx) == want
+            want = planted(mask)
             if want and want.split()[0] in ("left", "right"):
                 assert want.startswith(side)
                 sides.add(side)
     assert sides == {"left", "right"}
     # the maps with at most one value above the bottom are closed under both
     # composites but not under joins
-    _set_tight_mask(monkeypatch, H, [len(set(t) - {L.bottom}) <= 1 for t in H.tables.tolist()])
-    assert _tight_subset_per_member(ctx) == check_tight_subset(ctx) == "tight subset is not closed under joins"
+    mask = [len(set(t) - {L.bottom}) <= 1 for t in H.tables.tolist()]
+    assert planted(mask) == "tight subset is not closed under joins"
     for k in range(H.m):
         flipped = real.copy()
         flipped[k] = not flipped[k]
-        _set_tight_mask(monkeypatch, H, flipped)
-        assert check_tight_subset(ctx) == _tight_subset_per_member(ctx), k
+        assert planted(flipped) is not None, k
+
+
+@pytest.mark.parametrize("name", ["m3", "m5", "n5"])
+def test_tight_subset_reports_the_interior_and_composite_witnesses(pair_scan_ctxs, monkeypatch, name):
+    """Faults the down image cannot see: a planted tight interior k that
+    keeps the tight mask, and a planted composite of a tight member with a
+    join-irreducible member; each gives its own witness."""
+    ctx = pair_scan_ctxs[name]
+    H = ctx.homset
+    mask, real_k = H.tight_mask, H.tight_interior_tables
+    k = H.index_rows(real_k)
+    f_e, g_e = structures._irreducibles(H).lower_cover_edges
+    loose = np.flatnonzero(~mask)
+
+    def plant_k(at, row):
+        tab = np.array(real_k)
+        tab[at] = H.tables[row]
+        monkeypatch.setitem(H._cache, "tight_t", tab)
+
+    plant_k(H.tight_indices()[-1], H.bottom_index)
+    assert check_tight_subset(ctx) == "tight subset differs from the fixed points of the tight interior"
+    f = int(loose[loose != H.top_index][0])
+    plant_k(f, H.top_index)
+    assert check_tight_subset(ctx) == f"tight interior is not deflationary at member {f}"
+    # k(f) = p for a member p strictly below a loose f keeps k deflationary
+    # and its fixed points; the first such plant that breaks monotonicity
+    # (on m3 none does)
+    leq = order_on_J(H)
+    for f, p in ((f, p) for f in loose for p in np.flatnonzero(leq[:, f]) if p != f):
+        planted = k.copy()
+        planted[f] = p
+        bad = ~leq[planted[g_e], planted[f_e]]
+        if bad.any():
+            e = int(np.argmax(bad))
+            plant_k(f, p)
+            want = f"tight interior is not monotone on the cover edge ({g_e[e]}, {f_e[e]})"
+            assert check_tight_subset(ctx) == want
+            break
+    else:
+        assert name == "m3"
+    monkeypatch.setitem(H._cache, "tight_t", real_k)
+    assert check_tight_subset(ctx) is None
+
+    tight, real = H.tight_indices(), EndoHomset.compose_indices
+    for side, at in (("left", 0), ("right", 0), ("left", len(tight) - 1), ("right", len(tight) - 1)):
+        def escaping(self, gs, fs=None):
+            out = real(self, gs, fs).copy()
+            if side == "left" and np.array_equal(gs, tight):
+                out[at, -1] = loose[0]
+            if side == "right" and np.array_equal(fs, tight):
+                out[-1, at] = loose[0]
+            return out
+
+        monkeypatch.setattr(EndoHomset, "compose_indices", escaping)
+        want = f"{side} composite with tight member {tight[at]} escapes the tight subset"
+        assert check_tight_subset(ctx) == want
 
 
 # -- old bodies of the pair scans ------------------------------------------------------------
-
-
-def _tight_subset_every_composite(ctx):
-    """check_tight_subset before its all-tight skip: every composite and
-    every join of tight members is looked up, whatever the mask holds."""
-    H = ctx.homset_capped(quantale.MATRIX_CAP, "tight subset scan")
-    tight = H.tight_indices()
-    mask = H.tight_mask
-    members = np.arange(H.m)
-    step = max(1, verify.BLOCK_ROWS // H.m)
-    left = np.empty(H.m, dtype=bool)
-    right = np.ones(H.m, dtype=bool)
-    for start in range(0, H.m, step):
-        block = members[start:start + step]
-        closed = mask[H.compose_indices(block, members)]
-        left[block] = closed.all(axis=1)
-        right &= closed.all(axis=0)
-    escaping = tight[~(left[tight] & right[tight])]
-    if escaping.size:
-        t = int(escaping[0])
-        side = "left" if not left[t] else "right"
-        return f"{side} composite with tight member {t} escapes the tight subset"
-    step = max(1, verify.BLOCK_ROWS // max(1, len(tight)))
-    for start in range(0, len(tight), step):
-        if not mask[H.join_indices(tight[start:start + step], tight)].all():
-            return "tight subset is not closed under joins"
-    down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))
-    if set(down_idx.tolist()) != set(int(i) for i in tight):
-        return "image of the down transform differs from the tight subset"
-    if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
-        return "down transform surjectivity disagrees with tightness of the identity"
-    return None
 
 
 def _wk_composition_by_rows(ctx):
@@ -1656,26 +1708,27 @@ def pair_scan_ctxs():
 
 def test_the_pair_scans_agree_with_their_old_bodies(pair_scan_ctxs):
     for name, ctx in pair_scan_ctxs.items():
-        assert check_tight_subset(ctx) == _tight_subset_every_composite(ctx) is None, name
+        assert check_tight_subset(ctx) == tight_subset_every_composite(ctx) is None, name
+        assert check_raney_adjunction(ctx) == raney_adjunction_by_pairs(ctx) is None, name
         if ctx.poset is not None:
             assert check_wk_composition(ctx) == _wk_composition_by_rows(ctx) is None, name
 
 
 @pytest.mark.parametrize("name", ["m3", "m5"])
 def test_a_flipped_tight_entry_gives_the_old_verdict(pair_scan_ctxs, monkeypatch, name):
+    """Both forms fail on one flipped entry of the tight mask: the old body
+    with a composite, join or image witness, the check, which compares the
+    down image first, with the image witness."""
     ctx = pair_scan_ctxs[name]
     H = ctx.homset
     real = np.array(H.tight_mask)
     tight, loose = np.flatnonzero(real), np.flatnonzero(~real)
-    witnesses = set()
     for k in (tight[0], tight[-1], loose[0], loose[-1], H.identity_index):
         flipped = real.copy()
         flipped[k] = not flipped[k]
         _set_tight_mask(monkeypatch, H, flipped)
-        want = _tight_subset_every_composite(ctx)
-        assert check_tight_subset(ctx) == want, k
-        witnesses.add(want)
-    assert None not in witnesses
+        assert tight_subset_every_composite(ctx) is not None, k
+        assert check_tight_subset(ctx) == IMAGE_WITNESS, k
 
 
 @pytest.mark.parametrize("name", ["boolean3", "downset-vee-plus-point"])
@@ -1693,7 +1746,7 @@ def test_tight_subset_looks_up_no_composite_when_every_member_is_tight(pair_scan
     assert check_tight_subset(ctx) is None
     assert calls == []
     with pytest.raises(AssertionError, match="no composite"):
-        _tight_subset_every_composite(ctx)
+        tight_subset_every_composite(ctx)
 
 
 @pytest.mark.parametrize("name, i, j", [
@@ -1968,7 +2021,7 @@ def test_raney_adjunction_sides_equal_the_scans_of_all_columns(kernel_homsets):
         L = H.lattice
         ctx = _Ctx(L, SuiteConfig())
         inf = ctx.inf_tables
-        lhs, rhs = verify._raney_adjunction_sides(ctx)
+        lhs, rhs = raney_adjunction_sides(ctx)
         assert (lhs == leq_tables(L, raney_down_tables(L, inf), H.tables)).all(), name
         assert (rhs == leq_tables(L, inf, raney_up_tables(L, H.tables))).all(), name
         assert (lhs == rhs).all(), name
@@ -2011,6 +2064,96 @@ def test_raney_adjunction_fails_on_a_transform_broken_off_the_irreducibles(
     (got,) = run_suite(L, SuiteConfig(checks=("raney-adjunction",))).results
     assert got.status == "fail"
     assert got.witness.startswith("KeyError")
+
+
+def _fresh(pair_scan_ctxs, name):
+    """A context of its own for a corpus lattice, whose memos a test may plant."""
+    ctx = pair_scan_ctxs[name]
+    return _Ctx(ctx.L, SuiteConfig(), poset=ctx.poset)
+
+
+@pytest.mark.parametrize("name", ["m3", "m5"])
+def test_both_forms_of_raney_adjunction_fail_on_a_rolled_star(pair_scan_ctxs, name):
+    """A rolled star alone breaks only the down-monotone fact, which the old
+    pair form does not read; rolled together with the down transform, so
+    that down(rho_f) = star(f) still holds, both forms fail."""
+    ctx = _fresh(pair_scan_ctxs, name)
+    H, H_op = ctx.homset, ctx.inf_homset
+    assert check_raney_adjunction(ctx) is None
+    star = np.roll(H.star_indices, 1)
+    H._cache["star_idx"] = star
+    assert check_raney_adjunction(ctx).startswith("down transform is not monotone on the cover edge")
+    assert raney_adjunction_by_pairs(ctx) is None
+    down = np.array(H_op.up_transform_tables)
+    down[H_op.index_rows(H.rho_tables)] = H.tables[star]
+    H_op._cache["up_t"] = down
+    assert check_raney_adjunction(ctx) is not None
+    assert raney_adjunction_by_pairs(ctx) is not None
+
+
+@pytest.mark.parametrize("name", ["m3", "m5"])
+def test_both_forms_of_raney_adjunction_fail_on_a_replaced_up_row(pair_scan_ctxs, name):
+    """One member's up transform replaced by another member's: every up(f)
+    is still an inf map, so only the unit, the counit or the monotonicity
+    of up can see it."""
+    ctx = _fresh(pair_scan_ctxs, name)
+    H = ctx.homset
+    up = np.array(H.up_transform_tables)
+    r = H.m // 2
+    other = int(np.flatnonzero((up != up[r]).any(axis=1))[0])
+    up[r] = up[other]
+    H._cache["up_t"] = up
+    got = check_raney_adjunction(ctx)
+    assert got is not None and got.split()[0] in ("unit", "counit", "up"), got
+    assert raney_adjunction_by_pairs(ctx) is not None
+
+
+@pytest.mark.parametrize("name", ["m3", "m5"])
+def test_both_forms_of_raney_adjunction_fail_on_a_raised_down_row(pair_scan_ctxs, name):
+    """down(g0) raised to the top member for g0 = up(f0): up is monotone, so
+    every unit g <= up(down g) still holds, and the counit fails at the
+    first member f != top with up(f) = g0."""
+    ctx = _fresh(pair_scan_ctxs, name)
+    H, H_op = ctx.homset, ctx.inf_homset
+    down = np.array(H_op.up_transform_tables)
+    u = H_op.index_rows(H.up_transform_tables)
+    f0 = next(f for f in range(H.m) if f != H.top_index and H.index_rows(down[u[f]])[0] != H.top_index)
+    down[u[f0]] = H.tables[H.top_index]
+    H_op._cache["up_t"] = down
+    first = int(np.flatnonzero((u == u[f0]) & (np.arange(H.m) != H.top_index))[0])
+    assert check_raney_adjunction(ctx) == f"counit of the transform adjunction fails at member {first}"
+    assert raney_adjunction_by_pairs(ctx) is not None
+
+
+def test_raney_adjunction_and_tight_subset_build_no_pair_table_on_m3xchain2(monkeypatch):
+    """m3 x chain2 (2,500 members, 2,200 tight): no order table and no
+    composite or join table of more than |T| |JI(Q)| cells; both checks
+    pass, and tight-subset also alone, with homset-irreducibles not run."""
+    L = _product(make_mk(3), make_chain(2))
+    H = enumerate_homset(L)
+    bound = int(H.tight_mask.sum()) * len(structures._irreducibles(H).join_irreducible_indices)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("leq_tables called")
+
+    assert not hasattr(verify, "leq_tables")
+    monkeypatch.setattr(maps, "leq_tables", refuse)
+    monkeypatch.setattr(structures, "leq_tables", refuse)
+    cells = []
+    for kernel in ("compose_indices", "join_indices"):
+        def bounded(self, gs, fs=None, _real=getattr(EndoHomset, kernel)):
+            cells.append(np.size(gs) * (self.m if fs is None else np.size(fs)))
+            assert cells[-1] <= bound, f"{cells[-1]} cells"
+            return _real(self, gs, fs)
+
+        monkeypatch.setattr(EndoHomset, kernel, bounded)
+    report = run_suite(L, SuiteConfig(checks=("raney-adjunction", "tight-subset")), name="m3xchain2")
+    assert [(r.check_id, r.status) for r in report.results] == [
+        ("raney-adjunction", "pass"), ("tight-subset", "pass")]
+    assert report.flag_errors == {}
+    assert cells and max(cells) <= bound
+    (alone,) = run_suite(L, SuiteConfig(checks=("tight-subset",))).results
+    assert alone.status == "pass"
 
 
 # -- the transform facts, each read from one table ----------------------------------------
