@@ -319,8 +319,10 @@ def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
     """All join-preserving endomaps of L, capped at `cap` members: their values
     on J from `assignments_on_J`, in the order of the down-sets, extended by
     `extend_from_J`, then the full join check.  The assignments are monotone
-    on J, so no two extend to the same row.  Past max(1000000, 16 * cap)
-    candidate assignments, CapExceeded."""
+    on J, so no two extend to the same row: the rows are sorted
+    lexicographically, the order of np.unique(axis=0), and a repeated row
+    raises ValueError.  Past max(1000000, 16 * cap) candidate assignments,
+    CapExceeded."""
     order = sorted(join_irreducibles(L), key=lambda j: int(L.leq[:, j].sum()))
     part = assignments_on_J(L, order, work_cap=max(1_000_000, 16 * cap))
     pair_items = [(x, pairs) for x, pairs in L.incomparable_join_pairs.items() if pairs]
@@ -336,7 +338,10 @@ def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
         total += len(chunks[-1])
         if total > 4 * cap:
             raise CapExceeded(f"homset has more than {cap} maps", total)
-    tables = np.unique(np.concatenate(chunks), axis=0)
+    tables = _lexsorted(np.concatenate(chunks))
+    repeated = np.flatnonzero((tables[1:] == tables[:-1]).all(axis=1))
+    if repeated.size:
+        raise ValueError(f"two assignments on J extend to the row {tables[repeated[0]].tolist()}")
     if len(tables) > cap:
         raise CapExceeded(f"homset has more than {cap} maps", len(tables))
     return EndoHomset(L, tables)
@@ -345,6 +350,12 @@ def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
 def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
     """Tables of all meet-preserving endomaps (the homset of L.op)."""
     return enumerate_homset(L.op, cap).tables
+
+
+def _lexsorted(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order, first column most significant: the
+    order of np.unique(rows, axis=0) by one np.lexsort, with no dedup."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -366,7 +377,7 @@ class EndoHomset:
     """The table of every join-preserving endomap of a lattice, lex-sorted as
     `enumerate_homset` builds it.  Derived tables and search results are
     computed once into `_cache` by `lattice.cached`: the lookup under "keys",
-    the composite and join weights under "comp_w" and "join_w", the
+    the composite weights under "comp_w", the
     distinguished members under "id_idx", "bot_idx" and "top_idx", the
     transforms under "rho", "up_t", "tight_t", "tight_mask" and "star_idx",
     the opposite homset under "op", the sup-interior memo under "interior",
@@ -379,9 +390,9 @@ class EndoHomset:
     over the j <= x.  So every member is found by its J-key, the sum of
     n^k * f(j_k).  Building the keys checks once that every member is
     join-preserving and that no two share their J-key (ValueError
-    otherwise); composites and joins of members are join-preserving, so
-    `compose_indices` and `join_indices` need only their J-keys: g o f has
-    the product tables[g] @ W[:, f], and g v f the sum of |J| gathers.
+    otherwise); composites of members are join-preserving, so
+    `compose_indices` needs only their J-keys: g o f has the product
+    tables[g] @ W[:, f].
     `index_rows` takes any rows, join-preserving or not, so it also
     compares the rest of the row with the member its key finds.  While
     n^|J| <= SLOT_CAP (boolean 4 with 16^4 keys, mk 6 with 8^6, the cap) a
@@ -481,26 +492,6 @@ class EndoHomset:
         w = W if fs is None else W[:, np.atleast_1d(fs)]
         q = self.tables[np.atleast_1d(gs)].astype(W.dtype) @ w
         return self._index_keys(q.astype(np.int64, copy=False))
-
-    @cached("join_w")
-    def _join_weights(self) -> np.ndarray:
-        """jw[k, a, b] = radix[k] * join(a, b): the key of g v f is the sum
-        over k of jw[k, g(J[k]), f(J[k])]."""
-        _, radix, _, _ = self._keys()
-        return _freeze(radix[:, None, None] * self.lattice.join.astype(radix.dtype))
-
-    def join_indices(self, gs, fs) -> np.ndarray:
-        """Index of the pointwise join g v f for every member g in gs and f in
-        fs, shape (len(gs), len(fs)).  A join that is not a member raises
-        KeyError, as in index_rows."""
-        gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
-        J = self._keys()[0]
-        g_tabs, f_tabs = self.tables[gs], self.tables[fs]
-        jw = self._join_weights()
-        q = np.zeros((len(gs), len(fs)), dtype=jw.dtype)
-        for k, x in enumerate(J):
-            q += jw[k][g_tabs[:, x]].take(f_tabs[:, x], axis=1)
-        return self._index_keys(q)
 
     def index_of(self, f: LatticeMap) -> int:
         return int(self.index_rows(f.as_array())[0])

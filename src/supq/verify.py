@@ -34,6 +34,7 @@ from supq.quantale import (
     TABLE_SCAN_CAP,
     EndoHomset,
     _distinct,
+    _lexsorted,
     assignments_on_J,
     automorphism_to_dualizing,
     conucleus_gap,
@@ -48,6 +49,7 @@ from supq.quantale import (
     tight_has_unit,
 )
 from supq.structures import (
+    _downsets,
     abstract_raney_check,
     autodual_report,
     classify_natural,
@@ -779,7 +781,8 @@ def check_wk_bijection(ctx: _Ctx):
     differs = np.flatnonzero((supmap_tables(P, rels) != H.tables).any(axis=1))
     if len(differs):
         return f"relation round trip differs for map {differs[0]}"
-    if len(np.unique(rels.reshape(H.m, -1), axis=0)) != H.m:
+    codes = _lexsorted(np.packbits(rels.reshape(H.m, -1), axis=1))  # each relation as bytes
+    if (codes[1:] == codes[:-1]).all(axis=1).any():
         return "map-to-relation translation is not injective"
     outside = np.flatnonzero(((P.leq @ rels @ P.leq) & ~rels).any(axis=(1, 2)))
     if len(outside):
@@ -794,43 +797,47 @@ def check_wk_bijection(ctx: _Ctx):
     return None
 
 
-def _packed_rows(rows: np.ndarray) -> np.ndarray:
-    """The k = len(rows) rows rows[y] of k-bit masks packed 63 // k to an
-    int64 word: row y goes to word y // (63 // k) at bit k * (y % (63 // k)),
-    so one word holds all k rows while k <= 7.  Shape (words,) + rows.shape[1:]."""
-    k = len(rows)
-    per = 63 // max(k, 1)
-    words = np.zeros((-(-k // per),) + rows.shape[1:], dtype=np.int64)
-    for y in range(k):
-        words[y // per] |= rows[y] << np.int64(k * (y % per))
-    return words
-
-
 def check_wk_composition(ctx: _Ctx):
-    """R_i;R_j is the relation of f_i o f_j for every pair, compared as
-    packed relation codes, in one blocked pass whose witness is the first
-    failing pair (i, j) in row-major order."""
-    P, H = ctx.poset, ctx.homset
+    """R_f;R_g is the relation of f o g for every member f and g, tested on
+    the |P|^2 generators g_(a,b) alone: t -> down b when a is in t, else
+    the empty set, whose relation is the down-set of (b, a) in P x P^op.
+    For fixed f both sides preserve joins in g: relational composition
+    distributes over unions, f preserves joins (checked when the J-keys are
+    built) and so does g -> R_g, as joins in D(P) are unions, which the body
+    tests on the join table: then bottom v t = t makes the bottom a subset
+    of every downset, the empty one included.  Every g is the join of the
+    g_(a,b) with (b, a) in R_g, as R_g is a down-set of P x P^op and
+    g -> R_g is injective (wk-bijection) and the body tests the relation of
+    each generator, looked up strictly.  So m |P|^2 composites are compared,
+    as relation rows of |P| bits, in blocks of members f; the witness is
+    the first failing (f, g), the generators in index order."""
+    P, D, H = ctx.poset, ctx.L, ctx.homset
+    rows, index = _downsets(P)  # [t, x] = x lies in the downset t
+    if (rows[D.join] != rows[:, None] | rows[None, :]).any():
+        return "joins of the downset lattice are not unions"
+    a, b = np.divmod(np.arange(P.n * P.n), P.n)
+    gens = H.index_rows(np.where(rows.T[a], index(P.leq.T)[b, None], D.bottom))  # [(a, b)] = g_(a,b)
     rels = wk_tables(P, H.tables)
+    wrong = np.flatnonzero((rels[gens] != P.leq.T[b, :, None] & P.leq[a, None, :]).any(axis=(1, 2)))
+    if wrong.size:
+        k = wrong[0]
+        return f"relation of the generator g_({a[k]},{b[k]}) is not the down-set of ({b[k]}, {a[k]})"
+    gens = np.sort(gens)
     rowbits = rels @ (np.int64(1) << np.arange(P.n, dtype=np.int64))  # [f, y] = row y of R_f as bits
-    # row y of R_i;R_j is the union of the rows z of R_j over the z in row y of
-    # R_i; unions[s, j] is that union for the s-th distinct row, sets[s]
-    sets, row_set = np.unique(rowbits, return_inverse=True)
-    row_set = row_set.reshape(rowbits.shape)
-    unions = np.zeros((len(sets), H.m), dtype=np.int64)
+    # unions[s, k] = the union of the rows z of R_(gens[k]) over the z in the set s
+    sets = np.arange(1 << P.n, dtype=np.int64)
+    unions = np.zeros((len(sets), len(gens)), dtype=np.int64)
     for z in range(P.n):
-        unions |= np.where((sets[:, None] >> z) & 1 == 1, rowbits[:, z], 0)
-    code = _packed_rows(rowbits.T)  # [word, f] = packed rows of R_f
+        unions |= np.where((sets[:, None] >> z) & 1 == 1, rowbits[gens, z], 0)
     members = np.arange(H.m)
-    step = max(1, BLOCK_ROWS // H.m)
+    step = max(1, BLOCK_ROWS // len(gens))
     for start in range(0, H.m, step):
         block = members[start:start + step]
-        comp = H.compose_indices(block)  # [i, j] = f_i o f_j
-        got = _packed_rows(unions[row_set[block].T])  # [word, i, j] = packed rows of R_i;R_j
-        bad = (got != code.take(comp, axis=1)).any(axis=0)
+        comp = H.compose_indices(block, gens)  # [i, k] = f_i o gens[k]
+        bad = (unions[rowbits[block]] != rowbits[comp].transpose(0, 2, 1)).any(axis=1)
         if bad.any():
-            b, j = np.argwhere(bad)[0]
-            return f"relational composition differs from map composition at ({block[b]}, {j})"
+            i, k = np.argwhere(bad)[0]
+            return f"relational composition differs from map composition at ({block[i]}, {gens[k]})"
     return None
 
 

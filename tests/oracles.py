@@ -1,10 +1,27 @@
-"""Test-only oracles: the order of a homset's members, and the bodies that
-checks of the verifier replaced, kept to compare the new forms against."""
+"""Test-only oracles: the order of a homset's members, the join kernel of
+the J-keys, and the bodies that checks of the verifier replaced, kept to
+compare the new forms against."""
 import numpy as np
 
 from supq import quantale, verify
 from supq.lattice import join_irreducibles, meet_irreducibles
 from supq.maps import leq_tables
+
+
+def join_indices(H, gs, fs) -> np.ndarray:
+    """Index of the pointwise join g v f for every member g in gs and f in
+    fs, shape (len(gs), len(fs)), from the J-keys by |J| gathers: a join of
+    members is join-preserving, so its J-key settles it, the sum over k of
+    jw[k, g(J[k]), f(J[k])] with jw[k, a, b] = radix[k] * join(a, b).  A
+    join that is not a member raises KeyError, as in index_rows."""
+    gs, fs = np.atleast_1d(gs), np.atleast_1d(fs)
+    J, radix, _, _ = H._keys()
+    g_tabs, f_tabs = H.tables[gs], H.tables[fs]
+    jw = radix[:, None, None] * H.lattice.join.astype(radix.dtype)
+    q = np.zeros((len(gs), len(fs)), dtype=jw.dtype)
+    for k, x in enumerate(J):
+        q += jw[k][g_tabs[:, x]].take(f_tabs[:, x], axis=1)
+    return H._index_keys(q)
 
 
 def order_on_J(H) -> np.ndarray:
@@ -97,11 +114,52 @@ def tight_subset_every_composite(ctx):
         return f"{side} composite with tight member {t} escapes the tight subset"
     step = max(1, verify.BLOCK_ROWS // max(1, len(tight)))
     for start in range(0, len(tight), step):
-        if not mask[H.join_indices(tight[start:start + step], tight)].all():
+        if not mask[join_indices(H, tight[start:start + step], tight)].all():
             return "tight subset is not closed under joins"
     down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
         return "down transform surjectivity disagrees with tightness of the identity"
+    return None
+
+
+def wk_composition_by_rows(ctx):
+    """check_wk_composition before the packed codes and the generators:
+    row y of R_i;R_j against row y of the relation of each composite, for
+    every pair (i, j), in blocks of rows i."""
+    P, H = ctx.poset, ctx.homset
+    rels = verify.wk_tables(P, H.tables)
+    rowbits = rels @ (np.int64(1) << np.arange(P.n, dtype=np.int64))
+    sets, row_set = np.unique(rowbits, return_inverse=True)
+    row_set = row_set.reshape(rowbits.shape)
+    unions = np.zeros((len(sets), H.m), dtype=np.int64)
+    for z in range(P.n):
+        unions |= np.where((sets[:, None] >> z) & 1 == 1, rowbits[:, z], 0)
+    members = np.arange(H.m)
+    step = max(1, verify.BLOCK_ROWS // H.m)
+    for start in range(0, H.m, step):
+        block = members[start:start + step]
+        comp = H.compose_indices(block, members)
+        got = unions[row_set[block]]  # [i, y, j] = row y of R_i;R_j
+        bad = (got != rowbits[comp].transpose(0, 2, 1)).any(axis=1)
+        if bad.any():
+            b, j = np.argwhere(bad)[0]
+            return f"relational composition differs from map composition at ({block[b]}, {j})"
+    return None
+
+
+def wk_composition_per_member(ctx, right=None):
+    """Relational against map composition, one member f_i at a time, with
+    the composites materialized and looked up by index_rows; on the right
+    every member, or the members `right` in index order."""
+    P, H = ctx.poset, ctx.homset
+    right = np.arange(H.m) if right is None else np.sort(right)
+    rels = verify.wk_tables(P, H.tables).astype(np.int32)
+    tabs = H.tables[right].astype(np.int64)
+    for i in range(H.m):
+        comp_idx = H.index_rows(H.tables[i][tabs])
+        bad = (((rels[i] @ rels[right]) > 0) != (rels[comp_idx] > 0)).any(axis=(1, 2))
+        if bad.any():
+            return f"relational composition differs from map composition at ({i}, {right[np.argmax(bad)]})"
     return None

@@ -66,6 +66,7 @@ from supq.quantale import (
 from supq.verify import corpus
 
 from oracles import order_on_J
+from perfbench import workloads
 
 CORPUS = {
     "chain2": make_chain(2),
@@ -137,6 +138,30 @@ def test_homset_matches_exhaustive_filter_on_m5():
     expected = sup_tables_scan(L)
     assert H.m == len(expected) == 1582
     assert (H.tables == np.unique(expected, axis=0)).all()
+
+
+def test_enumeration_order_is_that_of_np_unique():
+    """The rows come out in the order of np.unique(axis=0), for the homset
+    of every corpus and seed-0 midsize lattice and of its opposite."""
+    for name, L, _ in corpus() + workloads.build("midsize", 0):
+        for side in (L, L.op):
+            tables = enumerate_homset(side).tables
+            assert np.array_equal(tables, np.unique(tables, axis=0)), name
+
+
+def test_two_assignments_with_one_row_raise(monkeypatch):
+    """No two assignments on J extend to the same row; if two did, the
+    enumeration raises rather than dropping one."""
+    real = quantale.extend_from_J
+
+    def twice(L, J, vals):
+        ext = real(L, J, vals)  # [x, row]
+        ext[:, -1] = ext[:, 0]
+        return ext
+
+    monkeypatch.setattr(quantale, "extend_from_J", twice)
+    with pytest.raises(ValueError, match="two assignments on J extend to the row"):
+        enumerate_homset(make_boolean(2))
 
 
 def test_homset_sizes_frozen():
