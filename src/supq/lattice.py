@@ -164,6 +164,18 @@ class Poset:
         closed.sort(key=lambda m: (bin(m).count("1"), m))
         return closed
 
+    def downset_count(self) -> int:
+        """len(downset_masks()) without the list: N(S) = N(S - up x) + N(S - down x) for x in S,
+        as a downset leaves out x and up x or holds x and down x; N(empty) = 1, memoized on S."""
+        up, down = [_int_mask(row) for row in self.leq], [_int_mask(row) for row in self.leq.T]
+
+        @functools.cache
+        def count(S: int) -> int:
+            x = (S & -S).bit_length() - 1
+            return count(S & ~up[x]) + count(S & ~down[x]) if S else 1
+
+        return count((1 << self.n) - 1)
+
     def downsets(self) -> list[frozenset]:
         return [frozenset(i for i in range(self.n) if mask >> i & 1) for mask in self.downset_masks()]
 

@@ -247,6 +247,13 @@ def _flat_index_dtype(n: int):
     return np.int16 if n * n <= 1 << 15 else np.int32
 
 
+def table_take(T: np.ndarray, a, b) -> np.ndarray:
+    """T[a, b] for an n x n table T and element arrays a, b of broadcasting
+    shapes, by one `take` at a*n + b in the dtype of _flat_index_dtype(n)."""
+    dt = _flat_index_dtype(len(T))
+    return T.ravel().take(np.asarray(a, dtype=dt) * dt(len(T)) + np.asarray(b, dtype=dt))
+
+
 def join_fold(L: Lattice, vecs: np.ndarray) -> np.ndarray:
     """The join in L over the first axis of `vecs`, a stack of element
     vectors, or bottom for an empty stack: the one kernel that reads joins of

@@ -25,7 +25,6 @@ from supq.maps import (
     LatticeMap,
     MapError,
     _as_rows,
-    _flat_index_dtype,
     _interior_steps,
     a_map,
     c_map,
@@ -39,6 +38,7 @@ from supq.maps import (
     right_adjoint_tables,
     sup_interior,
     sup_interior_tables,
+    table_take,
     tensor_over,
 )
 
@@ -247,16 +247,14 @@ def tensor_meet_tables(L: Lattice, h_tabs: np.ndarray, f_tabs: np.ndarray) -> np
     down give each M[t] the meet over every v >= t."""
     h, f = _as_rows(h_tabs).T, _as_rows(f_tabs).T  # [x, row], one row or all
     n = L.n
-    dt = _flat_index_dtype(n)
-    mt = L.meet.ravel().astype(dt, copy=False)
     rows = max(h.shape[1], f.shape[1])
-    M = np.full((n, rows), L.top, dtype=dt)  # [v, row]
+    M = np.full((n, rows), L.top, dtype=np.int16)  # [v, row]
     flat, cols = M.reshape(-1), np.arange(rows)
     for x in range(n):
         at = f[x].astype(np.intp) * rows + cols
-        flat[at] = mt.take(flat.take(at) * dt(n) + h[x])
+        flat[at] = table_take(L.meet, flat.take(at), h[x])
     for t, p in _interior_steps(L)[0]:
-        M[t] = mt.take(M[t] * dt(n) + M[p])
+        M[t] = table_take(L.meet, M[t], M[p])
     M[L.bottom] = L.bottom
     return np.ascontiguousarray(M.T, dtype=np.int16)
 
@@ -338,10 +336,9 @@ def enumerate_homset(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> "EndoHomset":
         total += len(chunks[-1])
         if total > 4 * cap:
             raise CapExceeded(f"homset has more than {cap} maps", total)
-    tables = _lexsorted(np.concatenate(chunks))
-    repeated = np.flatnonzero((tables[1:] == tables[:-1]).all(axis=1))
-    if repeated.size:
-        raise ValueError(f"two assignments on J extend to the row {tables[repeated[0]].tolist()}")
+    tables, _, _, counts = _row_groups(np.concatenate(chunks))
+    if (counts > 1).any():
+        raise ValueError(f"two assignments on J extend to the row {tables[np.argmax(counts > 1)].tolist()}")
     if len(tables) > cap:
         raise CapExceeded(f"homset has more than {cap} maps", len(tables))
     return EndoHomset(L, tables)
@@ -352,10 +349,15 @@ def enumerate_inf_maps(L: Lattice, cap: int = DEFAULT_HOMSET_CAP) -> np.ndarray:
     return enumerate_homset(L.op, cap).tables
 
 
-def _lexsorted(rows: np.ndarray) -> np.ndarray:
-    """The rows in lexicographic order, first column most significant: the
-    order of np.unique(rows, axis=0) by one np.lexsort, with no dedup."""
-    return rows[np.lexsort(rows.T[::-1])]
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """np.unique(rows, axis=0) with return_index, return_inverse and return_counts, read off
+    adjacent rows of one np.lexsort (stable, first column most significant)."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return s[new], order[new], group, np.diff(np.flatnonzero(np.r_[new, True]))
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -426,8 +428,7 @@ class EndoHomset:
             raise CapExceeded(f"J-key space of {size} keys exceeds the int64 range", size)
         ok = t[:, L.bottom] == L.bottom
         for a in range(L.n - 1):
-            b = np.arange(a + 1, L.n)
-            ok &= (t[:, L.join[a, b]] == L.join[t[:, [a]], t[:, b]]).all(axis=1)
+            ok &= (t[:, L.join[a, a + 1:]] == table_take(L.join, t[:, [a]], t[:, a + 1:])).all(axis=1)
         if not ok.all():
             raise ValueError(f"member {int(np.argmin(ok))} is not join-preserving")
         radix = np.int64(L.n) ** np.arange(len(J), dtype=np.int64)

@@ -38,12 +38,14 @@ from supq.maps import (
     join_fold,
     leq_tables,
     pointwise_join,
+    table_take,
     tensor_tables,
 )
 from supq.quantale import (
     MATRIX_CAP,
     TABLE_SCAN_CAP,
     EndoHomset,
+    _row_groups,
     is_completely_distributive,
 )
 
@@ -217,9 +219,9 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     J, radix, _, _ = H._keys()
     mk, jk = np.repeat(ms.ravel(), len(jl)), np.tile(js.ravel(), len(ml))  # pair k, m-major
     on_J, below = H.tables[:, J], L.leq[J][:, jk].T  # below[k, i] = J[i] <= j_k
-    vals = np.where(below, L.meet[on_J[:, None, :], mk[:, None]], on_J[:, None, :])
+    vals = np.where(below, table_take(L.meet, on_J[:, None, :], mk[:, None]), on_J[:, None, :])
     cand = H._interior_keys(vals.astype(np.int64) @ radix)  # [f, k] = f meet tau_k
-    inside = L.leq[H.tables[:, jk], mk]  # [g, k] = g <= tau_k
+    inside = table_take(L.leq, H.tables[:, jk], mk)  # [g, k] = g <= tau_k
     sig = np.packbits(np.pad(inside, ((0, 0), (0, -len(mk) % 64))), axis=1, bitorder="little")
     sig = np.ascontiguousarray(sig).view(np.uint64)  # [g, word]
     live, maximal = ~inside, ~inside  # maximal: f meet tau_k is a lower cover of f
@@ -442,12 +444,10 @@ def classify_natural(H: EndoHomset) -> NaturalClassification:
     c_idx = H.index_rows(e_tables(L, L, vs, L.bottom))  # c_y = e(y, bottom)
     a_idx = H.index_rows(e_tables(L, L, L.top, vs))     # a_x = e(top, x)
     seeded = H.compose_indices(np.arange(H.m), a_idx)   # [seed, x] = f0 o a_x
-    # return_index makes numpy sort stably, fast on these nearly sorted rows
-    rows, _, row_of = np.unique(seeded, axis=0, return_index=True, return_inverse=True)
+    rows, _, row_of, _ = _row_groups(seeded)
     comp = H.compose_indices(c_idx, rows.ravel()).reshape(n, len(rows), n)  # [y, row, x]
-    distinct, fam_of = np.unique(comp.transpose(1, 0, 2).reshape(len(rows), n * n),
-                                 axis=0, return_inverse=True)
-    _, first, seeds = np.unique(fam_of.ravel()[row_of.ravel()], return_index=True, return_counts=True)
+    distinct, _, fam_of, _ = _row_groups(comp.transpose(1, 0, 2).reshape(len(rows), n * n))
+    _, first, _, seeds = _row_groups(fam_of[row_of][:, None])  # every family has a seed
     e_table = H.compose_indices(c_idx, a_idx)
 
     natural = []

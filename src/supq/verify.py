@@ -26,6 +26,7 @@ from supq.lattice import (
 )
 from supq.maps import (
     e_tables,
+    table_take,
     tensor_tables,
 )
 from supq.quantale import (
@@ -34,7 +35,7 @@ from supq.quantale import (
     TABLE_SCAN_CAP,
     EndoHomset,
     _distinct,
-    _lexsorted,
+    _row_groups,
     assignments_on_J,
     automorphism_to_dualizing,
     conucleus_gap,
@@ -366,7 +367,7 @@ def check_sup_interior_props(ctx: _Ctx):
 
 def _not_below(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[i] = row A[i] does not lie below row B[i], compared on their columns."""
-    return ~L.leq[A, B].all(axis=1)
+    return ~table_take(L.leq, A, B).all(axis=1)
 
 
 def check_raney_adjunction(ctx: _Ctx):
@@ -539,23 +540,26 @@ def check_residual_adjunction(ctx: _Ctx):
     Members preserve joins (checked when their J-keys are built) and g -| rho_g
     (galois-adjunction), so g o f <= h exactly when f <= rho_g o h on J: the
     solutions are the cnt[kappa] members below kappa, the J-values of rho_g o h
-    (`_below_counts`), and g \\ h is their largest exactly when it lies below
-    kappa with cnt[kappa] members below it.  The right side is the same on H.op,
-    whose rho_f \\ rho_h is rho(h / f).  The witness is the first failing h."""
+    off the rho rows (`_below_counts`), and g \\ h is their largest exactly when
+    it lies below kappa, one take per J column on below[s][k][f*n + v] = f(J[k])
+    <= v, and cnt_m[s], the count at its own J-key, is cnt[kappa].  The right side
+    is the same on H.op, whose rho_f \\ rho_h is rho(h / f); the witness is the first failing h."""
     H = ctx.homset_capped(EXHAUSTIVE_PAIR_CAP, "exhaustive residual adjunction")
     sides = [(S, _below_counts(S), np.ascontiguousarray(S.rho_tables.T)) for S in (H, H.op)]
+    below = [[S.lattice.leq[S.tables[:, j]].ravel() for j in S._keys()[0]] for S in (H, H.op)]
+    cnt_m = [cnt[S._j_keys(S.tables)] for S, cnt, _ in sides]
     step = max(1, BLOCK_ROWS // H.m)  # members h per block of at most BLOCK_ROWS pairs
     for start in range(0, H.m, step):
         hs = np.arange(start, min(start + step, H.m))
-        bad = np.zeros((len(hs), 2, H.m), dtype=bool)  # [h, side, g]
+        bad = np.empty((len(hs), 2, H.m), dtype=bool)  # [h, side, g]
         for s, ((S, cnt, rho_T), res) in enumerate(zip(sides, (H.ldiv_indices(hs), H.rdiv_indices(hs)))):
             J, radix, _, _ = S._keys()
-            q_res = q_kappa = 0
-            for k, j in enumerate(J):  # [h, g] = rho_g(h(J[k])) and res[h, g](J[k])
-                kappa, at = rho_T[S.tables[hs, j]], S.tables[:, j][res]
-                bad[:, s] |= ~S.lattice.leq[at, kappa]  # res[h, g] is not below kappa
-                q_res, q_kappa = q_res + at * radix[k], q_kappa + kappa * radix[k]
-            bad[:, s] |= cnt[q_res] != cnt[q_kappa]
+            resn, ok, q_kappa = res * S.lattice.n, np.ones(res.shape, dtype=bool), 0
+            for k, j in enumerate(J):  # [h, g] = rho_g(h(J[k])), and res[h, g] is below it at J[k]
+                kappa = rho_T[S.tables[hs, j]]
+                ok &= below[s][k].take(resn + kappa)
+                q_kappa = q_kappa + kappa * radix[k]
+            bad[:, s] = ~ok | (cnt_m[s].take(res) != cnt.take(q_kappa))
         if bad.any():
             h, side, g = np.argwhere(bad)[0]  # the first failing h, the left side first, then g or f
             return f"{('left', 'right')[side]} residual adjunction fails at ({'gf'[side]}={g}, h={hs[h]})"
@@ -611,8 +615,8 @@ def check_division_formulas(ctx: _Ctx):
         up_x, st_y = up[:, xs[p]].T, st[:, ys[p]].T  # [pair, f] = up_f(x), star_f(y)
         e_div, e_codiv = div(e_idx[p]), codiv(e_idx[p])
         t_div, t_codiv = div(t_idx[p]), codiv(t_idx[p])
-        over = L.meet[e_on_J[up_x, bot], t_on_J[up_bot, y]]  # [pair, f, j]
-        under = L.meet[e_on_J[top, st_y], t_on_J[x, st_top]]
+        over = table_take(L.meet, e_on_J[up_x, bot], t_on_J[up_bot, y])  # [pair, f, j]
+        under = table_take(L.meet, e_on_J[top, st_y], t_on_J[x, st_top])
         bad = np.stack([
             keys[e_div] != t_key[up_x, y],
             keys[e_codiv] != t_key[x, st_y],
@@ -781,13 +785,12 @@ def check_wk_bijection(ctx: _Ctx):
     differs = np.flatnonzero((supmap_tables(P, rels) != H.tables).any(axis=1))
     if len(differs):
         return f"relation round trip differs for map {differs[0]}"
-    codes = _lexsorted(np.packbits(rels.reshape(H.m, -1), axis=1))  # each relation as bytes
-    if (codes[1:] == codes[:-1]).all(axis=1).any():
+    if len(_row_groups(np.packbits(rels.reshape(H.m, -1), axis=1))[0]) < H.m:  # each relation as bytes
         return "map-to-relation translation is not injective"
     outside = np.flatnonzero(((P.leq @ rels @ P.leq) & ~rels).any(axis=(1, 2)))
     if len(outside):
         return f"relation of map {outside[0]} is not a weakening relation"
-    weakening = len(Poset(np.kron(P.leq, P.leq.T), _validated=True).downset_masks())
+    weakening = Poset(np.kron(P.leq, P.leq.T), _validated=True).downset_count()
     if weakening != H.m:
         return f"{weakening} weakening relations vs {H.m} maps"
     if not (rels[H.identity_index] == P.leq).all():

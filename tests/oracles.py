@@ -3,9 +3,9 @@ the J-keys, and the bodies that checks of the verifier replaced, kept to
 compare the new forms against."""
 import numpy as np
 
-from supq import quantale, verify
+from supq import quantale, structures, verify
 from supq.lattice import join_irreducibles, meet_irreducibles
-from supq.maps import leq_tables
+from supq.maps import e_tables, leq_tables
 
 
 def join_indices(H, gs, fs) -> np.ndarray:
@@ -66,6 +66,61 @@ def residual_adjunction_by_order_matrix(H):
             return f"left residual adjunction fails at (g={int(np.argmax(bad_left[:, h]))}, h={h})"
         return f"right residual adjunction fails at (f={int(np.argmax(bad_right[:, h]))}, h={h})"
     return None
+
+
+def residual_adjunction_by_pair_gathers(H):
+    """check_residual_adjunction before its per-member below tables, without
+    its cap: the same count form, with res[h, g] <= kappa read by the
+    two-index gather L.leq[at, kappa] on the J-values of each residual, and
+    both counts read off the keys of the residual and of kappa."""
+    sides = [(S, verify._below_counts(S), np.ascontiguousarray(S.rho_tables.T)) for S in (H, H.op)]
+    step = max(1, verify.BLOCK_ROWS // H.m)
+    for start in range(0, H.m, step):
+        hs = np.arange(start, min(start + step, H.m))
+        bad = np.zeros((len(hs), 2, H.m), dtype=bool)  # [h, side, g]
+        for s, ((S, cnt, rho_T), res) in enumerate(zip(sides, (H.ldiv_indices(hs), H.rdiv_indices(hs)))):
+            J, radix, _, _ = S._keys()
+            q_res = q_kappa = 0
+            for k, j in enumerate(J):  # [h, g] = rho_g(h(J[k])) and res[h, g](J[k])
+                kappa, at = rho_T[S.tables[hs, j]], S.tables[:, j][res]
+                bad[:, s] |= ~S.lattice.leq[at, kappa]
+                q_res, q_kappa = q_res + at * radix[k], q_kappa + kappa * radix[k]
+            bad[:, s] |= cnt[q_res] != cnt[q_kappa]
+        if bad.any():
+            h, side, g = np.argwhere(bad)[0]
+            return f"{('left', 'right')[side]} residual adjunction fails at ({'gf'[side]}={g}, h={hs[h]})"
+    return None
+
+
+def classify_natural_by_unique(H):
+    """classify_natural before the lexsort: the distinct seeded rows, the
+    distinct families and each family's first seed and seed count, all by
+    np.unique."""
+    L, n = H.lattice, H.lattice.n
+    vs = np.arange(n)
+    c_idx = H.index_rows(e_tables(L, L, vs, L.bottom))
+    a_idx = H.index_rows(e_tables(L, L, L.top, vs))
+    seeded = H.compose_indices(np.arange(H.m), a_idx)
+    rows, _, row_of = np.unique(seeded, axis=0, return_index=True, return_inverse=True)
+    comp = H.compose_indices(c_idx, rows.ravel()).reshape(n, len(rows), n)
+    distinct, fam_of = np.unique(comp.transpose(1, 0, 2).reshape(len(rows), n * n),
+                                 axis=0, return_inverse=True)
+    _, first, seeds = np.unique(fam_of.ravel()[row_of.ravel()], return_index=True, return_counts=True)
+    e_table = H.compose_indices(c_idx, a_idx)
+    natural = []
+    for k in np.argsort(first):
+        fam = distinct[k].reshape(n, n)
+        if not structures._family_is_natural(H, fam):
+            continue
+        if (fam == H.bottom_index).all():
+            label = "trivial"
+        elif (fam == e_table).all():
+            label = "raney"
+        else:
+            label = "other"
+        natural.append(structures.NaturalFamily(label=label, table=fam, seed_count=int(seeds[k])))
+    natural.sort(key=lambda f: f.label != "trivial")
+    return structures.NaturalClassification(natural=tuple(natural), candidate_family_count=len(distinct))
 
 
 def raney_adjunction_sides(ctx) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,9 @@ from supq import (
     parse_lattice,
     serialize_lattice,
 )
+from supq.verify import corpus as verify_corpus
+
+from perfbench import workloads
 
 # -- oracles -----------------------------------------------------------------
 
@@ -382,6 +385,20 @@ def test_downset_enumeration_is_bounded_by_its_output():
     # masks are Python ints: a chain wider than 64 bits has one downset per height
     masks = Poset.from_covers(70, [(i, i + 1) for i in range(69)]).downset_masks()
     assert masks == [(1 << k) - 1 for k in range(71)]
+
+
+def test_downset_count_equals_the_number_listed():
+    """On every corpus and midsize poset, on random posets of up to 5 points
+    and on P x P^op of each, whose downsets are the weakening relations."""
+    rng = np.random.default_rng(5)
+    posets = [P for _, _, P in verify_corpus() + workloads.build("midsize", 0) if P is not None]
+    for n in range(1, 6):
+        for _ in range(12):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            posets.append(Poset.from_covers(n, [p for p in pairs if rng.random() < 0.5]))
+    for P in posets:
+        for Q in (P, Poset(np.kron(P.leq, P.leq.T), _validated=True)):
+            assert Q.downset_count() == len(Q.downset_masks())
 
 
 def test_downset_lattice_known_shapes():

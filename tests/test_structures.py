@@ -48,6 +48,7 @@ from supq.maps import (
 from supq.quantale import (
     CapExceeded,
     NotAutomorphism,
+    _row_groups,
     enumerate_homset,
     enumerate_inf_maps,
     find_cyclic,
@@ -88,6 +89,7 @@ from supq.structures import (
 )
 from supq.verify import corpus
 
+import oracles
 from oracles import order_on_J
 
 LATTICES = {
@@ -833,6 +835,31 @@ def test_composite_classification_equals_the_gathered_one(name):
     assert [f.seed_count for f in got.natural] == [f.seed_count for f in want.natural]
     assert [f.table.dtype for f in got.natural] == [f.table.dtype for f in want.natural]
     assert got.candidate_family_count == want.candidate_family_count
+
+
+def test_row_groups_equal_np_unique_and_classify_natural_its_unique_form():
+    """On every corpus homset: the lexsort grouping gives np.unique's rows,
+    first indices, inverse and counts on the seeded rows f0 o a_x and on
+    their families, and the
+    classification keeps the families, their first-seed order, their seed
+    counts and the candidate count of the np.unique form."""
+    for name, L, _ in corpus():
+        H = enumerate_homset(L)
+        n = L.n
+        a_idx = H.index_rows(e_tables(L, L, L.top, np.arange(n)))
+        seeded = H.compose_indices(np.arange(H.m), a_idx)
+        c_idx = H.index_rows(e_tables(L, L, np.arange(n), L.bottom))
+        fams = H.compose_indices(c_idx, seeded.ravel()).reshape(n, H.m, n).transpose(1, 0, 2).reshape(H.m, -1)
+        for rows in (seeded, fams):
+            want = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+            got = _row_groups(rows)
+            assert got[0].dtype == want[0].dtype, name
+            for a, b in zip(got, want):
+                assert (a == b.reshape(a.shape)).all(), name
+        got, want = classify_natural(H), oracles.classify_natural_by_unique(H)
+        assert got.candidate_family_count == want.candidate_family_count, name
+        assert [(f.label, f.table.tolist(), f.table.dtype, f.seed_count) for f in got.natural] == \
+            [(f.label, f.table.tolist(), f.table.dtype, f.seed_count) for f in want.natural], name
 
 
 # -- abstract two-valued families -----------------------------------------------------

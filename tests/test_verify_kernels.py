@@ -35,6 +35,7 @@ from supq.lattice import (
 )
 from supq.maps import (
     LatticeMap,
+    _flat_index_dtype,
     a_map,
     c_map,
     e_map,
@@ -48,6 +49,7 @@ from supq.maps import (
     right_adjoint_tables,
     sup_interior,
     sup_interior_tables,
+    table_take,
     tensor_over,
     tensor_tables,
 )
@@ -106,6 +108,7 @@ from oracles import (
     raney_adjunction_by_pairs,
     raney_adjunction_sides,
     residual_adjunction_by_order_matrix,
+    residual_adjunction_by_pair_gathers,
     tight_subset_every_composite,
     wk_composition_by_rows,
     wk_composition_per_member,
@@ -440,6 +443,45 @@ def test_the_count_form_agrees_with_the_order_matrix_body_on_the_corpus():
             assert (got is None) == (side is None or H.m == 1), (name, side)
 
 
+def test_the_count_form_agrees_with_the_pair_gather_body_on_the_corpus():
+    """On every corpus homset of at most 512 members, clean and with one
+    planted memo entry on each side, the per-member below tables give the
+    witness of the body they replaced, which read res <= kappa by the
+    two-index gather L.leq[at, kappa]."""
+    for name, L, _ in corpus():
+        for side in (None, "left", "right"):
+            H = enumerate_homset(L)
+            if H.m > 512:
+                break
+            ctx = _ctx_on(H)
+            assert check_residual_adjunction(ctx) is None, name
+            if side is not None:
+                memo = (H if side == "left" else H.op)._interior_memo()
+                key = int(np.flatnonzero(memo >= 0)[0])
+                memo[key] = (memo[key] + 1) % H.m
+            got = check_residual_adjunction(ctx)
+            assert got == residual_adjunction_by_pair_gathers(H), (name, side)
+            assert (got is None) == (side is None or H.m == 1), (name, side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_planted_composite_weight_column_fails_residual_adjunction(monkeypatch, side):
+    """W[:, h] forms the key of rho_g o h in ldiv_index, so column h of the
+    identity moved onto the bottom member turns g \\ id into g \\ bottom for
+    every g; kappa is read off the rho rows, not W, so the check sees it.
+    The right side reads H.op's weights through rdiv_indices."""
+    ctx = _Ctx(make_mk(3), SuiteConfig())
+    H = ctx.homset
+    assert check_residual_adjunction(ctx) is None
+    S = H if side == "left" else H.op
+    W = S._composite_weights().copy()
+    before = S.ldiv_indices(H.identity_index)
+    W[:, H.identity_index] = W[:, H.bottom_index]
+    monkeypatch.setitem(S._cache, "comp_w", W)
+    assert (S.ldiv_indices(H.identity_index) != before).any()
+    assert check_residual_adjunction(ctx).startswith(f"{side} residual adjunction fails at")
+
+
 # -- the residual kernels against their row-major loops ----------------------------------
 
 
@@ -621,6 +663,24 @@ def test_join_fold_equals_a_fold_of_the_join_table_on_the_corpus():
             assert (join_fold(L, square) == _join_by_loop(L, square)).all(), (name, k)
         a, b = np.divmod(np.arange(L.n ** 2), L.n)
         assert (join_fold(L, np.stack([a, b])) == L.join[a, b]).all(), name
+
+
+@pytest.mark.parametrize("n", [181, 182])
+@pytest.mark.parametrize("dtype", [bool, np.int16])
+def test_table_take_equals_the_two_index_gather(n, dtype):
+    """T[a, b] on both sides of the int16/int32 flat index (181^2 <= 2^15 <
+    182^2), for index arrays of broadcasting shapes and dtypes; the corner
+    (n - 1, n - 1) is where an int16 index would wrap at n = 182."""
+    assert _flat_index_dtype(n) == (np.int16 if n == 181 else np.int32)
+    rng = np.random.default_rng(n)
+    T = rng.integers(0, 2 if dtype is bool else n, size=(n, n)).astype(dtype)
+    a = rng.integers(0, n, size=(4, 1, 6)).astype(np.int16)
+    b = rng.integers(0, n, size=(5, 1))
+    a[0, 0, 0] = b[0, 0] = n - 1
+    for x, y in ((a, b), (b, a), (a[0, 0], a[1, 0]), (np.int16(n - 1), b), (n - 1, n - 1)):
+        got = table_take(T, x, y)
+        assert got.dtype == T.dtype and got.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert (got == T[x, y]).all()
 
 
 @pytest.mark.parametrize("L", [downset_lattice(Poset(np.eye(7, dtype=bool))),
@@ -1310,6 +1370,14 @@ def test_wk_bijection_reports_each_broken_step(monkeypatch):
     holed[top, 0, 1] = False
     monkeypatch.setattr(verify, "wk_tables", lambda P, tables: holed)
     assert check_wk_bijection(ctx) == f"relation of map {top} is not a weakening relation"
+
+
+def test_wk_bijection_counts_the_weakening_relations_against_the_maps(monkeypatch):
+    P = Poset.from_covers(3, [(0, 1), (0, 2)])  # vee: 50 maps
+    ctx = _Ctx(downset_lattice(P), SuiteConfig(), poset=P)
+    assert check_wk_bijection(ctx) is None
+    monkeypatch.setattr(Poset, "downset_count", lambda self: 49)
+    assert check_wk_bijection(ctx) == "49 weakening relations vs 50 maps"
 
 
 @pytest.mark.parametrize("covers", [
