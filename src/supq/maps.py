@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from supq.lattice import Lattice, cached
+from supq.lattice import Lattice, cached, join_irreducibles
 
 
 class MapError(ValueError):
@@ -275,18 +275,19 @@ def _as_rows(tables) -> np.ndarray:
 
 
 def right_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
-    """Rowwise right adjoint of join-preserving tables from source to target:
-    each row becomes the table of y -> join of {x : f(x) <= y} on target,
-    folded by `join_fold` over every x, as bottom where f(x) not<= y."""
-    f = np.ascontiguousarray(_as_rows(tables).T, dtype=np.intp)  # [x, row]
-    xs = np.arange(source.n, dtype=np.int16)[:, None]
-    out = [join_fold(source, np.where(target.leq[:, y].take(f), xs, source.bottom)) for y in range(target.n)]
-    return np.ascontiguousarray(np.stack(out).T, dtype=np.int16)
+    """Rowwise right adjoint of monotone tables from source to target: each
+    row becomes the table of y -> join of {x : f(x) <= y} on target, folded
+    by `join_fold` over the join-irreducibles j of source only, as bottom
+    where f(j) not<= y.  Exact for monotone rows: {x : f(x) <= y} is then a
+    down-set, and each of its elements is the join of the j below it."""
+    J = np.array(join_irreducibles(source), dtype=np.int16)
+    below = target.leq[_as_rows(tables)[:, J].T]  # [k, row, y] = f(J[k]) <= y
+    return join_fold(source, np.where(below, J[:, None, None], np.int16(source.bottom))).astype(np.int16, copy=False)
 
 
 def left_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
-    """Rowwise left adjoint of meet-preserving tables from source to target:
-    each row becomes the table of y -> meet of {x : y <= g(x)} on target."""
+    """Rowwise left adjoint of monotone tables from source to target, y -> meet
+    of {x : y <= g(x)}: the right adjoint on the opposites, so a fold over M(source)."""
     return right_adjoint_tables(source.op, target.op, tables)
 
 

@@ -207,9 +207,9 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     and a join-irreducible: f <= tau_k exactly when f(j_k) <= m_k, and they are
     meet-dense, as the order is compared on J and M is meet-dense in L.  So the
     lower covers of f are the maximal members of {f meet tau_k : f(j_k) not<=
-    m_k}, each the interior of a pointwise meet found from its J-key, compared
-    by their signatures {k : g(j_k) <= m_k}: f <= g exactly when sig(g) is
-    within sig(f).  Upper covers are the lower-cover edges read backwards."""
+    m_k}, each the interior of a pointwise meet found from its J-key.  As
+    cand a <= f and cand b = f meet tau_b, cand a <= cand b exactly when
+    cand a <= tau_b.  Upper covers are the lower-cover edges read backwards."""
     L = H.lattice
     jl, ml = join_irreducibles(L), meet_irreducibles(L)
     # every pair (m, j) of a meet- and a join-irreducible, m-major
@@ -222,13 +222,10 @@ def _irreducibles(H: EndoHomset) -> IrreducibleReport:
     vals = np.where(below, table_take(L.meet, on_J[:, None, :], mk[:, None]), on_J[:, None, :])
     cand = H._interior_keys(vals.astype(np.int64) @ radix)  # [f, k] = f meet tau_k
     inside = table_take(L.leq, H.tables[:, jk], mk)  # [g, k] = g <= tau_k
-    sig = np.packbits(np.pad(inside, ((0, 0), (0, -len(mk) % 64))), axis=1, bitorder="little")
-    sig = np.ascontiguousarray(sig).view(np.uint64)  # [g, word]
     live, maximal = ~inside, ~inside  # maximal: f meet tau_k is a lower cover of f
     step = max(1, (1 << 18) // max(1, len(mk)) ** 2)  # rows per block of K x K cells
     for r in (slice(s, s + step) for s in range(0, H.m, step)):
-        c = sig[cand[r]]  # [f, k, word] = sig(f meet tau_k)
-        above = ~(c[:, None] & ~c[:, :, None]).any(axis=3)  # [f, a, b]: cand b >= cand a
+        above = inside[cand[r]]  # [f, a, b]: cand a <= tau_b, so cand a <= cand b, as cand a <= f
         above &= live[r, None, :] & (cand[r, None, :] != cand[r, :, None])
         maximal[r] &= ~above.any(axis=2)
     lower = np.where(maximal, cand, -1)

@@ -239,19 +239,20 @@ def check_downset_irreducibles(ctx: _Ctx):
 
 
 def check_galois_adjunction(ctx: _Ctx):
-    """f(x) <= y exactly when x <= rho_f(y) for every member f, and the two
-    adjoint kernels invert each other; that inversion makes rho injective."""
+    """f(x) <= y exactly when x <= rho_f(y) for every member f and x in J(L),
+    which decides every x as members preserve joins (checked when
+    `EndoHomset._keys` builds the J-keys); and the two adjoint kernels invert
+    each other, which makes rho injective."""
     H = ctx.homset
     L = ctx.L
     rho = H.rho_tables
+    J = join_irreducibles(L)
     for start in range(0, H.m, 4096):
-        tab = H.tables[start : start + 4096].astype(np.int64)
-        rh = rho[start : start + 4096].astype(np.int64)
-        lhs = L.leq[tab]                       # [i, x, y] = f(x) <= y
-        rhs = L.leq.T[rh].transpose(0, 2, 1)   # [i, x, y] = x <= rho f (y)
-        if not (lhs == rhs).all():
-            i = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0]) + start
-            return f"adjunction fails for member {i}"
+        lhs = L.leq[H.tables[start : start + 4096, J].T]  # [k, i, y] = f(J[k]) <= y
+        rhs = L.leq[J][:, rho[start : start + 4096]]      # [k, i, y] = J[k] <= rho f (y)
+        bad = (lhs != rhs).any(axis=(0, 2))
+        if bad.any():
+            return f"adjunction fails for member {int(np.argmax(bad)) + start}"
     back = left_adjoint_tables(L, L, rho)
     if not (back == H.tables).all():
         return "lower adjoint does not invert the upper adjoint"
@@ -481,7 +482,7 @@ def check_tight_subset(ctx: _Ctx):
     tight = H.tight_indices()
     mask = H.tight_mask
     down_idx = _distinct(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
-    if set(down_idx.tolist()) != set(int(i) for i in tight):
+    if not np.array_equal(down_idx, tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):  # the down transform is onto
         return "down transform surjectivity disagrees with tightness of the identity"

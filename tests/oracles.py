@@ -5,7 +5,7 @@ import numpy as np
 
 from supq import quantale, structures, verify
 from supq.lattice import join_irreducibles, meet_irreducibles
-from supq.maps import e_tables, leq_tables
+from supq.maps import _as_rows, e_tables, join_fold, leq_tables, table_take, tensor_tables
 
 
 def join_indices(H, gs, fs) -> np.ndarray:
@@ -218,3 +218,81 @@ def wk_composition_per_member(ctx, right=None):
         if bad.any():
             return f"relational composition differs from map composition at ({i}, {right[np.argmax(bad)]})"
     return None
+
+
+def right_adjoint_tables_every_x(source, target, tables) -> np.ndarray:
+    """right_adjoint_tables before the fold over J(source): for each target
+    element y, one join_fold over every source element x, as bottom where
+    f(x) not<= y; exact for any row, monotone or not."""
+    f = np.ascontiguousarray(_as_rows(tables).T, dtype=np.intp)  # [x, row]
+    xs = np.arange(source.n, dtype=np.int16)[:, None]
+    out = [join_fold(source, np.where(target.leq[:, y].take(f), xs, source.bottom)) for y in range(target.n)]
+    return np.ascontiguousarray(np.stack(out).T, dtype=np.int16)
+
+
+def galois_adjunction_every_x(ctx):
+    """check_galois_adjunction before the restriction to J(L): f(x) <= y
+    against x <= rho_f(y) on all m x n x n cells, then the same inversion
+    tests."""
+    H, L = ctx.homset, ctx.L
+    rho = H.rho_tables
+    for start in range(0, H.m, 4096):
+        tab = H.tables[start : start + 4096].astype(np.int64)
+        rh = rho[start : start + 4096].astype(np.int64)
+        lhs = L.leq[tab]                       # [i, x, y] = f(x) <= y
+        rhs = L.leq.T[rh].transpose(0, 2, 1)   # [i, x, y] = x <= rho f (y)
+        if not (lhs == rhs).all():
+            i = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0]) + start
+            return f"adjunction fails for member {i}"
+    if not (verify.left_adjoint_tables(L, L, rho) == H.tables).all():
+        return "lower adjoint does not invert the upper adjoint"
+    H_op = ctx.inf_homset
+    if not (verify.right_adjoint_tables(L, L, H_op.rho_tables) == H_op.tables).all():
+        return "upper adjoint does not invert the lower adjoint"
+    return None
+
+
+def irreducibles_by_signatures(H):
+    """structures._irreducibles before the one-gather cover test: the
+    candidates f meet tau_k are compared by their signatures {k : g(j_k) <=
+    m_k}, packed into uint64 words, f <= g exactly when sig(g) is within
+    sig(f); not memoized."""
+    L = H.lattice
+    jl, ml = join_irreducibles(L), meet_irreducibles(L)
+    ms, js = np.array(ml, dtype=np.int64)[:, None], np.array(jl, dtype=np.int64)[None, :]
+    tensors = [int(i) for i in H.index_rows(tensor_tables(L, L, ms, js).reshape(-1, L.n))]
+    es = [int(i) for i in H.index_rows(e_tables(L, L, js, ms).reshape(-1, L.n))]
+    J, radix, _, _ = H._keys()
+    mk, jk = np.repeat(ms.ravel(), len(jl)), np.tile(js.ravel(), len(ml))
+    on_J, below = H.tables[:, J], L.leq[J][:, jk].T
+    vals = np.where(below, table_take(L.meet, on_J[:, None, :], mk[:, None]), on_J[:, None, :])
+    cand = H._interior_keys(vals.astype(np.int64) @ radix)
+    inside = table_take(L.leq, H.tables[:, jk], mk)
+    sig = np.packbits(np.pad(inside, ((0, 0), (0, -len(mk) % 64))), axis=1, bitorder="little")
+    sig = np.ascontiguousarray(sig).view(np.uint64)  # [g, word]
+    live, maximal = ~inside, ~inside
+    step = max(1, (1 << 18) // max(1, len(mk)) ** 2)
+    for r in (slice(s, s + step) for s in range(0, H.m, step)):
+        c = sig[cand[r]]  # [f, k, word] = sig(f meet tau_k)
+        above = ~(c[:, None] & ~c[:, :, None]).any(axis=3)  # [f, a, b]: cand b >= cand a
+        above &= live[r, None, :] & (cand[r, None, :] != cand[r, :, None])
+        maximal[r] &= ~above.any(axis=2)
+    lower = np.where(maximal, cand, -1)
+    lower.sort(axis=1)
+    first = lower >= 0
+    first[:, 1:] &= lower[:, 1:] != lower[:, :-1]
+    f, g = np.nonzero(first)[0], lower[first]
+    j_idx = tuple(int(i) for i in np.flatnonzero(np.bincount(f, minlength=H.m) == 1))
+    m_idx = tuple(int(i) for i in np.flatnonzero(np.bincount(g, minlength=H.m) == 1))
+    return structures.IrreducibleReport(
+        join_irreducible_indices=j_idx,
+        meet_irreducible_indices=m_idx,
+        tensor_indices=tuple(tensors),
+        e_indices=tuple(es),
+        product_count=len(jl) * len(ml),
+        meet_equals_tensors=set(m_idx) == set(tensors),
+        e_within_join_irreducibles=set(es) <= set(j_idx),
+        tensors_pairwise_distinct=len(set(tensors)) == len(tensors),
+        e_pairwise_distinct=len(set(es)) == len(es),
+        lower_cover_edges=(f, g),
+    )

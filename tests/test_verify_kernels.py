@@ -103,12 +103,15 @@ from supq.verify import (
 
 import oracles
 from oracles import (
+    galois_adjunction_every_x,
+    irreducibles_by_signatures,
     join_indices,
     order_on_J,
     raney_adjunction_by_pairs,
     raney_adjunction_sides,
     residual_adjunction_by_order_matrix,
     residual_adjunction_by_pair_gathers,
+    right_adjoint_tables_every_x,
     tight_subset_every_composite,
     wk_composition_by_rows,
     wk_composition_per_member,
@@ -423,6 +426,37 @@ def test_a_planted_wrong_rho_row_fails_galois_adjunction(monkeypatch):
     assert check_galois_adjunction(ctx) == "adjunction fails for member 7"
 
 
+@pytest.mark.parametrize("make", [lambda: make_mk(3), make_n5, lambda: make_boolean(3)])
+def test_galois_adjunction_on_J_gives_the_witness_of_every_x(make, monkeypatch):
+    """A wrong rho row planted at the first, a middle and the last member:
+    the check on the join-irreducibles and the m x n x n body it replaced
+    both name that member."""
+    ctx = _Ctx(make(), SuiteConfig())
+    H = ctx.homset
+    rho = H.rho_tables
+    assert check_galois_adjunction(ctx) is None and galois_adjunction_every_x(ctx) is None
+    for i in (0, H.m // 2, H.m - 1):
+        bad = rho.copy()
+        bad[i] = rho[(i + 1) % H.m]
+        monkeypatch.setitem(H._cache, "rho", bad)
+        assert check_galois_adjunction(ctx) == galois_adjunction_every_x(ctx) == f"adjunction fails for member {i}"
+
+
+def test_galois_adjunction_reads_every_join_irreducible(monkeypatch):
+    """On boolean3, rho of the identity at top moved to the coatom above
+    every atom but one: only x = that atom tells the two sides apart, for
+    each atom in turn."""
+    L = make_boolean(3)
+    ctx = _Ctx(L, SuiteConfig())
+    H = ctx.homset
+    rho, i, J = H.rho_tables, H.identity_index, join_irreducibles(L)
+    for j in J:
+        bad = rho.copy()
+        bad[i, L.top] = next(z for z in range(L.n) if L.leq[J, z].sum() == len(J) - 1 and not L.leq[j, z])
+        monkeypatch.setitem(H._cache, "rho", bad)
+        assert check_galois_adjunction(ctx) == galois_adjunction_every_x(ctx) == f"adjunction fails for member {i}"
+
+
 def test_the_count_form_agrees_with_the_order_matrix_body_on_the_corpus():
     """On every corpus homset of at most 512 members, clean and with one
     planted memo entry on each side, the count form gives the witness of the
@@ -704,6 +738,30 @@ def test_join_fold_past_64_elements(L):
     assert is_completely_distributive(L)
     J = join_irreducibles(L)
     assert (extend_from_J(L, J, ident[J, None])[:, 0] == ident).all()
+
+
+def _left_adjoint_every_x(source, target, tables):
+    return right_adjoint_tables_every_x(source.op, target.op, tables)
+
+
+def test_the_adjoint_folds_over_J_and_M_equal_the_folds_over_every_x():
+    """On every corpus homset, its inf homset and its rho rows, both adjoint
+    kernels agree with the fold over every source element."""
+    for name, L, _ in corpus():
+        H = enumerate_homset(L)
+        for tabs in (H.tables, H.op.tables, H.rho_tables):
+            assert (right_adjoint_tables(L, L, tabs) == right_adjoint_tables_every_x(L, L, tabs)).all(), name
+            assert (left_adjoint_tables(L, L, tabs) == _left_adjoint_every_x(L, L, tabs)).all(), name
+
+
+@pytest.mark.parametrize("source, target", [(make_mk(3), make_chain(2)), (make_chain(2), make_mk(3))])
+def test_the_adjoint_folds_hold_on_every_monotone_table(source, target):
+    """Monotone rows, join- or meet-preserving or neither: {x : f(x) <= y} is
+    a down-set, decided by its join-irreducibles."""
+    tabs = np.array([t for t in itertools.product(range(target.n), repeat=source.n)
+                     if maps.is_monotone(LatticeMap(source, target, t))], dtype=np.int16)
+    assert (right_adjoint_tables(source, target, tabs) == right_adjoint_tables_every_x(source, target, tabs)).all()
+    assert (left_adjoint_tables(source, target, tabs) == _left_adjoint_every_x(source, target, tabs)).all()
 
 
 def _key_rows_by_insertion(H, keys):
@@ -1282,6 +1340,19 @@ def test_irreducibles_from_the_tensors_equal_the_cover_relation():
     for name, L, _ in entries:
         H = enumerate_homset(L)
         assert structures._irreducibles(H) == _irreducibles_by_cover_relation(H), name
+
+
+def test_the_cover_test_by_inside_equals_the_signature_test():
+    """The report and its lower-cover edges, on every corpus homset, the
+    three seed-0 midsize homsets and chain3 x boolean2 (7,776 members)."""
+    entries = corpus() + workloads.build("midsize", 0)
+    entries.append(("chain3xboolean2", _product(make_chain(3), make_boolean(2)), None))
+    for name, L, _ in entries:
+        H = enumerate_homset(L)
+        got, want = structures._irreducibles(H), irreducibles_by_signatures(H)
+        assert got == want, name
+        for a, b in zip(got.lower_cover_edges, want.lower_cover_edges):
+            assert np.array_equal(a, b), name
 
 
 # -- merged kernels ------------------------------------------------------------------------
