@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     caps = argparse.ArgumentParser(add_help=False)
     caps.add_argument("--max-homset", type=int, default=SuiteConfig.max_homset,
                       help="skip homset checks beyond this many maps")
-    caps.add_argument("--max-autodual", type=int, default=SuiteConfig.max_autodual,
-                      help="skip the autoduality check (its irreducible scan) beyond this many maps")
     picks = argparse.ArgumentParser(add_help=False)
     picks.add_argument("--checks", default=None, help="comma-separated list of check ids to run")
     picks.add_argument("--strict", action="store_true", help="treat skipped checks as an error exit")
@@ -116,7 +114,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     L = _load_lattice(args.file)
-    config = SuiteConfig(max_homset=args.max_homset, max_autodual=args.max_autodual, checks=())
+    config = SuiteConfig(max_homset=args.max_homset, checks=())
     name = args.file.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     _emit([run_suite(L, config, name=name)], args.format)
     return EXIT_OK
@@ -126,11 +124,7 @@ def _cmd_verify(args) -> int:
     if args.corpus == (args.file is not None):
         print("verify needs a lattice file or --corpus (not both)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    config = SuiteConfig(
-        max_homset=args.max_homset,
-        max_autodual=args.max_autodual,
-        checks=_selected(args),
-    )
+    config = SuiteConfig(max_homset=args.max_homset, checks=_selected(args))
     reports = []
     if args.corpus:
         for name, L, poset in corpus():

@@ -511,12 +511,12 @@ def is_distributive(L: Lattice) -> bool:
     return True
 
 
-def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP):
+def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray):
     """Yield every order isomorphism from `leq1` onto `leq2` by backtracking.
 
     Each element may only go to an element with the same down-set size,
     up-set size and numbers of lower and upper covers.  Raises
-    SearchCapExceeded once more than `cap` candidate placements were tried.
+    SearchCapExceeded past AUTOMORPHISM_NODE_CAP candidate placements.
     """
     leq1, leq2 = np.asarray(leq1, dtype=bool), np.asarray(leq2, dtype=bool)
     n = leq1.shape[0]
@@ -535,7 +535,7 @@ def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMORPHI
     order = sorted(range(n), key=lambda i: (len(cands[i]), i))
     sigma = [-1] * n
     used = [False] * n
-    nodes = 0
+    nodes, cap = 0, AUTOMORPHISM_NODE_CAP
 
     def place(k: int):
         nonlocal nodes
@@ -562,14 +562,14 @@ def order_isomorphisms(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMORPHI
     yield from place(0)
 
 
-def order_automorphisms(leq: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP) -> list[tuple[int, ...]]:
+def order_automorphisms(leq: np.ndarray) -> list[tuple[int, ...]]:
     """All order-preserving bijections with order-preserving inverse, sorted."""
-    return sorted(order_isomorphisms(leq, leq, cap))
+    return sorted(order_isomorphisms(leq, leq))
 
 
-def find_order_isomorphism(leq1: np.ndarray, leq2: np.ndarray, cap: int = AUTOMORPHISM_NODE_CAP):
+def find_order_isomorphism(leq1: np.ndarray, leq2: np.ndarray):
     """One order isomorphism from `leq1` onto `leq2`, or None."""
-    return next(order_isomorphisms(leq1, leq2, cap), None)
+    return next(order_isomorphisms(leq1, leq2), None)
 
 
 def automorphisms(L: Lattice) -> list[tuple[int, ...]]:

@@ -254,17 +254,18 @@ def table_take(T: np.ndarray, a, b) -> np.ndarray:
     return T.ravel().take(np.asarray(a, dtype=dt) * dt(len(T)) + np.asarray(b, dtype=dt))
 
 
-def join_fold(L: Lattice, vecs: np.ndarray) -> np.ndarray:
-    """The join in L over the first axis of `vecs`, a stack of element
-    vectors, or bottom for an empty stack: the one kernel that reads joins of
-    families off L.join, one `take` on the raveled table per vector at
-    a*n + b, in the dtype of _flat_index_dtype(n)."""
+def join_fold(L: Lattice, vecs) -> np.ndarray:
+    """The join in L over a stack of element vectors (bottom if empty) or a
+    non-empty iterable of them, folded as consumed: the one kernel that reads
+    joins of families off L.join, one `take` on the raveled table per vector
+    at a*n + b, in the dtype of _flat_index_dtype(n)."""
     n, dt = L.n, _flat_index_dtype(L.n)
-    if not len(vecs):
+    if isinstance(vecs, np.ndarray) and not len(vecs):
         return np.full(vecs.shape[1:], L.bottom, dtype=dt)
     jt = L.join.ravel().astype(dt, copy=False)
-    acc = vecs[0].astype(dt)
-    for v in vecs[1:]:
+    vecs = iter(vecs)
+    acc = np.asarray(next(vecs)).astype(dt)
+    for v in vecs:
         acc = jt.take(acc * dt(n) + v)
     return acc
 
@@ -277,12 +278,13 @@ def _as_rows(tables) -> np.ndarray:
 def right_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:
     """Rowwise right adjoint of monotone tables from source to target: each
     row becomes the table of y -> join of {x : f(x) <= y} on target, folded
-    by `join_fold` over the join-irreducibles j of source only, as bottom
-    where f(j) not<= y.  Exact for monotone rows: {x : f(x) <= y} is then a
-    down-set, and each of its elements is the join of the j below it."""
-    J = np.array(join_irreducibles(source), dtype=np.int16)
-    below = target.leq[_as_rows(tables)[:, J].T]  # [k, row, y] = f(J[k]) <= y
-    return join_fold(source, np.where(below, J[:, None, None], np.int16(source.bottom))).astype(np.int16, copy=False)
+    by `join_fold` over the join-irreducibles j of source only, one vector
+    at a time, as bottom where f(j) not<= y.  Exact for monotone rows:
+    {x : f(x) <= y} is a down-set, each element the join of the j below it."""
+    rows, bot = _as_rows(tables), np.int16(source.bottom)
+    J = join_irreducibles(source) or [source.bottom]  # bottom, the unit of join, stands in for no J
+    vecs = (np.where(target.leq[rows[:, j]], np.int16(j), bot) for j in J)  # [row, y] = j if f(j) <= y
+    return join_fold(source, vecs).astype(np.int16, copy=False)
 
 
 def left_adjoint_tables(source: Lattice, target: Lattice, tables: np.ndarray) -> np.ndarray:

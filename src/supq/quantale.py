@@ -43,9 +43,6 @@ from supq.maps import (
 )
 
 DEFAULT_HOMSET_CAP = 100_000  # members of an enumerated homset
-MATRIX_CAP = 4096  # members for raney-adjunction, tight-subset, the tight unit and the autodual search's
-                   # order; the first two do no m^2 work, and keep the cap only to keep their verdicts
-TABLE_SCAN_CAP = 2000  # members of a homset for the table scans and the autodual irreducible scan
 SLOT_CAP = 8**6  # slots n^|J| of the dense member table (mk 6, the largest timed); larger key spaces are searched
 
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from supq.lattice import (
     MAX_DOWNSET_LATTICE_SIZE,
-    CapExceeded,
     Lattice,
     Poset,
     SizeGuardExceeded,
@@ -38,12 +37,11 @@ from supq.maps import (
     join_fold,
     leq_tables,
     pointwise_join,
+    right_adjoint_tables,
     table_take,
     tensor_tables,
 )
 from supq.quantale import (
-    MATRIX_CAP,
-    TABLE_SCAN_CAP,
     EndoHomset,
     _row_groups,
     is_completely_distributive,
@@ -104,38 +102,29 @@ class FiniteQuantale:
         return f"FiniteQuantale(n={self.carrier.n})"
 
 
+def _residual_tables(Q: FiniteQuantale) -> tuple[np.ndarray, np.ndarray]:
+    """[x, y] = x\\y and y/x: right adjoints of the join-preserving rows z -> x*z, z -> z*x."""
+    L = Q.carrier
+    return right_adjoint_tables(L, L, Q.mult), right_adjoint_tables(L, L, Q.mult.T)
+
+
 def q_residuals(Q: FiniteQuantale, x: int, y: int) -> tuple[int, int]:
     """(x\\y, y/x): the largest z with x*z <= y, resp. z*x <= y."""
-    L = Q.carrier
-    under = L.join_of(z for z in range(L.n) if L.leq[Q.mult[x, z], y])
-    over = L.join_of(z for z in range(L.n) if L.leq[Q.mult[z, x], y])
-    return under, over
+    under, over = _residual_tables(Q)
+    return int(under[x, y]), int(over[x, y])
 
 
 def q_cyclic(Q: FiniteQuantale) -> list[int]:
     """Elements c with c/x = x\\c for every x."""
-    L = Q.carrier
-    out = []
-    for c in range(L.n):
-        if all(len(set(q_residuals(Q, x, c))) == 1 for x in range(L.n)):
-            out.append(c)
-    return out
+    under, over = _residual_tables(Q)
+    return [int(c) for c in np.flatnonzero((under == over).all(axis=0))]
 
 
 def q_dualizing(Q: FiniteQuantale) -> list[int]:
     """Elements d with (d/x)\\d = x = d/(x\\d) for every x."""
-    L = Q.carrier
-    out = []
-    for d in range(L.n):
-        ok = True
-        for x in range(L.n):
-            under, over = q_residuals(Q, x, d)
-            if q_residuals(Q, over, d)[0] != x or q_residuals(Q, under, d)[1] != x:
-                ok = False
-                break
-        if ok:
-            out.append(d)
-    return out
+    under, over = _residual_tables(Q)
+    x, d = np.indices(under.shape)
+    return [int(i) for i in np.flatnonzero(((under[over, d] == x) & (over[under, d] == x)).all(axis=0))]
 
 
 def m5_quantale() -> FiniteQuantale:
@@ -193,18 +182,12 @@ class IrreducibleReport:
     lower_cover_edges: tuple = field(default=(), compare=False, repr=False)  # (f, g): g covered by f
 
 
-def homset_irreducibles(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> IrreducibleReport:
-    """Join- and meet-irreducible members of the endomap quantale, compared
-    with the elementary tensors and the e maps; cached per homset after the cap check."""
-    if H.m > cap:
-        raise CapExceeded(f"homset has {H.m} members; irreducible scan capped at {cap}", H.m)
-    return _irreducibles(H)
-
-
 @cached("irreducibles")
-def _irreducibles(H: EndoHomset) -> IrreducibleReport:
-    """Covers from the tensors tau_k = m_k over j_k, over the K pairs of a meet-
-    and a join-irreducible: f <= tau_k exactly when f(j_k) <= m_k, and they are
+def homset_irreducibles(H: EndoHomset) -> IrreducibleReport:
+    """Join- and meet-irreducible members of the endomap quantale, compared
+    with the elementary tensors and the e maps, cached per homset.  Covers
+    from the tensors tau_k = m_k over j_k, over the K pairs of a meet- and a
+    join-irreducible: f <= tau_k exactly when f(j_k) <= m_k, and they are
     meet-dense, as the order is compared on J and M is meet-dense in L.  So the
     lower covers of f are the maximal members of {f meet tau_k : f(j_k) not<=
     m_k}, each the interior of a pointwise meet found from its J-key.  As
@@ -261,12 +244,9 @@ class AutodualReport:
     meet_irreducible_count: int | None = None
 
 
-def autodual_report(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> AutodualReport:
-    """Is the endomap quantale order-isomorphic to its own opposite?  Raises
-    CapExceeded for a homset of more than `cap` members."""
-    if H.m > cap:
-        raise CapExceeded(f"{H.m} maps exceed the search cap {cap}", H.m)
-    report = homset_irreducibles(H, cap=cap)
+def autodual_report(H: EndoHomset) -> AutodualReport:
+    """Is the endomap quantale order-isomorphic to its own opposite?"""
+    report = homset_irreducibles(H)
     nj, nm = len(report.join_irreducible_indices), len(report.meet_irreducible_indices)
     counts = {"join_irreducible_count": nj, "meet_irreducible_count": nm}
     if nj != nm:
@@ -277,8 +257,6 @@ def autodual_report(H: EndoHomset, cap: int = TABLE_SCAN_CAP) -> AutodualReport:
         # autodual check tests the witness
         return AutodualReport("autodual", "star is an order-reversing bijection",
                               tuple(int(v) for v in H.star_indices), **counts)
-    if H.m > MATRIX_CAP:
-        raise CapExceeded(f"order matrix for {H.m} maps exceeds the {MATRIX_CAP} cap", H.m)
     on_J = H.tables[:, join_irreducibles(H.lattice)]
     leq_q = leq_tables(H.lattice, on_J, on_J)
     found = find_order_isomorphism(leq_q, leq_q.T.copy())

@@ -15,7 +15,6 @@ from supq.lattice import (
     automorphisms,
     downset_lattice,
     dual,
-    find_order_isomorphism,
     is_distributive,
     join_irreducibles,
     make_boolean,
@@ -31,8 +30,6 @@ from supq.maps import (
 )
 from supq.quantale import (
     DEFAULT_HOMSET_CAP,
-    MATRIX_CAP,
-    TABLE_SCAN_CAP,
     EndoHomset,
     _distinct,
     _row_groups,
@@ -66,8 +63,10 @@ from supq.structures import (
     wk_tables,
 )
 
-EXHAUSTIVE_PAIR_CAP = 512      # full (g, h) / (f, g) quantification
-BLOCK_ROWS = 1 << 14           # rows per batched residual pass
+EXHAUSTIVE_PAIR_CAP = 512      # check caps, in homset members: full (g, h) / (f, g) quantification,
+TABLE_SCAN_CAP = 2000          # the table scans, the irreducible scan and the autodual search,
+MATRIX_CAP = 4096              # raney-adjunction, tight-subset and the tight unit (kept for their verdicts)
+BLOCK_ROWS = 1 << 14           # rows per batched pass
 
 
 @dataclass(frozen=True)
@@ -90,14 +89,11 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteConfig:
     max_homset: int = DEFAULT_HOMSET_CAP
-    max_autodual: int = TABLE_SCAN_CAP
     checks: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for name in ("max_homset", "max_autodual"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.max_homset < 1:
+            raise ValueError(f"max_homset must be at least 1, got {self.max_homset}")
 
 
 @dataclass
@@ -172,6 +168,13 @@ class _Ctx:
             raise CapExceeded(f"homset has {H.m} members; {what} capped at {cap}", H.m)
         return H
 
+    def autodual(self):
+        """The homset and its autodual report, for the check and the flag alike."""
+        H = self.homset
+        if H.m > TABLE_SCAN_CAP:
+            raise CapExceeded(f"{H.m} maps exceed the search cap {TABLE_SCAN_CAP}", H.m)
+        return H, autodual_report(H)
+
 
 # -- lattice-level checks ----------------------------------------------------------
 
@@ -218,6 +221,10 @@ def check_distributivity_agreement(ctx: _Ctx):
 
 
 def check_downset_irreducibles(ctx: _Ctx):
+    """D = D(J(L)) has |J(L)| join-irreducibles; for distributive L (as
+    distributivity-agreement cross-checks) Birkhoff's map x -> {j in J(L) :
+    j <= x}, read off D's downset index `_downsets`, is a bijection onto D
+    that preserves and reflects the order.  No isomorphism is searched for."""
     L = ctx.L
     J = join_irreducibles(L)
     P = Poset(L.leq[np.ix_(J, J)].copy())
@@ -230,7 +237,8 @@ def check_downset_irreducibles(ctx: _Ctx):
     if is_distributive(L):
         if D.n != L.n:
             return f"representation size {D.n} differs from lattice size {L.n}"
-        if find_order_isomorphism(D.leq, L.leq) is None:
+        phi = _downsets(P)[1](L.leq.T[:, J])  # [x] = the index in D of {j in J : j <= x}
+        if not (np.array_equal(np.sort(phi), np.arange(D.n)) and (D.leq[np.ix_(phi, phi)] == L.leq).all()):
             return "downset representation is not isomorphic to the lattice"
     return None
 
@@ -247,9 +255,9 @@ def check_galois_adjunction(ctx: _Ctx):
     L = ctx.L
     rho = H.rho_tables
     J = join_irreducibles(L)
-    for start in range(0, H.m, 4096):
-        lhs = L.leq[H.tables[start : start + 4096, J].T]  # [k, i, y] = f(J[k]) <= y
-        rhs = L.leq[J][:, rho[start : start + 4096]]      # [k, i, y] = J[k] <= rho f (y)
+    for start in range(0, H.m, BLOCK_ROWS):
+        lhs = L.leq[H.tables[start : start + BLOCK_ROWS, J].T]  # [k, i, y] = f(J[k]) <= y
+        rhs = L.leq[J][:, rho[start : start + BLOCK_ROWS]]      # [k, i, y] = J[k] <= rho f (y)
         bad = (lhs != rhs).any(axis=(0, 2))
         if bad.any():
             return f"adjunction fails for member {int(np.argmax(bad)) + start}"
@@ -396,7 +404,7 @@ def check_raney_adjunction(ctx: _Ctx):
     d = H.index_rows(down)  # the premises: each down(g) preserves joins,
     u = H_op.index_rows(up)  # each up(f) preserves meets
     J, M = join_irreducibles(L), meet_irreducibles(L)
-    f, g = homset_irreducibles(H, cap=MATRIX_CAP).lower_cover_edges
+    f, g = homset_irreducibles(H).lower_cover_edges
     unit = _not_below(L, H_op.tables[:, M], up[d][:, M])
     if unit.any():
         return f"unit of the transform adjunction fails at inf map {int(np.argmax(unit))}"
@@ -490,7 +498,7 @@ def check_tight_subset(ctx: _Ctx):
         return None
     L, J = ctx.L, join_irreducibles(ctx.L)
     k = H.index_rows(H.tight_interior_tables)
-    rep = homset_irreducibles(H, cap=MATRIX_CAP)
+    rep = homset_irreducibles(H)
     f, g = rep.lower_cover_edges
     on_J = H.tables[:, J]
     if ((k == np.arange(H.m)) != mask).any():
@@ -708,7 +716,7 @@ def check_tight_unitality(ctx: _Ctx):
 
 
 def check_homset_irreducibles(ctx: _Ctx):
-    rep = homset_irreducibles(ctx.homset, cap=TABLE_SCAN_CAP)
+    rep = homset_irreducibles(ctx.homset_capped(TABLE_SCAN_CAP, "irreducible scan"))
     if not rep.meet_equals_tensors:
         return "meet-irreducibles differ from the elementary tensors"
     if not rep.e_within_join_irreducibles:
@@ -728,14 +736,13 @@ def check_homset_irreducibles(ctx: _Ctx):
 
 
 def check_autodual(ctx: _Ctx):
-    H = ctx.homset
-    rep = autodual_report(H, cap=ctx.config.max_autodual)
+    H, rep = ctx.autodual()
     cd = is_distributive(ctx.L)
     if rep.verdict == "autodual":
         if not cd:
             return "order-reversing bijection found on a non-distributive lattice"
         w = np.array(rep.witness)  # a bijection reverses the order when it reverses the covers
-        f, g = homset_irreducibles(H, cap=ctx.config.max_autodual).lower_cover_edges
+        f, g = homset_irreducibles(H).lower_cover_edges
         if sorted(rep.witness) != list(range(H.m)) or not np.array_equal(
                 np.sort(w[g] * H.m + w[f]), np.sort(f * H.m + g)):
             return "autoduality witness is not an order-reversing bijection"
@@ -913,8 +920,7 @@ def _summary_flags(ctx: _Ctx) -> tuple[dict, dict]:
         ("automorphism_count", lambda: len(automorphisms(ctx.L)), None),
         ("tight_unital",
          lambda: tight_has_unit(ctx.homset_capped(MATRIX_CAP, "tight unit scan")) is not None, None),
-        ("autodual_verdict",
-         lambda: autodual_report(ctx.homset, cap=ctx.config.max_autodual).verdict, "inconclusive"),
+        ("autodual_verdict", lambda: ctx.autodual()[1].verdict, "inconclusive"),
     ):
         try:
             flags[name] = flag()

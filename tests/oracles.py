@@ -3,8 +3,15 @@ the J-keys, and the bodies that checks of the verifier replaced, kept to
 compare the new forms against."""
 import numpy as np
 
-from supq import quantale, structures, verify
-from supq.lattice import join_irreducibles, meet_irreducibles
+from supq import structures, verify
+from supq.lattice import (
+    Poset,
+    downset_lattice,
+    find_order_isomorphism,
+    is_distributive,
+    join_irreducibles,
+    meet_irreducibles,
+)
 from supq.maps import _as_rows, e_tables, join_fold, leq_tables, table_take, tensor_tables
 
 
@@ -138,7 +145,7 @@ def raney_adjunction_sides(ctx) -> tuple[np.ndarray, np.ndarray]:
 def raney_adjunction_by_pairs(ctx):
     """check_raney_adjunction before the cover-edge form: both sides of
     down(g) <= f <=> g <= up(f) on all m_inf x m pairs."""
-    ctx.homset_capped(quantale.MATRIX_CAP, "transform adjunction scan")
+    ctx.homset_capped(verify.MATRIX_CAP, "transform adjunction scan")
     lhs, rhs = raney_adjunction_sides(ctx)
     if not (lhs == rhs).all():
         g, f = np.argwhere(lhs != rhs)[0]
@@ -150,7 +157,7 @@ def tight_subset_every_composite(ctx):
     """check_tight_subset before its all-tight skip and its cover-edge form:
     every composite of members and every join of tight members is looked
     up, whatever the mask holds, and then the down image is compared."""
-    H = ctx.homset_capped(quantale.MATRIX_CAP, "tight subset scan")
+    H = ctx.homset_capped(verify.MATRIX_CAP, "tight subset scan")
     tight = H.tight_indices()
     mask = H.tight_mask
     members = np.arange(H.m)
@@ -253,7 +260,7 @@ def galois_adjunction_every_x(ctx):
 
 
 def irreducibles_by_signatures(H):
-    """structures._irreducibles before the one-gather cover test: the
+    """structures.homset_irreducibles before the one-gather cover test: the
     candidates f meet tau_k are compared by their signatures {k : g(j_k) <=
     m_k}, packed into uint64 words, f <= g exactly when sig(g) is within
     sig(f); not memoized."""
@@ -296,3 +303,30 @@ def irreducibles_by_signatures(H):
         e_pairwise_distinct=len(set(es)) == len(es),
         lower_cover_edges=(f, g),
     )
+
+
+def downset_irreducibles_by_search(ctx):
+    """check_downset_irreducibles before Birkhoff's map: any order
+    isomorphism of D(J(L)) onto a distributive L, found by the backtracking
+    search, whose node cap can stop it."""
+    L = ctx.L
+    J = join_irreducibles(L)
+    P = Poset(L.leq[np.ix_(J, J)].copy())
+    D = downset_lattice(P)
+    if len(join_irreducibles(D)) != P.n:
+        return f"downset lattice of the {P.n}-point order has {len(join_irreducibles(D))} join-irreducibles"
+    if is_distributive(L):
+        if D.n != L.n:
+            return f"representation size {D.n} differs from lattice size {L.n}"
+        if find_order_isomorphism(D.leq, L.leq) is None:
+            return "downset representation is not isomorphic to the lattice"
+    return None
+
+
+def q_residuals_by_joins(Q, x, y) -> tuple[int, int]:
+    """structures.q_residuals before the adjoint tables: (x\\y, y/x) as the
+    joins of every z with x*z <= y, resp. z*x <= y."""
+    L = Q.carrier
+    under = L.join_of(z for z in range(L.n) if L.leq[Q.mult[x, z], y])
+    over = L.join_of(z for z in range(L.n) if L.leq[Q.mult[z, x], y])
+    return under, over

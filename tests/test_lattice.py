@@ -35,6 +35,7 @@ from supq import (
     parse_lattice,
     serialize_lattice,
 )
+from supq import lattice
 from supq.verify import corpus as verify_corpus
 
 from perfbench import workloads
@@ -464,9 +465,10 @@ def test_automorphisms_form_a_group():
                 assert tuple(g[h[i]] for i in range(L.n)) in auts
 
 
-def test_automorphism_search_cap():
+def test_automorphism_search_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_NODE_CAP", 3)
     with pytest.raises(SearchCapExceeded):
-        order_automorphisms(make_mk(5).leq, cap=3)
+        order_automorphisms(make_mk(5).leq)
 
 
 def test_not_a_lattice_witnesses():

@@ -1,5 +1,4 @@
 """Tests for the check suite runner and the command-line interface."""
-import dataclasses
 import json
 import subprocess
 import sys
@@ -130,8 +129,9 @@ def test_homset_cap_skips_every_homset_check_with_the_enumeration_reason():
     }
 
 
-def test_autodual_cap_skips_the_check_and_reads_inconclusive():
-    report = run_suite(make_chain(4), SuiteConfig(max_autodual=10), name="chain4")
+def test_autodual_cap_skips_the_check_and_reads_inconclusive(monkeypatch):
+    monkeypatch.setattr(verify, "TABLE_SCAN_CAP", 10)
+    report = run_suite(make_chain(4), SuiteConfig(checks=("autodual",)), name="chain4")
     assert _not_passed(report) == {"autodual": ("skipped", "20 maps exceed the search cap 10")}
     assert report.summary["autodual_verdict"] == "inconclusive"
     assert report.summary["is_girard"] is True
@@ -150,34 +150,14 @@ def test_search_cap_skips_the_check_and_clears_the_automorphism_count(monkeypatc
     assert report.summary["dualizing_count"] == 2
 
 
-def _equal_irreducible_counts(monkeypatch):
-    """Make autodual_report read as many meet- as join-irreducibles, as no
-    non-distributive corpus lattice has, so that it reaches its search; the
-    homset-irreducibles check reads the binding of the verify module."""
-    real = structures.homset_irreducibles
-
-    def equal(H, cap):
-        rep = real(H, cap=cap)
-        return dataclasses.replace(rep, meet_irreducible_indices=rep.join_irreducible_indices)
-
-    monkeypatch.setattr(structures, "homset_irreducibles", equal)
-
-
-def test_a_cap_raised_inside_a_kernel_skips_the_checks_that_reach_it(monkeypatch):
-    """autodual_report builds the order of the members for its search under
-    MATRIX_CAP, read from the structures module.  With the counts made equal
-    on m3 the cap skips the autodual check and leaves the summary's verdict
-    inconclusive; every other check and flag comes out as without it."""
-    want = run_suite(make_mk(3), name="m3")
-    _equal_irreducible_counts(monkeypatch)
-    monkeypatch.setattr(structures, "MATRIX_CAP", 5)
-    report = run_suite(make_mk(3), name="m3")
-    assert _not_passed(report) == {"autodual": ("skipped", "order matrix for 50 maps exceeds the 5 cap")}
-    assert report.summary == {**want.summary, "autodual_verdict": "inconclusive"}
-
-
 def test_the_autodual_verdict_of_a_non_distributive_homset_needs_no_order_matrix(monkeypatch):
-    monkeypatch.setattr(structures, "MATRIX_CAP", 5)
+    """Unequal irreducible counts settle it: the order of the members and the
+    search of autodual_report are refused."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("order of the members built")
+
+    monkeypatch.setattr(structures, "leq_tables", refuse)
+    monkeypatch.setattr(structures, "find_order_isomorphism", refuse)
     report = run_suite(make_mk(3), SuiteConfig(checks=("homset-irreducibles", "autodual")), name="m3")
     assert [r.status for r in report.results] == ["pass", "pass"]
     assert report.summary["autodual_verdict"] == "not-autodual"
@@ -472,7 +452,7 @@ def test_cli_analyze_summary_equals_the_corpus_golden(tmp_path, capsys):
     assert entry["checks"] == []
 
 
-@pytest.mark.parametrize("flag", ["--max-homset", "--max-autodual"])
+@pytest.mark.parametrize("flag", ["--max-homset"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_cli_rejects_a_cap_below_one(flag, value):
     proc = subprocess.run(
@@ -484,6 +464,21 @@ def test_cli_rejects_a_cap_below_one(flag, value):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line == f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}"
+
+
+def test_cli_rejects_the_removed_autodual_flag():
+    """The autodual search reads verify.TABLE_SCAN_CAP; no flag sets it.
+    argparse prints its usage line, then the one error line."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "supq.cli", "verify", "--corpus", "--max-autodual", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    usage, line = proc.stderr.splitlines()
+    assert usage.startswith("usage: supq ")
+    assert line == "supq: error: unrecognized arguments: --max-autodual"
 
 
 @pytest.mark.parametrize(

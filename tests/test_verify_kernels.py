@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import supq
-from supq import cli, maps, quantale, structures, verify
+from supq import cli, lattice, maps, quantale, structures, verify
 from supq.lattice import (
     CapExceeded,
     Lattice,
@@ -87,6 +87,7 @@ from supq.verify import (
     _monotone_keys,
     check_autodual,
     check_division_formulas,
+    check_downset_irreducibles,
     check_galois_adjunction,
     check_naturality_composite,
     check_raney_adjunction,
@@ -693,6 +694,8 @@ def test_join_fold_equals_a_fold_of_the_join_table_on_the_corpus():
         for k in (0, 1, 2, L.n + 1):
             vecs = _families(L.n, k, 3 * L.n)
             assert (join_fold(L, vecs) == _join_by_loop(L, vecs)).all(), (name, k)
+            if k:  # an iterator is folded as it is consumed
+                assert (join_fold(L, (v for v in vecs)) == _join_by_loop(L, vecs)).all(), (name, k)
             square = vecs.reshape(k, 3, L.n)
             assert (join_fold(L, square) == _join_by_loop(L, square)).all(), (name, k)
         a, b = np.divmod(np.arange(L.n ** 2), L.n)
@@ -1221,11 +1224,15 @@ def test_a_failing_star_witness_fails_the_autodual_check_and_the_run_goes_on(mon
 
 
 def test_the_star_witness_is_tested_on_the_cover_edges_above_the_matrix_cap(monkeypatch):
-    """boolean2 has 16 members; with the order matrix capped at 5 and the
-    autoduality search allowed, the check tests the star on the lower-cover
-    edges: it passes (it was skipped by the cap), and a rolled star fails."""
-    monkeypatch.setattr(structures, "MATRIX_CAP", 5)
-    config = SuiteConfig(max_autodual=100, checks=("autodual",))
+    """With the order of the members and the search of autodual_report
+    refused, the check tests the star of boolean2 on the lower-cover edges:
+    it passes, and a rolled star fails."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("order of the members built")
+
+    monkeypatch.setattr(structures, "leq_tables", refuse)
+    monkeypatch.setattr(structures, "find_order_isomorphism", refuse)
+    config = SuiteConfig(checks=("autodual",))
     [result] = run_suite(make_boolean(2), config, name="boolean2").results
     assert result.status == "pass"
     star = EndoHomset.star_indices.fget
@@ -1238,7 +1245,7 @@ def test_the_lower_cover_edges_are_the_cover_relation(kernel_homsets):
     """On the corpus and on m3 x chain2 (2,500 members, above TABLE_SCAN_CAP),
     whose raney-adjunction and tight-subset rest on these edges."""
     for name, H in kernel_homsets.items():
-        f, g = structures._irreducibles(H).lower_cover_edges
+        f, g = structures.homset_irreducibles(H).lower_cover_edges
         covers = np.zeros((H.m, H.m), dtype=bool)
         covers[g, f] = True
         assert len(f) == covers.sum() and (covers == cover_relation(order_on_J(H))).all(), name
@@ -1251,7 +1258,7 @@ def test_every_member_is_the_join_of_the_join_irreducible_members_below_it(kerne
         L = H.lattice
         below = order_on_J(H)
         acc = np.full((H.m, L.n), L.bottom, dtype=np.int64)
-        for i in structures._irreducibles(H).join_irreducible_indices:
+        for i in structures.homset_irreducibles(H).join_irreducible_indices:
             acc = np.where(below[i][:, None], L.join[acc, H.tables[i]], acc)
         assert (acc == H.tables).all(), name
 
@@ -1279,8 +1286,8 @@ def test_an_equal_count_report_reaches_the_search_and_takes_its_verdict(monkeypa
     searches the order of the members, and its answer is the verdict."""
     real = structures.homset_irreducibles
 
-    def equal(H, cap):
-        rep = real(H, cap=cap)
+    def equal(H):
+        rep = real(H)
         return dataclasses.replace(rep, meet_irreducible_indices=rep.join_irreducible_indices)
 
     monkeypatch.setattr(structures, "homset_irreducibles", equal)
@@ -1339,7 +1346,7 @@ def test_irreducibles_from_the_tensors_equal_the_cover_relation():
     entries = corpus() + workloads.build("midsize", 0)
     for name, L, _ in entries:
         H = enumerate_homset(L)
-        assert structures._irreducibles(H) == _irreducibles_by_cover_relation(H), name
+        assert structures.homset_irreducibles(H) == _irreducibles_by_cover_relation(H), name
 
 
 def test_the_cover_test_by_inside_equals_the_signature_test():
@@ -1349,7 +1356,7 @@ def test_the_cover_test_by_inside_equals_the_signature_test():
     entries.append(("chain3xboolean2", _product(make_chain(3), make_boolean(2)), None))
     for name, L, _ in entries:
         H = enumerate_homset(L)
-        got, want = structures._irreducibles(H), irreducibles_by_signatures(H)
+        got, want = structures.homset_irreducibles(H), irreducibles_by_signatures(H)
         assert got == want, name
         for a, b in zip(got.lower_cover_edges, want.lower_cover_edges):
             assert np.array_equal(a, b), name
@@ -1388,7 +1395,7 @@ def test_adjoint_kernels_between_different_lattices(source, target):
         assert (target.leq[:, g] == source.leq[l, :]).all()
 
 
-def test_one_search_serves_automorphisms_and_isomorphisms():
+def test_one_search_serves_automorphisms_and_isomorphisms(monkeypatch):
     rng = np.random.default_rng(5)
     for name, L, _ in corpus():
         auts = order_automorphisms(L.leq)
@@ -1398,10 +1405,11 @@ def test_one_search_serves_automorphisms_and_isomorphisms():
         relabelled[np.ix_(perm, perm)] = L.leq  # element i becomes perm[i]
         sigma = np.array(find_order_isomorphism(L.leq, relabelled))
         assert (relabelled[np.ix_(sigma, sigma)] == L.leq).all(), name
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_NODE_CAP", 3)
     with pytest.raises(SearchCapExceeded):
-        order_automorphisms(make_mk(5).leq, cap=3)
+        order_automorphisms(make_mk(5).leq)
     with pytest.raises(SearchCapExceeded):
-        find_order_isomorphism(make_mk(5).leq, make_mk(5).leq, cap=3)
+        find_order_isomorphism(make_mk(5).leq, make_mk(5).leq)
 
 
 # -- weakening-relation checks -------------------------------------------------------------
@@ -1841,7 +1849,7 @@ def test_tight_subset_reports_the_interior_and_composite_witnesses(pair_scan_ctx
     H = ctx.homset
     mask, real_k = H.tight_mask, H.tight_interior_tables
     k = H.index_rows(real_k)
-    f_e, g_e = structures._irreducibles(H).lower_cover_edges
+    f_e, g_e = structures.homset_irreducibles(H).lower_cover_edges
     loose = np.flatnonzero(~mask)
 
     def plant_k(at, row):
@@ -2332,7 +2340,7 @@ def test_raney_adjunction_and_tight_subset_build_no_pair_table_on_m3xchain2(monk
     homset-irreducibles not run."""
     L = _product(make_mk(3), make_chain(2))
     H = enumerate_homset(L)
-    bound = int(H.tight_mask.sum()) * len(structures._irreducibles(H).join_irreducible_indices)
+    bound = int(H.tight_mask.sum()) * len(structures.homset_irreducibles(H).join_irreducible_indices)
 
     def refuse(*args, **kwargs):
         raise AssertionError("leq_tables called")
@@ -2356,6 +2364,68 @@ def test_raney_adjunction_and_tight_subset_build_no_pair_table_on_m3xchain2(monk
     assert cells and max(cells) <= bound
     (alone,) = run_suite(L, SuiteConfig(checks=("tight-subset",))).results
     assert alone.status == "pass"
+
+
+def test_cached_irreducible_report_still_respects_a_smaller_cap(monkeypatch):
+    """m3 x chain2 has 2,500 members, within MATRIX_CAP and past
+    TABLE_SCAN_CAP: raney-adjunction fills the homset's irreducible memo,
+    and homset-irreducibles and autodual are still skipped by their cap."""
+    built = []
+
+    def recorded(L, cap):
+        built.append(enumerate_homset(L, cap))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "enumerate_homset", recorded)
+    config = SuiteConfig(checks=("raney-adjunction", "homset-irreducibles", "autodual"))
+    report = run_suite(_product(make_mk(3), make_chain(2)), config, name="m3xchain2")
+    assert [(r.check_id, r.status, r.reason) for r in report.results] == [
+        ("raney-adjunction", "pass", None),
+        ("homset-irreducibles", "skipped", "homset has 2500 members; irreducible scan capped at 2000"),
+        ("autodual", "skipped", "2500 maps exceed the search cap 2000"),
+    ]
+    assert "irreducibles" in built[0]._cache
+    assert report.summary["autodual_verdict"] == "inconclusive"
+
+
+def test_downset_irreducibles_needs_no_search(monkeypatch):
+    """Birkhoff's map is tested itself: the check agrees with the search it
+    replaced on the corpus and on the midsize and large lattices at seeds 0
+    and 7, and passes on boolean 3 and the 64-element downset lattice of the
+    6-antichain with the search's node cap at 3."""
+    lattices = corpus() + [e for w in ("midsize", "large") for seed in (0, 7) for e in workloads.build(w, seed)]
+    for _, L, _ in lattices:
+        ctx = _Ctx(L, SuiteConfig())
+        assert check_downset_irreducibles(ctx) is None is oracles.downset_irreducibles_by_search(ctx)
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_NODE_CAP", 3)
+    for L in (make_boolean(3), downset_lattice(Poset(np.eye(6, dtype=bool)))):
+        with pytest.raises(SearchCapExceeded):
+            oracles.downset_irreducibles_by_search(_Ctx(L, SuiteConfig()))
+        assert check_downset_irreducibles(_Ctx(L, SuiteConfig())) is None
+
+
+@pytest.mark.parametrize("plant", ["collide", "swap"])
+def test_a_wrong_downset_index_fails_downset_irreducibles(monkeypatch, plant):
+    """A planted wrong index fails the check with the witness of the search:
+    two elements sent to one downset, or bottom and top swapped."""
+    real = verify._downsets
+    L = make_chain(3)
+
+    def wrong(P):
+        rows, index = real(P)
+
+        def planted(sets):
+            phi = index(sets).copy()
+            if plant == "collide":
+                phi[1] = phi[0]
+            else:
+                phi[[L.bottom, L.top]] = phi[[L.top, L.bottom]]
+            return phi
+
+        return rows, planted
+
+    monkeypatch.setattr(verify, "_downsets", wrong)
+    assert check_downset_irreducibles(_Ctx(L, SuiteConfig())) == "downset representation is not isomorphic to the lattice"
 
 
 # -- the transform facts, each read from one table ----------------------------------------
