@@ -54,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", parents=[fmt, caps],
                              help="print descriptor and summary flags for a lattice file")
     analyze.add_argument("file", help="path to a lattice JSON document")
+    analyze.set_defaults(corpus=False, checks="", strict=False)  # verify with no checks
 
     verify = sub.add_parser("verify", parents=[fmt, caps, picks],
                             help="run the check suite against a lattice or the corpus")
@@ -112,14 +113,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    L = _load_lattice(args.file)
-    config = SuiteConfig(max_homset=args.max_homset, checks=())
-    name = args.file.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    _emit([run_suite(L, config, name=name)], args.format)
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
     if args.corpus == (args.file is not None):
         print("verify needs a lattice file or --corpus (not both)", file=sys.stderr)
@@ -152,9 +145,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             return _cmd_gen(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "verify":
+        if args.command in ("analyze", "verify"):
             return _cmd_verify(args)
         return _cmd_m5(args)
     except LatticeError as e:

@@ -35,10 +35,6 @@ class NoBoundedElement(LatticeError):
     """Empty input: there is no bottom or top element."""
 
 
-class SizeGuardExceeded(LatticeError):
-    """A construction exceeded its configured size cap."""
-
-
 class CapExceeded(LatticeError):
     """A search or construction grew past its configured cap.  The verifier
     reports the check that needed it as skipped, with this message."""
@@ -46,6 +42,10 @@ class CapExceeded(LatticeError):
     def __init__(self, message: str, partial_count: int = 0):
         super().__init__(message)
         self.partial_count = partial_count
+
+
+class SizeGuardExceeded(CapExceeded):
+    """A construction exceeded its size guard: bad input to a parse, a skip in a check."""
 
 
 class SearchCapExceeded(CapExceeded):
@@ -356,7 +356,7 @@ def _load_json(text: str):
         raise ValueError("invalid JSON: nested too deeply") from None
 
 
-def parse_lattice(text: str | bytes, max_size: int = MAX_LATTICE_SIZE) -> Lattice:
+def parse_lattice(text: str | bytes) -> Lattice:
     """Parse a lattice from its JSON file format.
 
     Accepted shapes: {"elements": [names], "covers": [[i, j], ...]} with
@@ -380,8 +380,8 @@ def parse_lattice(text: str | bytes, max_size: int = MAX_LATTICE_SIZE) -> Lattic
         if names is None:
             raise ValueError("'covers' format requires 'elements'")
         n = len(names)
-        if n > max_size:
-            raise SizeGuardExceeded(f"lattice size {n} exceeds cap {max_size}")
+        if n > MAX_LATTICE_SIZE:
+            raise SizeGuardExceeded(f"lattice size {n} exceeds cap {MAX_LATTICE_SIZE}")
         covers = doc["covers"]
         if not isinstance(covers, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in covers
@@ -398,8 +398,8 @@ def parse_lattice(text: str | bytes, max_size: int = MAX_LATTICE_SIZE) -> Lattic
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("'leq' must be square")
-    if n > max_size:
-        raise SizeGuardExceeded(f"lattice size {n} exceeds cap {max_size}")
+    if n > MAX_LATTICE_SIZE:
+        raise SizeGuardExceeded(f"lattice size {n} exceeds cap {MAX_LATTICE_SIZE}")
     if n == 0:
         raise NoBoundedElement("a lattice needs at least one element")
     if names is not None and len(names) != n:
@@ -474,8 +474,9 @@ def dual(L: Lattice) -> Lattice:
 
 def downset_lattice(P: Poset) -> Lattice:
     """Lattice of down-closed subsets of P, ordered by inclusion."""
-    if P.n > 12 or (1 << P.n) > MAX_DOWNSET_LATTICE_SIZE:
-        raise SizeGuardExceeded(f"downset lattice of a {P.n}-element poset exceeds cap")
+    if (1 << P.n) > MAX_DOWNSET_LATTICE_SIZE:
+        raise SizeGuardExceeded(f"downset lattice of a {P.n}-element poset spans {1 << P.n} subsets; "
+                                f"downsets capped at {MAX_DOWNSET_LATTICE_SIZE}")
     masks = P.downset_masks()
     arr = np.array(masks, dtype=np.int64)
     index_of = np.full(1 << P.n, -1, dtype=np.int64)

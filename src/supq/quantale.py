@@ -442,15 +442,15 @@ class EndoHomset:
             slot[keys] = order
         return J, radix, slot, (keys, order)
 
-    def index_rows(self, rows: np.ndarray, strict: bool = True) -> np.ndarray:
+    def index_rows(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row, a table of values of the lattice, in the homset
-        table; -1 for absent rows when strict is off."""
+        table; KeyError if some row is absent."""
         rows = _as_rows(rows)
         # the key fixes the J-values of a row of lattice values, so the one
         # member with them, if any, is the row when the whole row agrees; a
         # key that no member has gives -1, whose row tables[-1] differs
         idx = self._index_keys(self._j_keys(rows), strict=False)
-        return _checked(idx, (self.tables[idx] == rows).all(axis=1), strict)
+        return _checked(idx, (self.tables[idx] == rows).all(axis=1), True)
 
     def _j_keys(self, rows: np.ndarray) -> np.ndarray:
         """The J-key of each row of lattice values, for rows of shape (..., n)."""

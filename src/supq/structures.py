@@ -64,24 +64,17 @@ class FiniteQuantale:
             raise ValueError(f"multiplication table must be {n}x{n}")
         if mult.min() < 0 or mult.max() >= n:
             raise ValueError("multiplication table value out of range")
-        idx = np.arange(n)
-        left = mult[mult, :][idx[:, None, None], idx[None, :, None], idx[None, None, :]]
-        right = mult[idx[:, None, None], mult[None, :, :]]
+        left, right = mult[mult], mult[:, mult]  # [x, y, z] = (x*y)*z, x*(y*z)
         if not (left == right).all():
             x, y, z = np.argwhere(left != right)[0]
             raise ValueError(f"multiplication is not associative at ({x}, {y}, {z})")
-        join = carrier.join.astype(np.int64)
         bot = carrier.bottom
         if not ((mult[:, bot] == bot).all() and (mult[bot, :] == bot).all()):
             raise ValueError("bottom does not annihilate")
-        lhs = mult[idx[:, None, None], join[None, :, :]]
-        rhs = join[mult[idx[:, None, None], idx[None, :, None]], mult[idx[:, None, None], idx[None, None, :]]]
-        if not (lhs == rhs).all():
-            raise ValueError("multiplication does not distribute over joins on the right")
-        lhs = mult[join[:, :, None], idx[None, None, :]]
-        rhs = join[mult[idx[:, None, None], idx[None, None, :]], mult[idx[None, :, None], idx[None, None, :]]]
-        if not (lhs == rhs).all():
-            raise ValueError("multiplication does not distribute over joins on the left")
+        # x*(y v z) = x*y v x*z on mult, and on mult.T, whose x*y is y*x
+        for side, m in (("right", mult), ("left", mult.T)):
+            if not (m[:, carrier.join] == carrier.join[m[:, :, None], m[:, None, :]]).all():
+                raise ValueError(f"multiplication does not distribute over joins on the {side}")
         mult.flags.writeable = False
         self.carrier = carrier
         self.mult = mult
@@ -316,7 +309,8 @@ def _downsets(P: Poset):
     that is not down-closed).  The index spans all 2^n subsets, so it is
     capped like the downset lattice."""
     if (1 << P.n) > MAX_DOWNSET_LATTICE_SIZE:
-        raise SizeGuardExceeded(f"downset index of a {P.n}-element poset exceeds cap")
+        raise SizeGuardExceeded(f"downset index of a {P.n}-element poset spans {1 << P.n} subsets; "
+                                f"capped at {MAX_DOWNSET_LATTICE_SIZE}")
     masks = np.array(P.downset_masks(), dtype=np.int64)
     weights = np.int64(1) << np.arange(P.n, dtype=np.int64)
     index_of = np.full(1 << P.n, -1, dtype=np.int64)
@@ -454,6 +448,18 @@ def _family_is_natural(H: EndoHomset, fam: np.ndarray) -> bool:
 # -- abstract two-valued families ------------------------------------------------------------
 
 
+def _join_family(source: Lattice, maps: list, joins: str, bottom: str) -> None:
+    """maps[y], one endomap per y in `source`, send joins of `source` to pointwise
+    joins (else MapError `joins` at the first pair) and its bottom to the bottom map."""
+    for y1 in range(source.n):
+        for y2 in range(source.n):
+            if pointwise_join(maps[y1], maps[y2]) != maps[int(source.join[y1, y2])]:
+                raise MapError(f"{joins} at ({y1}, {y2})")
+    least = maps[source.bottom]
+    if least.table != (least.target.bottom,) * least.source.n:
+        raise MapError(bottom)
+
+
 def family_map_after_a(f_by_y, g: LatticeMap):
     """psi(y, x) = f(y) o a_{g(x)} for join-preserving f into the homset and a
     meet-preserving endomap g."""
@@ -463,13 +469,8 @@ def family_map_after_a(f_by_y, g: LatticeMap):
         raise MapError("family needs one homset member per lattice element")
     if not is_inf_preserving(g):
         raise MapError("second component must be meet-preserving")
-    for y1 in range(L.n):
-        for y2 in range(L.n):
-            j = int(L.join[y1, y2])
-            if pointwise_join(maps[y1], maps[y2]) != maps[j]:
-                raise MapError(f"first component does not preserve joins at ({y1}, {y2})")
-    if maps[L.bottom].table != (L.bottom,) * L.n:
-        raise MapError("first component must send bottom to the bottom map")
+    _join_family(L, maps, "first component does not preserve joins",
+                 "first component must send bottom to the bottom map")
 
     def psi(y: int, x: int) -> LatticeMap:
         return maps[y].compose(a_map(L, L, int(g.table[x])))
@@ -486,13 +487,9 @@ def family_c_after_map(f: LatticeMap, g_by_x):
         raise MapError("family needs one homset member per lattice element")
     if not is_sup_preserving(f):
         raise MapError("first component must be join-preserving")
-    for x1 in range(L.n):
-        for x2 in range(L.n):
-            m = int(L.meet[x1, x2])
-            if pointwise_join(maps[x1], maps[x2]) != maps[m]:
-                raise MapError(f"second component does not turn meets into joins at ({x1}, {x2})")
-    if maps[L.top].table != (L.bottom,) * L.n:
-        raise MapError("second component must send top to the bottom map")
+    # a family turning meets into joins is a join-preserving family out of L.op, whose bottom is top
+    _join_family(L.op, maps, "second component does not turn meets into joins",
+                 "second component must send top to the bottom map")
 
     def psi(y: int, x: int) -> LatticeMap:
         return c_map(L, L, int(f.table[y])).compose(maps[x])

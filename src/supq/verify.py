@@ -158,10 +158,6 @@ class _Ctx:
     def inf_homset(self) -> EndoHomset:
         return self._enumerated(self.L.op)
 
-    @property
-    def inf_tables(self) -> np.ndarray:
-        return self.inf_homset.tables
-
     def homset_capped(self, cap: int, what: str) -> EndoHomset:
         H = self.homset
         if H.m > cap:
@@ -292,24 +288,22 @@ def check_generator_relations(ctx: _Ctx):
     return None
 
 
-def check_tensor_meet_decomposition(ctx: _Ctx):
-    H = ctx.homset
-    L = ctx.L
-    acc = tensor_meet_tables(L, H.tables, np.arange(L.n))
-    if not (acc == H.tables).all():
-        i = int(np.argwhere((acc != H.tables).any(axis=1))[0][0])
-        return f"canonical meet of tensors differs from member {i}"
+def _decomposition(L: Lattice, tables: np.ndarray, what: str):
+    """Each row of `tables`, the homset of L, is the meet of its tensors; on L.op
+    the inf maps, whose tensors are L's co-tensors and whose meets are joins."""
+    acc = tensor_meet_tables(L, tables, np.arange(L.n))
+    if not (acc == tables).all():
+        i = int(np.argwhere((acc != tables).any(axis=1))[0][0])
+        return f"canonical {what} differs from member {i}"
     return None
+
+
+def check_tensor_meet_decomposition(ctx: _Ctx):
+    return _decomposition(ctx.L, ctx.homset.tables, "meet of tensors")
 
 
 def check_infmap_join_decomposition(ctx: _Ctx):
-    L = ctx.L
-    inf = ctx.inf_tables
-    acc = tensor_meet_tables(L.op, inf, np.arange(L.n))  # the co-tensors are the tensors of L.op
-    if not (acc == inf).all():
-        i = int(np.argwhere((acc != inf).any(axis=1))[0][0])
-        return f"canonical join of co-tensors differs from member {i}"
-    return None
+    return _decomposition(ctx.L.op, ctx.inf_homset.tables, "join of co-tensors")
 
 
 def _monotone_keys(H: EndoHomset) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,14 @@ def join_indices(H, gs, fs) -> np.ndarray:
     return H._index_keys(q)
 
 
+def lookup_rows(H, rows) -> np.ndarray:
+    """Index of each row in the homset table, -1 for a row that is no member:
+    the lookup `EndoHomset.index_rows` makes before it refuses absent rows."""
+    rows = _as_rows(rows)
+    idx = H._index_keys(H._j_keys(rows), strict=False)
+    return np.where((H.tables[idx] == rows).all(axis=1), idx, -1)
+
+
 def order_on_J(H) -> np.ndarray:
     """[i, k] = f_i <= f_k, the pointwise order of the members, compared on
     the join-irreducible columns: f(x) is the join of f(j) over the j <= x."""

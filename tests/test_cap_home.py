@@ -1,11 +1,14 @@
 """The check caps are constants of the verifier: verify.py defines and reads
 MATRIX_CAP, TABLE_SCAN_CAP and EXHAUSTIVE_PAIR_CAP, and no other module of the
 package names them.  The kernels take no cap: the only `cap` parameters are
-the homset cap's, and the verifier's guard that applies a check cap."""
+the homset cap's, and the verifier's guard that applies a check cap.  Every
+guard of `supq.lattice` is a CapExceeded, so the verifier skips a check past
+any of them the one way."""
 import ast
 from pathlib import Path
 
 import supq
+from supq import lattice
 
 SRC = Path(supq.__file__).parent
 CHECK_CAPS = {"MATRIX_CAP", "TABLE_SCAN_CAP", "EXHAUSTIVE_PAIR_CAP"}
@@ -69,3 +72,9 @@ def test_the_scans_see_each_way_to_name_a_cap():
     assert _cap_names(ast.parse("SLOT_CAP = 8\nx = work_cap")) == set()
     assert _cap_parameters(ast.parse("def f(a, cap=1): pass\ndef g(*, cap): pass\ndef h(work_cap): pass")) == {"f", "g"}
     assert _cap_parameters(ast.parse("class C:\n    def m(self, cap, what): pass")) == {"m"}
+
+
+def test_every_guard_of_the_lattice_module_is_a_cap():
+    guards = [obj for name, obj in vars(lattice).items() if isinstance(obj, type) and name.endswith("Exceeded")]
+    assert {g.__name__ for g in guards} >= {"CapExceeded", "SearchCapExceeded", "SizeGuardExceeded"}
+    assert [g.__name__ for g in guards if not issubclass(g, lattice.CapExceeded)] == []

@@ -534,7 +534,7 @@ def test_parse_error_types():
     with pytest.raises(NotAPartialOrder):
         parse_lattice(json.dumps({"elements": ["x", "y"], "covers": [[0, 1], [1, 0]]}))
     with pytest.raises(SizeGuardExceeded):
-        parse_lattice(serialize_lattice(make_chain(9)), max_size=8)
+        parse_lattice(json.dumps({"elements": [str(i) for i in range(lattice.MAX_LATTICE_SIZE + 1)], "covers": []}))
     # an antichain order matrix fails on missing bounds, reported as a lub gap
     two_bools = [[True, False], [False, True]]
     with pytest.raises(NotALattice):

@@ -5,6 +5,7 @@ resolve."""
 import ast
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from supq.quantale import (
     raney_up_tables,
     tensor_meet_tables,
 )
-from supq.verify import SuiteConfig, _Ctx, check_infmap_join_decomposition, corpus
+from supq.verify import (
+    SuiteConfig,
+    _Ctx,
+    check_infmap_join_decomposition,
+    check_tensor_meet_decomposition,
+    corpus,
+)
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
@@ -165,14 +172,20 @@ def test_co_tensor_join_is_the_tensor_meet_on_the_opposite(lattice_tables):
         assert (tensor_meet_tables(L.op, tabs, np.arange(L.n)) == _cotensor_join(L, tabs)).all()
 
 
-def test_infmap_join_decomposition_keeps_its_witness(monkeypatch):
+@pytest.mark.parametrize("side, check, witness", [
+    ("homset", check_tensor_meet_decomposition, "canonical meet of tensors differs from member 3"),
+    ("inf_homset", check_infmap_join_decomposition, "canonical join of co-tensors differs from member 3"),
+], ids=["members", "inf-maps"])
+def test_decomposition_checks_keep_their_witnesses(monkeypatch, side, check, witness):
+    """One body runs both checks, on L and on L.op; a wrong row planted on
+    either side is named as before."""
     L = make_n5()
     ctx = _Ctx(L, SuiteConfig())
-    inf = ctx.inf_tables.copy()
-    assert check_infmap_join_decomposition(ctx) is None
-    inf[3, L.bottom] = L.top  # not the join of its co-tensors
-    monkeypatch.setattr(_Ctx, "inf_tables", property(lambda self: inf))
-    assert check_infmap_join_decomposition(ctx) == "canonical join of co-tensors differs from member 3"
+    tables = getattr(ctx, side).tables.copy()
+    assert check(ctx) is None
+    tables[3, L.bottom] = L.top  # neither the meet of its tensors nor the join of its co-tensors
+    monkeypatch.setattr(_Ctx, side, property(lambda self: SimpleNamespace(tables=tables)))
+    assert check(ctx) == witness
 
 
 @pytest.mark.parametrize("name, L", LATTICES, ids=IDS)

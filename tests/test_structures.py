@@ -38,6 +38,7 @@ from supq.maps import (
     LatticeMap,
     MapError,
     a_map,
+    bottom_map,
     c_map,
     e_map,
     e_tables,
@@ -191,10 +192,15 @@ def test_quantale_validation_rejects_bad_tables():
     L = make_chain(3)
     with pytest.raises(ValueError, match="associative"):
         FiniteQuantale(L, [[0, 0, 0], [0, 2, 2], [0, 2, 1]])
-    with pytest.raises(ValueError, match="annihilate"):
-        FiniteQuantale(make_chain(2), [[0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="^bottom does not annihilate$"):
+        FiniteQuantale(make_chain(2), [[0, 1], [1, 1]])  # x v y: it distributes over joins
     with pytest.raises(ValueError, match="distribute"):
         FiniteQuantale(L, [[0, 0, 0], [0, 2, 1], [0, 1, 2]])
+    # associative and each breaking one law: row 1 of the first is not monotone, column 1 of its transpose
+    with pytest.raises(ValueError, match="^multiplication does not distribute over joins on the right$"):
+        FiniteQuantale(L, [[0, 0, 0], [0, 1, 0], [0, 2, 0]])
+    with pytest.raises(ValueError, match="^multiplication does not distribute over joins on the left$"):
+        FiniteQuantale(L, [[0, 0, 0], [0, 1, 2], [0, 0, 0]])
     with pytest.raises(ValueError, match="3x3"):
         FiniteQuantale(L, [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="out of range"):
@@ -977,3 +983,8 @@ def test_family_constructors_validate_their_components():
         family_c_after_map(identity_map(L), [c_map(L, L, x) for x in range(L.n)])
     with pytest.raises(MapError, match="send top"):
         family_c_after_map(identity_map(L), [a_map(L, L, 0) for _ in range(L.n)])
+    # a component breaking both the join rule and the bottom rule is refused for the join rule
+    with pytest.raises(MapError, match=r"^first component does not preserve joins at \(0, 1\)$"):
+        family_map_after_a([c_map(L, L, 1)] + [c_map(L, L, 0)] * (L.n - 1), identity_map(L))
+    with pytest.raises(MapError, match=r"^second component does not turn meets into joins at \(0, 4\)$"):
+        family_c_after_map(identity_map(L), [bottom_map(L, L)] * (L.n - 1) + [c_map(L, L, 1)])

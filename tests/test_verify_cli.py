@@ -13,6 +13,7 @@ from supq.lattice import (
     make_boolean,
     make_chain,
     make_mk,
+    make_n5,
     parse_lattice,
     serialize_lattice,
 )
@@ -450,6 +451,38 @@ def test_cli_analyze_summary_equals_the_corpus_golden(tmp_path, capsys):
     [m3] = [r for r in json.loads(golden.read_text())["reports"] if r["lattice"]["name"] == "m3"]
     assert entry["summary"] == m3["summary"]
     assert entry["checks"] == []
+
+
+@pytest.mark.parametrize("command, checks", [("analyze", ()), ("verify", ("--checks", ""))])
+def test_cli_analyze_exits_like_verify_on_a_raising_flag(tmp_path, capsys, monkeypatch, command, checks):
+    """analyze is verify with no checks: a summary flag whose kernel raises
+    is reported and fails the run."""
+    def planted(L):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(verify, "automorphisms", planted)
+    path = tmp_path / "n5.json"
+    path.write_text(serialize_lattice(make_n5()))
+    code, out, _ = _run(capsys, command, str(path), *checks)
+    assert code == EXIT_CHECK_FAILED
+    assert "[FAIL] flag automorphism_count: ZeroDivisionError: planted" in out
+
+
+def test_cli_skips_downset_irreducibles_past_the_downset_index_cap(tmp_path, capsys):
+    """chain 14 has 13 join-irreducibles: the downset lattice of their order
+    spans 2^13 subsets, past MAX_DOWNSET_LATTICE_SIZE.  The guard skips the
+    check like any cap, and the lattice is still good input."""
+    path = tmp_path / "chain14.json"
+    path.write_text(serialize_lattice(make_chain(14)))
+    code, out, _ = _run(capsys, "verify", str(path), "--checks", "downset-irreducibles", "--format", "json")
+    assert code == EXIT_OK
+    [entry] = json.loads(out)["reports"]
+    assert entry["checks"] == [{
+        "check_id": "downset-irreducibles", "status": "skipped",
+        "reason": "downset lattice of a 13-element poset spans 8192 subsets; downsets capped at 4096",
+    }]
+    code, _, _ = _run(capsys, "verify", str(path), "--checks", "downset-irreducibles", "--strict")
+    assert code == EXIT_SKIPPED_STRICT
 
 
 @pytest.mark.parametrize("flag", ["--max-homset"])

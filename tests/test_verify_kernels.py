@@ -107,6 +107,7 @@ from oracles import (
     galois_adjunction_every_x,
     irreducibles_by_signatures,
     join_indices,
+    lookup_rows,
     order_on_J,
     raney_adjunction_by_pairs,
     raney_adjunction_sides,
@@ -1008,7 +1009,7 @@ def _sup_interior_props_on_rows(L, H, K, interior):
         return "interior is not deflationary"
     if not (interior(out) == out).all():
         return "interior is not idempotent"
-    if (H.index_rows(out, strict=False) < 0).any():
+    if (lookup_rows(H, out) < 0).any():
         return "interior produced a map outside the homset"
     J = join_irreducibles(L)
     members = H.tables[:, J]
@@ -1677,7 +1678,7 @@ def test_the_two_lookups_give_the_same_indices(kernel_homsets):
                 K = _looked_up_by(H, lookup, mp)
                 got[lookup] = [kernel(K, gs, fs) for kernel in (EndoHomset.compose_indices, join_indices)
                                for gs, fs in sides]
-                got[lookup].append(K.index_rows(rows, strict=False))
+                got[lookup].append(lookup_rows(K, rows))
         for lookup in LOOKUPS[1:]:
             for a, b in zip(got["slot"], got[lookup]):
                 assert (a == b).all(), (name, lookup)
@@ -1698,7 +1699,7 @@ def test_a_row_that_agrees_with_a_member_only_on_the_join_irreducibles_is_absent
         for lookup in LOOKUPS:
             with pytest.MonkeyPatch.context() as mp:
                 K = _looked_up_by(H, lookup, mp)
-                assert (K.index_rows(rows, strict=False) == -1).all(), (name, lookup)
+                assert (lookup_rows(K, rows) == -1).all(), (name, lookup)
                 with pytest.raises(KeyError):
                     K.index_rows(rows[-1])
         # each row's J-key finds its member, and the full-row check refuses it
@@ -1789,7 +1790,7 @@ def _tight_subset_per_member(ctx):
     for i in range(len(tight)):
         if not mask[H.index_rows(L.join[sub[i][None, :], sub])].all():
             return "tight subset is not closed under joins"
-    down_idx = np.unique(H.index_rows(raney_down_tables(L, ctx.inf_tables)))
+    down_idx = np.unique(H.index_rows(raney_down_tables(L, ctx.inf_homset.tables)))
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
@@ -2228,7 +2229,7 @@ def test_raney_adjunction_sides_equal_the_scans_of_all_columns(kernel_homsets):
     for name, H in kernel_homsets.items():
         L = H.lattice
         ctx = _Ctx(L, SuiteConfig())
-        inf = ctx.inf_tables
+        inf = ctx.inf_homset.tables
         lhs, rhs = raney_adjunction_sides(ctx)
         assert (lhs == leq_tables(L, raney_down_tables(L, inf), H.tables)).all(), name
         assert (rhs == leq_tables(L, inf, raney_up_tables(L, H.tables))).all(), name
