@@ -271,18 +271,6 @@ class Lattice:
     def le(self, x: int, y: int) -> bool:
         return bool(self.poset.leq[x, y])
 
-    def join_of(self, xs) -> int:
-        acc = self.bottom
-        for x in xs:
-            acc = int(self.join[acc, x])
-        return acc
-
-    def meet_of(self, xs) -> int:
-        acc = self.top
-        for x in xs:
-            acc = int(self.meet[acc, x])
-        return acc
-
     # -- derived structure ------------------------------------------------
 
     @property

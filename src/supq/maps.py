@@ -270,6 +270,28 @@ def join_fold(L: Lattice, vecs) -> np.ndarray:
     return acc
 
 
+def join_zeta(L: Lattice, T: np.ndarray) -> np.ndarray:
+    """The join-zeta transform over the product order L^d, on r tables at
+    once: T has shape (r,) + (n,) * d, and out[i, q] is the join in L of
+    T[i, p] over the points p <= q of L^d.  Each axis in turn runs up L
+    from the bottom, every v joined with its lower covers, which hold the
+    joins over their down-sets by then; that gives the join over each
+    axis's down-set, and all axes the product down-set.  The axis runs
+    first and contiguous, one `take` on the raveled join table per cover
+    edge, in the dtype of _flat_index_dtype(n)."""
+    n, dt = L.n, _flat_index_dtype(L.n)
+    jt = L.join.ravel().astype(dt, copy=False)
+    edges = [(v, int(u)) for v in reversed(L.descending_order) for u in np.flatnonzero(L.covers[:, v])]
+    out = T.astype(dt, copy=False)
+    for a in range(1, T.ndim):
+        V = np.moveaxis(out, a, 0).copy()  # [v, ...], each V[v] contiguous
+        flat = V.reshape(n, -1)
+        for v, u in edges:
+            flat[v] = jt.take(flat[v] * dt(n) + flat[u])
+        out = np.moveaxis(V, 0, a)
+    return out
+
+
 def _as_rows(tables) -> np.ndarray:
     arr = np.asarray(tables, dtype=np.int16)
     return arr[None, :] if arr.ndim == 1 else arr

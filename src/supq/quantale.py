@@ -31,6 +31,7 @@ from supq.maps import (
     e_map,
     e_tables,
     join_fold,
+    join_zeta,
     left_adjoint_tables,
     pointwise_join,
     pointwise_meet,
@@ -570,8 +571,29 @@ class EndoHomset:
     @cached("interior")
     def _interior_memo(self) -> np.ndarray:
         """memo[q] = index of the sup-interior of the monotone maps with
-        J-key q, or -1 until it is first asked for; on the slot table only."""
-        return np.full(self.lattice.n ** len(self._keys()[0]), -1, dtype=np.int32)
+        J-key q, for every key q of L^J at once; on the slot table only.  A
+        member f lies below a monotone k exactly when f <= k on J, as f(x) is
+        the join of f(j) over the j <= x, so the interior at q is the join
+        of the members whose keys lie below q in L^J.  That join is a member:
+        pointwise joins of join-preserving maps preserve joins, and on J it is
+        taken digit by digit.  So `join_zeta` runs over L^J from the members'
+        J-values at their keys, bottom elsewhere, and memo = slot[key of
+        the join], -1 where that is no member.  One join_zeta call takes
+        the values at as many J[k] as fill a slot table, so no table of more
+        cells is formed, and the keys are summed in place, in int32."""
+        L = self.lattice
+        J, _, slot, (keys, order) = self._keys()
+        n, d = L.n, len(J)
+        q = np.zeros(n**d, dtype=np.int32)  # n^d <= SLOT_CAP
+        step = max(1, SLOT_CAP // n**d)
+        for s in reversed(range(0, d, step)):  # the sum of n^k * (join at J[k]) by Horner's rule, in place
+            ks = np.arange(s, min(s + step, d))
+            T = np.full((len(ks), n**d), L.bottom, dtype=np.int16)  # [i, q] = the value at J[ks[i]]
+            T[:, keys] = self.tables[order[:, None], J[ks]].T
+            for z in join_zeta(L, T.reshape((len(ks),) + (n,) * d)).reshape(len(ks), -1)[::-1]:
+                q *= n
+                q += z
+        return slot.astype(np.int32)[q]
 
     def _key_rows(self, keys: np.ndarray) -> np.ndarray:
         """The least monotone map with the values of each J-key on J: it
@@ -583,20 +605,16 @@ class EndoHomset:
 
     def _interior_keys(self, q: np.ndarray) -> np.ndarray:
         """Index of the sup-interior of the monotone maps with each J-key in
-        q, an array of any shape: on the slot table through the memo, once
-        per key and homset, and above it once per distinct key and call.  A
-        member lies below a monotone k exactly when it does on J, as f(x) is
-        the join of f(j) over the j <= x, so int(k), the join of the members
-        below k, depends only on the J-key of k."""
-        L = self.lattice
+        q, an array of any shape.  On the slot table it is one gather from
+        the memo, built whole on first use by `join_zeta` over L^J; a key
+        whose join is no member raises KeyError, as the strict index_rows.
+        Above it the fixpoint `sup_interior_tables` runs once per distinct
+        key and call, on the least monotone row of each key: int(k), the
+        join of the members below k, depends only on the J-key of k."""
         if self._keys()[2] is not None:
-            memo = self._interior_memo()
-            idx = memo[q]
-            new = _distinct(q[idx < 0])
-            if new.size:
-                memo[new] = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
-                idx = memo[q]
-            return idx
+            idx = self._interior_memo()[q]
+            return _checked(idx, idx >= 0, True)
+        L = self.lattice
         new, inv = np.unique(q, return_inverse=True)
         got = self.index_rows(sup_interior_tables(L, L, self._key_rows(new)))
         return got[inv.reshape(-1)].reshape(q.shape)

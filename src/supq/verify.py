@@ -41,7 +41,6 @@ from supq.quantale import (
     find_dualizing,
     is_completely_distributive,
     is_girard,
-    left_adjoint_tables,
     right_adjoint_tables,
     tensor_meet_tables,
     tight_has_unit,
@@ -257,12 +256,11 @@ def check_galois_adjunction(ctx: _Ctx):
         bad = (lhs != rhs).any(axis=(0, 2))
         if bad.any():
             return f"adjunction fails for member {int(np.argmax(bad)) + start}"
-    back = left_adjoint_tables(L, L, rho)
-    if not (back == H.tables).all():
-        return "lower adjoint does not invert the upper adjoint"
-    H_op = ctx.inf_homset
-    if not (right_adjoint_tables(L, L, H_op.rho_tables) == H_op.tables).all():
-        return "upper adjoint does not invert the lower adjoint"
+    # the left adjoint on L is the right adjoint on L.op
+    for S, K, witness in ((L.op, H, "lower adjoint does not invert the upper adjoint"),
+                          (L, ctx.inf_homset, "upper adjoint does not invert the lower adjoint")):
+        if not (right_adjoint_tables(S, S, K.rho_tables) == K.tables).all():
+            return witness
     return None
 
 
@@ -341,13 +339,20 @@ def check_sup_interior_props(ctx: _Ctx):
     that phi(q) lies below q on J (deflationary) and phi(q) <= phi(q2) for
     every cover step q -> q2.  Every strict q < q2 in D is joined by steps:
     raise the J-maximal coordinate where they differ.  So a member f below q
-    has f = phi(key f) <= phi(q), and phi(q) is the largest member below q."""
+    has f = phi(key f) <= phi(q), and phi(q) is the largest member below q.
+    The argument does not read how phi was built (on the slot table the
+    memo is built whole over L^J by `join_zeta`; above SLOT_CAP phi comes
+    from the fixpoint `sup_interior_tables`).  It rests on the members
+    preserving joins with distinct J-values, refused otherwise by
+    `EndoHomset._keys`, which every lookup builds, so that f <= k exactly on
+    J; and on D holding every assignment monotone on J, by the construction
+    of `assignments_on_J`."""
     L, H = ctx.L, ctx.homset
     J, radix, slot, (member_keys, members) = H._keys()
     D, vals = _monotone_keys(H)
     blocks = [slice(s, s + BLOCK_ROWS) for s in range(0, len(D), BLOCK_ROWS)]
     phi = np.concatenate([H._interior_keys(D[b]) for b in blocks])
-    # now filled on D, the memo on the slot table gives phi at a key; above it, D's sorted keys do
+    # on the slot table the memo gives phi at a key of D, a member as looked up above; above it, D's sorted keys do
     phi_at = H._interior_memo().take if slot is not None else lambda q: phi[np.searchsorted(D, q)]
     if not (phi_at(member_keys) == members).all():
         return "interior is not idempotent"
@@ -418,12 +423,15 @@ def check_raney_transform_exchange(ctx: _Ctx):
     """The lower adjoint of up(f) is star(f) = down(rho f) for every member f,
     and for every inf map as a member of the homset of L.op, its dual."""
     L = ctx.L
-    H, H_op = ctx.homset, ctx.inf_homset
-    if not (right_adjoint_tables(L, L, H_op.up_transform_tables)
-            == H_op.tables[H_op.star_indices]).all():
-        return "upper adjoint of the down transform differs from the up transform of the lower adjoint"
-    if not (left_adjoint_tables(L, L, H.up_transform_tables) == H.tables[H.star_indices]).all():
-        return "lower adjoint of the up transform differs from the down transform of the upper adjoint"
+    # the left adjoint on L is the right adjoint on L.op, and down on L is up on L.op
+    for S, K, witness in (
+        (L, ctx.inf_homset,
+         "upper adjoint of the down transform differs from the up transform of the lower adjoint"),
+        (L.op, ctx.homset,
+         "lower adjoint of the up transform differs from the down transform of the upper adjoint"),
+    ):
+        if not (right_adjoint_tables(S, S, K.up_transform_tables) == K.tables[K.star_indices]).all():
+            return witness
     return None
 
 

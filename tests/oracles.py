@@ -12,7 +12,30 @@ from supq.lattice import (
     join_irreducibles,
     meet_irreducibles,
 )
-from supq.maps import _as_rows, e_tables, join_fold, leq_tables, table_take, tensor_tables
+from supq.maps import (
+    _as_rows,
+    e_tables,
+    join_fold,
+    left_adjoint_tables,
+    leq_tables,
+    right_adjoint_tables,
+    table_take,
+    tensor_tables,
+)
+
+
+def join_of(L, xs) -> int:
+    """The join in L of the elements xs, bottom when there are none, folded
+    one element at a time."""
+    acc = L.bottom
+    for x in xs:
+        acc = int(L.join[acc, x])
+    return acc
+
+
+def meet_of(L, xs) -> int:
+    """The meet in L of the elements xs, top when there are none: the join in L.op."""
+    return join_of(L.op, xs)
 
 
 def join_indices(H, gs, fs) -> np.ndarray:
@@ -259,11 +282,24 @@ def galois_adjunction_every_x(ctx):
         if not (lhs == rhs).all():
             i = int(np.argwhere((lhs != rhs).any(axis=(1, 2)))[0][0]) + start
             return f"adjunction fails for member {i}"
-    if not (verify.left_adjoint_tables(L, L, rho) == H.tables).all():
+    if not (left_adjoint_tables(L, L, rho) == H.tables).all():
         return "lower adjoint does not invert the upper adjoint"
     H_op = ctx.inf_homset
-    if not (verify.right_adjoint_tables(L, L, H_op.rho_tables) == H_op.tables).all():
+    if not (right_adjoint_tables(L, L, H_op.rho_tables) == H_op.tables).all():
         return "upper adjoint does not invert the lower adjoint"
+    return None
+
+
+def raney_transform_exchange_by_both_adjoints(ctx):
+    """check_raney_transform_exchange before its two sides became one loop
+    over the right adjoint on L and on L.op: the right adjoint kernel on the
+    inf maps, then the left adjoint kernel on the members."""
+    L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
+    if not (right_adjoint_tables(L, L, H_op.up_transform_tables)
+            == H_op.tables[H_op.star_indices]).all():
+        return "upper adjoint of the down transform differs from the up transform of the lower adjoint"
+    if not (left_adjoint_tables(L, L, H.up_transform_tables) == H.tables[H.star_indices]).all():
+        return "lower adjoint of the up transform differs from the down transform of the upper adjoint"
     return None
 
 
@@ -335,6 +371,6 @@ def q_residuals_by_joins(Q, x, y) -> tuple[int, int]:
     """structures.q_residuals before the adjoint tables: (x\\y, y/x) as the
     joins of every z with x*z <= y, resp. z*x <= y."""
     L = Q.carrier
-    under = L.join_of(z for z in range(L.n) if L.leq[Q.mult[x, z], y])
-    over = L.join_of(z for z in range(L.n) if L.leq[Q.mult[z, x], y])
+    under = join_of(L, (z for z in range(L.n) if L.leq[Q.mult[x, z], y]))
+    over = join_of(L, (z for z in range(L.n) if L.leq[Q.mult[z, x], y]))
     return under, over

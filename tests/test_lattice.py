@@ -38,6 +38,7 @@ from supq import (
 from supq import lattice
 from supq.verify import corpus as verify_corpus
 
+from oracles import join_of, meet_of
 from perfbench import workloads
 
 # -- oracles -----------------------------------------------------------------
@@ -201,11 +202,11 @@ def test_bottom_and_top():
 
 def test_join_of_and_meet_of_fold():
     L = make_boolean(3)
-    assert L.join_of([]) == L.bottom
-    assert L.meet_of([]) == L.top
-    assert L.join_of([1, 2, 4]) == L.top
-    assert L.meet_of([3, 5]) == 1  # {0,1} ^ {0,2} = {0}
-    assert L.join_of([3, 5]) == 7
+    assert join_of(L, []) == L.bottom
+    assert meet_of(L, []) == L.top
+    assert join_of(L, [1, 2, 4]) == L.top
+    assert meet_of(L, [3, 5]) == 1  # {0,1} ^ {0,2} = {0}
+    assert join_of(L, [3, 5]) == 7
 
 
 def test_covers_match_bruteforce():

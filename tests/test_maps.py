@@ -48,6 +48,8 @@ from supq import (
     top_q_map,
 )
 
+from oracles import join_of
+
 CORPUS = {
     "chain4": make_chain(4),
     "boolean2": make_boolean(2),
@@ -343,7 +345,7 @@ def test_extension_over_e_family_matches_join_formula():
         for g in inf_maps_scan(L, L):
             out = extend_bimorphism(lambda y, x: e_map(L, L, y, x), g)
             for t in range(L.n):
-                expected = L.join_of(g.table[x] for x in range(L.n) if not L.leq[t, x])
+                expected = join_of(L, (g.table[x] for x in range(L.n) if not L.leq[t, x]))
                 assert out.table[t] == expected
 
 

@@ -65,7 +65,7 @@ from supq.quantale import (
 )
 from supq.verify import corpus
 
-from oracles import order_on_J
+from oracles import join_of, meet_of, order_on_J
 from perfbench import workloads
 
 CORPUS = {
@@ -96,14 +96,14 @@ def sup_tables_scan(L):
 def raney_down_scan(L, table):
     out = []
     for x in range(L.n):
-        out.append(L.join_of(table[t] for t in range(L.n) if not L.leq[x, t]))
+        out.append(join_of(L, (table[t] for t in range(L.n) if not L.leq[x, t])))
     return tuple(out)
 
 
 def raney_up_scan(L, table):
     out = []
     for x in range(L.n):
-        out.append(L.meet_of(table[t] for t in range(L.n) if not L.leq[t, x]))
+        out.append(meet_of(L, (table[t] for t in range(L.n) if not L.leq[t, x])))
     return tuple(out)
 
 

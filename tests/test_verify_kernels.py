@@ -91,6 +91,7 @@ from supq.verify import (
     check_galois_adjunction,
     check_naturality_composite,
     check_raney_adjunction,
+    check_raney_transform_exchange,
     check_residual_adjunction,
     check_sup_interior_props,
     check_tight_subset,
@@ -111,6 +112,7 @@ from oracles import (
     order_on_J,
     raney_adjunction_by_pairs,
     raney_adjunction_sides,
+    raney_transform_exchange_by_both_adjoints,
     residual_adjunction_by_order_matrix,
     residual_adjunction_by_pair_gathers,
     right_adjoint_tables_every_x,
@@ -317,6 +319,60 @@ def test_monotone_rows_that_agree_on_J_have_one_interior():
     assert split >= 5  # lattices where rows that differ off J share their J-values
 
 
+def test_the_memo_equals_the_fixpoint_on_every_key_of_D():
+    """The memo, built whole by `join_zeta` over L^J, against the fixpoint
+    kernel it replaced on the slot table, `sup_interior_tables` on the least
+    monotone row of each key of D: every corpus homset and its opposite, the
+    three seed-0 midsize lattices and the 7-chain."""
+    lattices = [(name, L) for name, L, _ in corpus() + workloads.build("midsize", 0)]
+    for name, L in lattices + [("chain7", make_chain(7))]:
+        H = enumerate_homset(L)
+        for S in (H, H.op):
+            assert S._keys()[2] is not None, name
+            D, _ = _monotone_keys(S)
+            want = S.index_rows(sup_interior_tables(S.lattice, S.lattice, S._key_rows(D)))
+            assert (S._interior_memo()[D] == want).all(), name
+
+
+@pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_boolean(2), lambda: make_chain(4)])
+def test_the_memo_holds_the_largest_member_below_every_key_of_L_to_the_J(make):
+    """Every key q of L^J, the J-key of a monotone map or not, on both sides:
+    the memo entry is the one member below q on J that every other member
+    below q lies below, found by comparing all members with all keys."""
+    H = enumerate_homset(make())
+    for S in (H, H.op):
+        L = S.lattice
+        J, radix, _, _ = S._keys()
+        q = np.arange(L.n ** len(J))
+        vals = (q[:, None] // radix % L.n).astype(np.int16)  # [q, k] = the value at J[k]
+        below = leq_tables(L, S.tables[:, J], vals)  # [f, q] = f <= q on J
+        # [g, q] = some member below q is not below g
+        escapes = (~order_on_J(S)).T.astype(np.int64) @ below.astype(np.int64) > 0
+        largest = below & ~escapes
+        assert (largest.sum(axis=0) == 1).all()
+        assert (S._interior_memo() == np.argmax(largest, axis=0)).all()
+
+
+def test_a_suite_on_the_slot_table_runs_no_fixpoint(monkeypatch):
+    """On the corpus and the seed-0 midsize lattices, where every homset has
+    n^|J| <= SLOT_CAP, every interior is read off the memo: `run_suite` calls
+    `sup_interior_tables` under none of its names in the package."""
+    real, calls = maps.sup_interior_tables, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (supq, maps, quantale, structures, verify):
+        for attr in [a for a, v in vars(module).items() if v is real]:
+            monkeypatch.setattr(module, attr, counted)
+    for workload in ("corpus", "midsize"):
+        for name, L, P in workloads.build(workload, 0):
+            assert L.n ** len(join_irreducibles(L)) <= quantale.SLOT_CAP, name
+            run_suite(workloads.fresh_copy(L), SuiteConfig(), name=name, poset=P)
+    assert calls == []
+
+
 def test_the_opposite_homset_holds_the_right_adjoints(kernel_homsets):
     for name, H in kernel_homsets.items():
         assert H.op.lattice is H.lattice.op
@@ -457,6 +513,40 @@ def test_galois_adjunction_reads_every_join_irreducible(monkeypatch):
         bad[i, L.top] = next(z for z in range(L.n) if L.leq[J, z].sum() == len(J) - 1 and not L.leq[j, z])
         monkeypatch.setitem(H._cache, "rho", bad)
         assert check_galois_adjunction(ctx) == galois_adjunction_every_x(ctx) == f"adjunction fails for member {i}"
+
+
+def _rows_swapped(tables):
+    bad = tables.copy()
+    bad[[0, 1]] = tables[[1, 0]]
+    return bad
+
+
+@pytest.mark.parametrize("make", [lambda: make_mk(3), make_n5, lambda: make_boolean(3)])
+def test_the_folded_adjoint_inversions_keep_their_witnesses(make):
+    """galois-adjunction's inversion tests and raney-transform-exchange, each
+    one loop over the right adjoint on L and on L.op, against their bodies
+    with both adjoint kernels: clean, and with a fault planted on each side."""
+    L = make()
+    ctx = _Ctx(L, SuiteConfig())
+    H = ctx.homset
+    assert check_galois_adjunction(ctx) is galois_adjunction_every_x(ctx) is None
+    assert check_raney_transform_exchange(ctx) is raney_transform_exchange_by_both_adjoints(ctx) is None
+    # the top member changed at top, off J: the same J-values, so the same right adjoint
+    off_J = H.tables.copy()
+    off_J[H.top_index, L.top] = L.bottom
+    assert check_galois_adjunction(_ctx_on(EndoHomset(L, off_J))) == "lower adjoint does not invert the upper adjoint"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(ctx.inf_homset._cache, "rho", _rows_swapped(ctx.inf_homset.rho_tables))
+        assert check_galois_adjunction(ctx) == galois_adjunction_every_x(ctx) == (
+            "upper adjoint does not invert the lower adjoint")
+    for K, witness in (
+        (ctx.inf_homset,
+         "upper adjoint of the down transform differs from the up transform of the lower adjoint"),
+        (H, "lower adjoint of the up transform differs from the down transform of the upper adjoint"),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(K._cache, "up_t", _rows_swapped(K.up_transform_tables))
+            assert check_raney_transform_exchange(ctx) == raney_transform_exchange_by_both_adjoints(ctx) == witness
 
 
 def test_the_count_form_agrees_with_the_order_matrix_body_on_the_corpus():
@@ -1091,15 +1181,25 @@ def test_a_planted_entry_above_its_key_fails_deflation():
     assert check_sup_interior_props(_ctx_on(H)) == "interior is not deflationary"
 
 
-def test_a_non_member_interior_fails_the_check(monkeypatch):
-    real = quantale.sup_interior_tables
+def _off_the_homset(real):
+    """`join_zeta` with the interior at the bottom key, the bottom member,
+    planted off the homset: the value at a join-irreducible below another
+    one goes to top, so the J-values are not monotone and no member has
+    them.  Row k of the call holds the values at J[k], as one call takes
+    every J-value of a lattice as small as n5."""
 
-    def off_the_homset(source, target, tables):
-        out = real(source, target, tables)
-        out[0] = target.top  # no join-preserving map sends bottom to top
+    def planted(L, T):
+        out = real(L, T)
+        J = join_irreducibles(L)
+        k = next(k for k, j in enumerate(J) if L.leq[j, J].sum() > 1)
+        out[k].flat[0] = L.top
         return out
 
-    monkeypatch.setattr(quantale, "sup_interior_tables", off_the_homset)
+    return planted
+
+
+def test_a_non_member_interior_fails_the_check(monkeypatch):
+    monkeypatch.setattr(quantale, "join_zeta", _off_the_homset(quantale.join_zeta))
     ctx = _Ctx(make_n5(), SuiteConfig())
     [result] = verify._run_checks(CHECKS, ("sup-interior-props",), [cid for cid, _ in CHECKS], ctx)
     assert result.status == "fail"
@@ -1109,14 +1209,7 @@ def test_a_non_member_interior_fails_the_check(monkeypatch):
 def test_a_broken_kernel_leaves_the_summary_flags_unsettled(monkeypatch):
     """The summary flags that reach a broken kernel read as if capped, and the
     report still comes back with the check that reaches it failed."""
-    real = quantale.sup_interior_tables
-
-    def off_the_homset(source, target, tables):
-        out = real(source, target, tables)
-        out[0] = target.top
-        return out
-
-    monkeypatch.setattr(quantale, "sup_interior_tables", off_the_homset)
+    monkeypatch.setattr(quantale, "join_zeta", _off_the_homset(quantale.join_zeta))
     report = run_suite(make_n5(), SuiteConfig(checks=("sup-interior-props",)), name="n5")
     [result] = report.results
     assert (result.status, result.witness) == (
@@ -1135,14 +1228,7 @@ def test_a_flag_whose_kernel_raises_fails_the_report(monkeypatch):
     """With a filter that leaves out every check reaching a broken kernel,
     the flags that reach it read as if capped, and each is named with its
     typed error and counts as a failure, so the command line exits 1."""
-    real = quantale.sup_interior_tables
-
-    def off_the_homset(source, target, tables):
-        out = real(source, target, tables)
-        out[0] = target.top
-        return out
-
-    monkeypatch.setattr(quantale, "sup_interior_tables", off_the_homset)
+    monkeypatch.setattr(quantale, "join_zeta", _off_the_homset(quantale.join_zeta))
     report = run_suite(make_n5(), SuiteConfig(checks=("lattice-axioms",)), name="n5")
     error = "KeyError: 'row is not a join-preserving member of the homset'"
     assert [r.status for r in report.results] == ["pass"]
