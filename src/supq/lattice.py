@@ -460,20 +460,30 @@ def dual(L: Lattice) -> Lattice:
     )
 
 
-def downset_lattice(P: Poset) -> Lattice:
-    """Lattice of down-closed subsets of P, ordered by inclusion."""
+def _downsets(P: Poset):
+    """P's downsets as 0/1 rows in downset-lattice order, and a function that
+    gives the lattice index of each 0/1 row of an array over P (-1 for a set
+    that is not down-closed).  The index spans all 2^n subsets, so it is
+    capped at MAX_DOWNSET_LATTICE_SIZE."""
     if (1 << P.n) > MAX_DOWNSET_LATTICE_SIZE:
         raise SizeGuardExceeded(f"downset lattice of a {P.n}-element poset spans {1 << P.n} subsets; "
                                 f"downsets capped at {MAX_DOWNSET_LATTICE_SIZE}")
-    masks = P.downset_masks()
-    arr = np.array(masks, dtype=np.int64)
+    masks = np.array(P.downset_masks(), dtype=np.int64)
+    weights = np.int64(1) << np.arange(P.n, dtype=np.int64)
     index_of = np.full(1 << P.n, -1, dtype=np.int64)
-    index_of[arr] = np.arange(len(masks))
-    leq = (arr[:, None] & ~arr[None, :]) == 0
-    join = index_of[arr[:, None] | arr[None, :]].astype(np.int16)
-    meet = index_of[arr[:, None] & arr[None, :]].astype(np.int16)
-    names = ["{" + ",".join(P.names[i] for i in range(P.n) if m >> i & 1) + "}" for m in masks]
-    return Lattice(leq, names, join=join, meet=meet, _validated=True)
+    index_of[masks] = np.arange(len(masks))
+    rows = (masks[:, None] & weights) != 0
+    return rows, lambda sets: index_of[np.einsum("...i,i->...", sets, weights)]  # no int64 copy of sets
+
+
+def downset_lattice(P: Poset) -> Lattice:
+    """Lattice of down-closed subsets of P, ordered by inclusion: unions and
+    intersections of the rows of `_downsets`, looked up in its index."""
+    rows, index = _downsets(P)
+    join = index(rows[:, None] | rows[None, :]).astype(np.int16)
+    meet = index(rows[:, None] & rows[None, :]).astype(np.int16)
+    names = ["{" + ",".join(name for name, inside in zip(P.names, r) if inside) + "}" for r in rows.tolist()]
+    return Lattice(meet == np.arange(len(rows))[:, None], names, join=join, meet=meet, _validated=True)
 
 
 # -- structure queries ------------------------------------------------------

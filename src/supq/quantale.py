@@ -439,7 +439,7 @@ class EndoHomset:
             raise ValueError(f"members {order[p]} and {order[p + 1]} agree on the join-irreducibles")
         slot = None
         if size <= SLOT_CAP:
-            slot = np.full(size, -1, dtype=np.intp)
+            slot = np.full(size, -1, dtype=np.int32)  # m <= n^|J| <= SLOT_CAP, far below 2^31
             slot[keys] = order
         return J, radix, slot, (keys, order)
 
@@ -593,7 +593,7 @@ class EndoHomset:
             for z in join_zeta(L, T.reshape((len(ks),) + (n,) * d)).reshape(len(ks), -1)[::-1]:
                 q *= n
                 q += z
-        return slot.astype(np.int32)[q]
+        return slot[q]
 
     def _key_rows(self, keys: np.ndarray) -> np.ndarray:
         """The least monotone map with the values of each J-key on J: it

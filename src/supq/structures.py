@@ -9,11 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from supq.lattice import (
-    MAX_DOWNSET_LATTICE_SIZE,
     Lattice,
     Poset,
-    SizeGuardExceeded,
     _automorphism,
+    _downsets,
     _load_json,
     cached,
     downset_lattice,
@@ -301,22 +300,6 @@ class WeakeningRelation:
 
     def to_doc(self) -> dict:
         return {"poset_hash": poset_hash(self.poset), "pairs": sorted(self.pairs)}
-
-
-def _downsets(P: Poset):
-    """P's downsets as 0/1 rows in downset-lattice order, and a function that
-    gives the lattice index of each 0/1 row of an array over P (-1 for a set
-    that is not down-closed).  The index spans all 2^n subsets, so it is
-    capped like the downset lattice."""
-    if (1 << P.n) > MAX_DOWNSET_LATTICE_SIZE:
-        raise SizeGuardExceeded(f"downset index of a {P.n}-element poset spans {1 << P.n} subsets; "
-                                f"capped at {MAX_DOWNSET_LATTICE_SIZE}")
-    masks = np.array(P.downset_masks(), dtype=np.int64)
-    weights = np.int64(1) << np.arange(P.n, dtype=np.int64)
-    index_of = np.full(1 << P.n, -1, dtype=np.int64)
-    index_of[masks] = np.arange(len(masks))
-    rows = (masks[:, None] & weights) != 0
-    return rows, lambda sets: index_of[sets @ weights]
 
 
 def wk_tables(P: Poset, tables) -> np.ndarray:

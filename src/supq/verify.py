@@ -12,6 +12,7 @@ from supq.lattice import (
     CapExceeded,
     Lattice,
     Poset,
+    _downsets,
     automorphisms,
     downset_lattice,
     dual,
@@ -46,7 +47,6 @@ from supq.quantale import (
     tight_has_unit,
 )
 from supq.structures import (
-    _downsets,
     abstract_raney_check,
     autodual_report,
     classify_natural,
@@ -126,36 +126,29 @@ class Report:
 
 
 class _Ctx:
-    """Lazy, cached access to the expensive artifacts a check may need.  An
-    enumeration that exceeds its cap is kept as its CapExceeded and raised
-    again on every later access.  The meet-preserving endomaps of L are the
-    homset of L.op, kept whole, so their left adjoints (its rho_tables) are
-    built once and its index_rows finds meet-preserving rows."""
+    """Lazy, cached access to the expensive artifacts a check may need.  The
+    one homset of L is enumerated on first use, or kept as its CapExceeded
+    and raised again on every later access.  The meet-preserving endomaps
+    are read as `homset.op`, whose member i is rho of member i: the rho rows
+    are every inf map, as galois-adjunction shows against the one
+    enumeration of L.op."""
 
     def __init__(self, L: Lattice, config: SuiteConfig, poset: Poset | None = None):
         self.L = L
         self.config = config
         self.poset = poset
-        self._built: dict = {}
-
-    def _enumerated(self, L: Lattice) -> EndoHomset:
-        if L not in self._built:
-            try:
-                self._built[L] = enumerate_homset(L, cap=self.config.max_homset)
-            except CapExceeded as e:
-                self._built[L] = e
-        got = self._built[L]
-        if isinstance(got, CapExceeded):
-            raise got.with_traceback(None)
-        return got
+        self._homset: EndoHomset | CapExceeded | None = None
 
     @property
     def homset(self) -> EndoHomset:
-        return self._enumerated(self.L)
-
-    @property
-    def inf_homset(self) -> EndoHomset:
-        return self._enumerated(self.L.op)
+        if self._homset is None:
+            try:
+                self._homset = enumerate_homset(self.L, cap=self.config.max_homset)
+            except CapExceeded as e:
+                self._homset = e
+        if isinstance(self._homset, CapExceeded):
+            raise self._homset.with_traceback(None)
+        return self._homset
 
     def homset_capped(self, cap: int, what: str) -> EndoHomset:
         H = self.homset
@@ -244,8 +237,10 @@ def check_downset_irreducibles(ctx: _Ctx):
 def check_galois_adjunction(ctx: _Ctx):
     """f(x) <= y exactly when x <= rho_f(y) for every member f and x in J(L),
     which decides every x as members preserve joins (checked when
-    `EndoHomset._keys` builds the J-keys); and the two adjoint kernels invert
-    each other, which makes rho injective."""
+    `EndoHomset._keys` builds the J-keys).  The lower adjoint of rho_f is f,
+    so rho is one to one; and the rho rows, sorted, are the one enumeration
+    of L.op, so rho is onto the inf maps.  The other checks read the inf
+    maps as the rho rows, `H.op`, on this fact."""
     H = ctx.homset
     L = ctx.L
     rho = H.rho_tables
@@ -256,11 +251,10 @@ def check_galois_adjunction(ctx: _Ctx):
         bad = (lhs != rhs).any(axis=(0, 2))
         if bad.any():
             return f"adjunction fails for member {int(np.argmax(bad)) + start}"
-    # the left adjoint on L is the right adjoint on L.op
-    for S, K, witness in ((L.op, H, "lower adjoint does not invert the upper adjoint"),
-                          (L, ctx.inf_homset, "upper adjoint does not invert the lower adjoint")):
-        if not (right_adjoint_tables(S, S, K.rho_tables) == K.tables).all():
-            return witness
+    if not (right_adjoint_tables(L.op, L.op, rho) == H.tables).all():  # the left adjoint on L
+        return "lower adjoint does not invert the upper adjoint"
+    if not np.array_equal(enumerate_homset(L.op, cap=ctx.config.max_homset).tables, _row_groups(rho)[0]):
+        return "upper adjoint does not invert the lower adjoint"
     return None
 
 
@@ -288,7 +282,8 @@ def check_generator_relations(ctx: _Ctx):
 
 def _decomposition(L: Lattice, tables: np.ndarray, what: str):
     """Each row of `tables`, the homset of L, is the meet of its tensors; on L.op
-    the inf maps, whose tensors are L's co-tensors and whose meets are joins."""
+    the inf maps, the rho rows, whose tensors are L's co-tensors and whose
+    meets are joins."""
     acc = tensor_meet_tables(L, tables, np.arange(L.n))
     if not (acc == tables).all():
         i = int(np.argwhere((acc != tables).any(axis=1))[0][0])
@@ -301,7 +296,8 @@ def check_tensor_meet_decomposition(ctx: _Ctx):
 
 
 def check_infmap_join_decomposition(ctx: _Ctx):
-    return _decomposition(ctx.L.op, ctx.inf_homset.tables, "join of co-tensors")
+    """The inf maps as the rho rows, every one of them by galois-adjunction."""
+    return _decomposition(ctx.L.op, ctx.homset.rho_tables, "join of co-tensors")
 
 
 def _monotone_keys(H: EndoHomset) -> tuple[np.ndarray, np.ndarray]:
@@ -380,37 +376,36 @@ def _not_below(L: Lattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def check_raney_adjunction(ctx: _Ctx):
     """down -| up: down(g) <= f exactly when g <= up(f), for every inf map g
-    and member f, tested as four facts.  Its premises come first: every
-    down(g) is looked up among the members with the strict
-    `EndoHomset.index_rows`, and every up(f) among the inf maps, kept as the
-    homset of L.op (KeyError otherwise); the lookups build the J-keys, which
-    checks that the members preserve joins.  A join-preserving map lies below a
-    monotone one exactly when it does on the join-irreducibles J, as f(x)
-    is the join of f(j) over the j <= x; dually a monotone map lies below a
-    meet-preserving one exactly on the meet-irreducibles M.  Between finite
-    posets, down -| up holds exactly when both are monotone, g <= up(down g)
-    for every g (on M) and down(up f) <= f for every f (on J); a map is
-    monotone when it is on the cover edges g < f of Q(L), those of the
-    irreducible kernel (`homset_irreducibles`).  up is tested on them on M.
-    rho is an order-reversing bijection of Q(L) onto the inf maps
-    (galois-adjunction), so down is monotone exactly when star = down o rho,
-    the down kernel on the rho rows (`star_indices`), reverses them: star(f)
-    <= star(g) on J.  Both transforms are the memoized up transforms: down
-    on L is up on L.op."""
+    and member f, tested as four facts.  The inf maps are the rho rows, `H.op`
+    (every inf map, by galois-adjunction), so down(rho_i) = star(i).  Its
+    premises come first: every down(g) is looked up among the members with
+    the strict lookup of `star_indices`, and every up(f) among the rho rows
+    with the strict `EndoHomset.index_rows` of `H.op` (KeyError otherwise);
+    the lookups build the J-keys, which checks that the members preserve
+    joins.  A join-preserving map lies below a monotone one exactly when it
+    does on the join-irreducibles J, as f(x) is the join of f(j) over the j
+    <= x; dually a monotone map lies below a meet-preserving one exactly on
+    the meet-irreducibles M.  Between finite posets, down -| up holds
+    exactly when both are monotone, g <= up(down g) for every g (on M) and
+    down(up f) <= f for every f (on J); a map is monotone when it is on the
+    cover edges g < f of Q(L), those of the irreducible kernel
+    (`homset_irreducibles`).  up is tested on them on M.  rho reverses the
+    order of Q(L), so down is monotone exactly when star = down o rho
+    reverses them: star(f) <= star(g) on J.  up is the memoized up
+    transform, and down the down kernel on the rho rows."""
     H = ctx.homset_capped(MATRIX_CAP, "transform adjunction scan")
-    L, H_op = ctx.L, ctx.inf_homset
-    down, up = H_op.up_transform_tables, H.up_transform_tables
-    d = H.index_rows(down)  # the premises: each down(g) preserves joins,
-    u = H_op.index_rows(up)  # each up(f) preserves meets
+    L, up = ctx.L, H.up_transform_tables
+    d = H.star_indices  # the premises: each down(g) preserves joins,
+    u = H.op.index_rows(up)  # each up(f) preserves meets
     J, M = join_irreducibles(L), meet_irreducibles(L)
     f, g = homset_irreducibles(H).lower_cover_edges
-    unit = _not_below(L, H_op.tables[:, M], up[d][:, M])
+    unit = _not_below(L, H.rho_tables[:, M], up[d][:, M])
     if unit.any():
         return f"unit of the transform adjunction fails at inf map {int(np.argmax(unit))}"
-    counit = _not_below(L, down[u][:, J], H.tables[:, J])
+    star = H.tables[d][:, J]
+    counit = _not_below(L, star[u], H.tables[:, J])
     if counit.any():
         return f"counit of the transform adjunction fails at member {int(np.argmax(counit))}"
-    star = H.tables[H.star_indices][:, J]
     for side, fails in (("up", _not_below(L, up[g][:, M], up[f][:, M])),
                         ("down", _not_below(L, star[f], star[g]))):
         if fails.any():
@@ -421,13 +416,14 @@ def check_raney_adjunction(ctx: _Ctx):
 
 def check_raney_transform_exchange(ctx: _Ctx):
     """The lower adjoint of up(f) is star(f) = down(rho f) for every member f,
-    and for every inf map as a member of the homset of L.op, its dual."""
-    L = ctx.L
+    and for every inf map, as a member of `H.op`, its dual: the inf maps are
+    the rho rows, every one of them by galois-adjunction."""
+    L, H = ctx.L, ctx.homset
     # the left adjoint on L is the right adjoint on L.op, and down on L is up on L.op
     for S, K, witness in (
-        (L, ctx.inf_homset,
+        (L, H.op,
          "upper adjoint of the down transform differs from the up transform of the lower adjoint"),
-        (L.op, ctx.homset,
+        (L.op, H,
          "lower adjoint of the up transform differs from the down transform of the upper adjoint"),
     ):
         if not (right_adjoint_tables(S, S, K.up_transform_tables) == K.tables[K.star_indices]).all():
@@ -474,7 +470,8 @@ def check_naturality_composite(ctx: _Ctx):
 
 
 def check_tight_subset(ctx: _Ctx):
-    """The tight members T are the image of the down transform (all of Q(L)
+    """The tight members T are the image of the down transform, star on the
+    rho rows, which are every inf map by galois-adjunction (all of Q(L)
     exactly when the identity is tight), closed under joins and under
     composition with any member.  When every member is tight the closures
     hold: a composite or join of members preserves joins (checked when
@@ -491,7 +488,7 @@ def check_tight_subset(ctx: _Ctx):
     H = ctx.homset_capped(MATRIX_CAP, "tight subset scan")
     tight = H.tight_indices()
     mask = H.tight_mask
-    down_idx = _distinct(H.index_rows(ctx.inf_homset.up_transform_tables))  # down on L is up on L.op
+    down_idx = _distinct(H.star_indices)  # down on the rho rows, every inf map
     if not np.array_equal(down_idx, tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):  # the down transform is onto
@@ -591,11 +588,11 @@ def check_division_formulas(ctx: _Ctx):
     """Residuals of every member f by every e map e(y, x) and every tensor y
     over x, against their closed forms in up_f and star_f; c_y = e(y, bottom)
     and a_x = e(top, x) are among the e maps.  Both sides of each formula are
-    members, so they are compared by their J-keys, from the J-values of each
-    closed form: two members agree exactly when they agree on J, as f(x) is
-    the join of f(j) over the j <= x.  One blocked pass over the pairs (y, x)
-    in row-major order: the witness is the first failing pair, then the first
-    failing formula of DIVISION_FORMULAS."""
+    members, so they are compared by their member indices: an e map or a
+    tensor by the index of every e map and tensor, row v*n + w, and the
+    sup-interior of a meet by the J-key of the meet.  One blocked pass over
+    the pairs (y, x) in row-major order: the witness is the first failing
+    pair, then the first failing formula of DIVISION_FORMULAS."""
     H = ctx.homset_capped(TABLE_SCAN_CAP, "generator division scan")
     L = ctx.L
     n, m, top, bot = L.n, H.m, L.top, L.bottom
@@ -607,8 +604,7 @@ def check_division_formulas(ctx: _Ctx):
     e_idx, t_idx = H.index_rows(e_rows), H.index_rows(t_rows)  # row v*n + w: e(v, w), v over w
     J, radix, _, _ = H._keys()
     e_on_J, t_on_J = (rows[:, J].reshape(n, n, len(J)) for rows in (e_rows, t_rows))  # [v, w, j]
-    e_key, t_key = e_on_J @ radix, t_on_J @ radix  # [v, w] = J-key of e(v, w), of v over w
-    members, keys = np.arange(m), H._j_keys(H.tables)
+    members = np.arange(m)
 
     def div(divisors):  # [pair, f] = f / divisor, the left residual of the opposite homset
         return H.op.ldiv_index(divisors, members)
@@ -624,17 +620,18 @@ def check_division_formulas(ctx: _Ctx):
         p = slice(start, start + step)
         y, x = ys[p, None], xs[p, None]
         up_x, st_y = up[:, xs[p]].T, st[:, ys[p]].T  # [pair, f] = up_f(x), star_f(y)
+        up_x_y, x_st_y = up_x.astype(np.intp) * n + y, x * n + st_y  # [pair, f] = row v*n + w
         e_div, e_codiv = div(e_idx[p]), codiv(e_idx[p])
         t_div, t_codiv = div(t_idx[p]), codiv(t_idx[p])
         over = table_take(L.meet, e_on_J[up_x, bot], t_on_J[up_bot, y])  # [pair, f, j]
         under = table_take(L.meet, e_on_J[top, st_y], t_on_J[x, st_top])
         bad = np.stack([
-            keys[e_div] != t_key[up_x, y],
-            keys[e_codiv] != t_key[x, st_y],
+            e_div != t_idx[up_x_y],
+            e_codiv != t_idx[x_st_y],
             t_div != interior(over),
             t_codiv != interior(under),
-            (keys[t_div] != e_key[up_x, y]) & (up_bot == bot),
-            (keys[t_codiv] != e_key[x, st_y]) & (st_top == top),
+            (t_div != e_idx[up_x_y]) & (up_bot == bot),
+            (t_codiv != e_idx[x_st_y]) & (st_top == top),
         ]).any(axis=2)  # [formula, pair]
         if bad.any():
             pair = int(np.flatnonzero(bad.any(axis=0))[0])

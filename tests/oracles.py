@@ -162,10 +162,12 @@ def classify_natural_by_unique(H):
 
 
 def raney_adjunction_sides(ctx) -> tuple[np.ndarray, np.ndarray]:
-    """[g, f] = down(g) <= f and [g, f] = g <= up(f), for every inf map g and
-    member f, once every down(g) is found among the members and every up(f)
-    among the inf maps (KeyError otherwise); compared on J and on M."""
-    L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
+    """[g, f] = down(g) <= f and [g, f] = g <= up(f), for every inf map g, a
+    rho row, and member f, once every down(g) is found among the members and
+    every up(f) among the rho rows (KeyError otherwise); compared on J and
+    on M.  down on L is the up transform of `H.op`."""
+    L, H = ctx.L, ctx.homset
+    H_op = H.op
     down, up = H_op.up_transform_tables, H.up_transform_tables
     H.index_rows(down)
     H_op.index_rows(up)
@@ -209,7 +211,7 @@ def tight_subset_every_composite(ctx):
     for start in range(0, len(tight), step):
         if not mask[join_indices(H, tight[start:start + step], tight)].all():
             return "tight subset is not closed under joins"
-    down_idx = np.unique(H.index_rows(ctx.inf_homset.up_transform_tables))
+    down_idx = np.unique(H.index_rows(H.op.up_transform_tables))
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
@@ -270,8 +272,10 @@ def right_adjoint_tables_every_x(source, target, tables) -> np.ndarray:
 
 def galois_adjunction_every_x(ctx):
     """check_galois_adjunction before the restriction to J(L): f(x) <= y
-    against x <= rho_f(y) on all m x n x n cells, then the same inversion
-    tests."""
+    against x <= rho_f(y) on all m x n x n cells, then the inversion tests
+    by both adjoint kernels: the left adjoint on the members' rho rows, and
+    the right adjoint on the left adjoints of the inf maps, enumerated as
+    the homset of L.op by the verifier's `enumerate_homset`."""
     H, L = ctx.homset, ctx.L
     rho = H.rho_tables
     for start in range(0, H.m, 4096):
@@ -284,8 +288,8 @@ def galois_adjunction_every_x(ctx):
             return f"adjunction fails for member {i}"
     if not (left_adjoint_tables(L, L, rho) == H.tables).all():
         return "lower adjoint does not invert the upper adjoint"
-    H_op = ctx.inf_homset
-    if not (right_adjoint_tables(L, L, H_op.rho_tables) == H_op.tables).all():
+    inf = verify.enumerate_homset(L.op, cap=ctx.config.max_homset).tables
+    if not (right_adjoint_tables(L, L, left_adjoint_tables(L, L, inf)) == inf).all():
         return "upper adjoint does not invert the lower adjoint"
     return None
 
@@ -293,8 +297,10 @@ def galois_adjunction_every_x(ctx):
 def raney_transform_exchange_by_both_adjoints(ctx):
     """check_raney_transform_exchange before its two sides became one loop
     over the right adjoint on L and on L.op: the right adjoint kernel on the
-    inf maps, then the left adjoint kernel on the members."""
-    L, H, H_op = ctx.L, ctx.homset, ctx.inf_homset
+    inf maps, the rho rows of `H.op`, then the left adjoint kernel on the
+    members."""
+    L, H = ctx.L, ctx.homset
+    H_op = H.op
     if not (right_adjoint_tables(L, L, H_op.up_transform_tables)
             == H_op.tables[H_op.star_indices]).all():
         return "upper adjoint of the down transform differs from the up transform of the lower adjoint"

@@ -58,7 +58,7 @@ from supq.structures import (
 from supq.verify import _Ctx, SuiteConfig, check_division_formulas, corpus, report_to_json, run_suite
 
 from oracles import order_on_J
-from perfbench import workloads
+from perfbench import verdicts, workloads
 
 NON_DISTRIBUTIVE = {"m3", "m5", "n5"}
 GOLDEN_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "corpus.json"
@@ -347,3 +347,18 @@ def test_midsize_verification_equals_its_golden(workload):
     process."""
     reports = [run_suite(L, SuiteConfig(), name=name, poset=P) for name, L, P in workloads.build(workload, 0)]
     assert report_to_json(reports) == GOLDEN_CORPUS.with_name(f"{workload}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("workload", ["corpus", "midsize"])
+def test_a_relabelled_workload_gives_every_golden_verdict(workload):
+    """At seed 1 every element is relabelled, so the lex order of the
+    homset and of the one enumeration of L.op that galois-adjunction sorts
+    the rho rows against both change; every check status and summary flag
+    still equals its golden, by `perfbench.verdicts.compare`."""
+    _, golden = verdicts.load_golden(workload)
+    entries = workloads.build(workload, 1)
+    assert [name for name, _, _ in entries] == [doc["lattice"]["name"] for doc in golden]
+    for (name, L, P), want in zip(entries, golden):
+        attempted, mismatched = verdicts.compare(run_suite(L, SuiteConfig(), name=name, poset=P).to_doc(), want)
+        assert attempted > 0 and mismatched == 0, name
+

@@ -173,18 +173,18 @@ def test_co_tensor_join_is_the_tensor_meet_on_the_opposite(lattice_tables):
 
 
 @pytest.mark.parametrize("side, check, witness", [
-    ("homset", check_tensor_meet_decomposition, "canonical meet of tensors differs from member 3"),
-    ("inf_homset", check_infmap_join_decomposition, "canonical join of co-tensors differs from member 3"),
+    ("tables", check_tensor_meet_decomposition, "canonical meet of tensors differs from member 3"),
+    ("rho_tables", check_infmap_join_decomposition, "canonical join of co-tensors differs from member 3"),
 ], ids=["members", "inf-maps"])
 def test_decomposition_checks_keep_their_witnesses(monkeypatch, side, check, witness):
-    """One body runs both checks, on L and on L.op; a wrong row planted on
-    either side is named as before."""
+    """One body runs both checks, on L and on L.op, whose inf maps are the
+    rho rows; a wrong row planted on either side is named as before."""
     L = make_n5()
     ctx = _Ctx(L, SuiteConfig())
-    tables = getattr(ctx, side).tables.copy()
+    tables = getattr(ctx.homset, side).copy()
     assert check(ctx) is None
     tables[3, L.bottom] = L.top  # neither the meet of its tensors nor the join of its co-tensors
-    monkeypatch.setattr(_Ctx, side, property(lambda self: SimpleNamespace(tables=tables)))
+    monkeypatch.setattr(_Ctx, "homset", property(lambda self: SimpleNamespace(**{side: tables})))
     assert check(ctx) == witness
 
 

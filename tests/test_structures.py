@@ -613,11 +613,11 @@ def test_weakening_kernels_match_the_per_member_loops(name):
 
 
 def test_weakening_kernels_refuse_a_poset_too_wide_for_the_downset_index():
-    # the index spans all 2^n subsets of P, as large as its downset lattice may be
+    # the index spans all 2^n subsets of P, as large as its downset lattice may be, under one guard
     P = Poset.from_covers(13, [(i, i + 1) for i in range(12)])
-    with pytest.raises(SizeGuardExceeded, match="downset index"):
+    with pytest.raises(SizeGuardExceeded, match="downset lattice of a 13-element poset spans 8192 subsets"):
         wk_tables(P, np.zeros((1, 14), dtype=np.int16))
-    with pytest.raises(SizeGuardExceeded, match="downset index"):
+    with pytest.raises(SizeGuardExceeded, match="downset lattice of a 13-element poset spans 8192 subsets"):
         supmap_tables(P, np.zeros((1, 13, 13), dtype=bool))
 
 

@@ -521,11 +521,25 @@ def _rows_swapped(tables):
     return bad
 
 
+def _planted_inf_maps(monkeypatch, L, plant):
+    """verify.enumerate_homset with the homset of L.op, the inf maps of L,
+    replaced by plant(its tables)."""
+    real = verify.enumerate_homset
+
+    def enumerate_planted(S, cap):
+        K = real(S, cap)
+        return EndoHomset(S, plant(np.array(K.tables))) if S is L.op else K
+
+    monkeypatch.setattr(verify, "enumerate_homset", enumerate_planted)
+
+
 @pytest.mark.parametrize("make", [lambda: make_mk(3), make_n5, lambda: make_boolean(3)])
 def test_the_folded_adjoint_inversions_keep_their_witnesses(make):
     """galois-adjunction's inversion tests and raney-transform-exchange, each
     one loop over the right adjoint on L and on L.op, against their bodies
-    with both adjoint kernels: clean, and with a fault planted on each side."""
+    with both adjoint kernels: clean, and with a fault planted on each side.
+    The inf maps are one row of the enumeration of L.op replaced, which the
+    old body sees as the right adjoint not inverting the left one there."""
     L = make()
     ctx = _Ctx(L, SuiteConfig())
     H = ctx.homset
@@ -535,18 +549,74 @@ def test_the_folded_adjoint_inversions_keep_their_witnesses(make):
     off_J = H.tables.copy()
     off_J[H.top_index, L.top] = L.bottom
     assert check_galois_adjunction(_ctx_on(EndoHomset(L, off_J))) == "lower adjoint does not invert the upper adjoint"
+
+    def off_top(inf):  # the first inf map sent top to bottom: no inf map, as each keeps top
+        inf[0, L.top] = L.bottom
+        return inf
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(ctx.inf_homset._cache, "rho", _rows_swapped(ctx.inf_homset.rho_tables))
+        _planted_inf_maps(mp, L, off_top)
         assert check_galois_adjunction(ctx) == galois_adjunction_every_x(ctx) == (
             "upper adjoint does not invert the lower adjoint")
     for K, witness in (
-        (ctx.inf_homset,
-         "upper adjoint of the down transform differs from the up transform of the lower adjoint"),
+        (H.op, "upper adjoint of the down transform differs from the up transform of the lower adjoint"),
         (H, "lower adjoint of the up transform differs from the down transform of the upper adjoint"),
     ):
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(K._cache, "up_t", _rows_swapped(K.up_transform_tables))
             assert check_raney_transform_exchange(ctx) == raney_transform_exchange_by_both_adjoints(ctx) == witness
+
+
+@pytest.mark.parametrize("make", [lambda: make_mk(3), make_n5, lambda: make_boolean(3), lambda: make_chain(4)])
+def test_galois_adjunction_fails_when_the_rho_rows_are_not_every_inf_map(monkeypatch, make):
+    """The rho rows, sorted, are the one enumeration of L.op.  One of its
+    rows replaced by another inf map, which the right adjoint still
+    inverts, or two rho rows made equal by a member planted twice, which
+    keeps every adjunction and the lower inversion, fails the check with
+    the upper inversion witness."""
+    L = make()
+    ctx = _Ctx(L, SuiteConfig())
+    H = ctx.homset
+    assert check_galois_adjunction(ctx) is None
+    with pytest.MonkeyPatch.context() as mp:
+        _planted_inf_maps(mp, L, lambda inf: np.concatenate([inf[1:2], inf[1:]]))
+        assert check_galois_adjunction(ctx) == "upper adjoint does not invert the lower adjoint"
+        assert galois_adjunction_every_x(ctx) is None
+    twice = np.array(H.tables)
+    twice[1] = twice[0]
+    assert check_galois_adjunction(_ctx_on(EndoHomset(L, twice))) == "upper adjoint does not invert the lower adjoint"
+
+
+def test_one_homset_per_side_on_the_corpus(monkeypatch):
+    """Per run_suite on every corpus lattice exactly two homsets build a
+    J-key table, H and H.op, and L and L.op are enumerated once each, L.op
+    by galois-adjunction alone, which reads its tables only."""
+    real_enumerate, real_keys, calls, built = quantale.enumerate_homset, EndoHomset._keys, [], []
+
+    def counted_enumerate(S, cap=quantale.DEFAULT_HOMSET_CAP):
+        calls.append(S)
+        return real_enumerate(S, cap)
+
+    def counted_keys(self):
+        if "keys" not in self._cache:
+            built.append(self)
+        return real_keys(self)
+
+    for module in (supq, quantale, structures, verify):
+        if hasattr(module, "enumerate_homset"):
+            monkeypatch.setattr(module, "enumerate_homset", counted_enumerate)
+    monkeypatch.setattr(EndoHomset, "_keys", counted_keys)
+    others = tuple(c for c in verify.ALL_CHECK_IDS if c != "galois-adjunction")
+    for name, L, P in corpus():
+        calls.clear()
+        run_suite(L, SuiteConfig(checks=others), poset=P)
+        assert calls == [L], name
+        calls.clear()
+        built.clear()
+        assert run_suite(L, name=name, poset=P).failed == 0
+        assert calls == [L, L.op], name
+        H = built[0]
+        assert H.lattice is L and len(built) == 2 and built[1] is H.op, name
 
 
 def test_the_count_form_agrees_with_the_order_matrix_body_on_the_corpus():
@@ -1120,7 +1190,7 @@ def _memo_interior(H):
 def _ctx_on(H):
     """A check context whose homset is H itself, planted memo entries included."""
     ctx = _Ctx(H.lattice, SuiteConfig())
-    ctx._built[H.lattice] = H
+    ctx._homset = H
     return ctx
 
 
@@ -1644,7 +1714,7 @@ def test_wk_composition_raises_on_a_missing_generator():
     P = Poset.from_covers(3, [(0, 1), (0, 2)])
     ctx = _Ctx(downset_lattice(P), SuiteConfig(), poset=P)
     gen = int(_wk_generators(ctx)[2, 2])
-    ctx._built[ctx.L] = EndoHomset(ctx.L, np.delete(ctx.homset.tables, gen, axis=0))
+    ctx._homset = EndoHomset(ctx.L, np.delete(ctx.homset.tables, gen, axis=0))
     with pytest.raises(KeyError):
         check_wk_composition(ctx)
 
@@ -1876,7 +1946,7 @@ def _tight_subset_per_member(ctx):
     for i in range(len(tight)):
         if not mask[H.index_rows(L.join[sub[i][None, :], sub])].all():
             return "tight subset is not closed under joins"
-    down_idx = np.unique(H.index_rows(raney_down_tables(L, ctx.inf_homset.tables)))
+    down_idx = np.unique(H.index_rows(raney_down_tables(L, H.rho_tables)))
     if set(down_idx.tolist()) != set(int(i) for i in tight):
         return "image of the down transform differs from the tight subset"
     if (len(down_idx) == H.m) != bool(mask[H.identity_index]):
@@ -2315,7 +2385,7 @@ def test_raney_adjunction_sides_equal_the_scans_of_all_columns(kernel_homsets):
     for name, H in kernel_homsets.items():
         L = H.lattice
         ctx = _Ctx(L, SuiteConfig())
-        inf = ctx.inf_homset.tables
+        inf = ctx.homset.rho_tables  # the inf maps, as the rho rows
         lhs, rhs = raney_adjunction_sides(ctx)
         assert (lhs == leq_tables(L, raney_down_tables(L, inf), H.tables)).all(), name
         assert (rhs == leq_tables(L, inf, raney_up_tables(L, H.tables))).all(), name
@@ -2328,8 +2398,8 @@ def _off(L, irreducibles):
     return max(x for x in range(L.n) if x not in set(irreducibles))
 
 
-@pytest.mark.parametrize("on_op, irreducibles", [(True, join_irreducibles),
-                                               (False, meet_irreducibles)],
+@pytest.mark.parametrize("on_op, irreducibles", [(False, join_irreducibles),
+                                               (True, meet_irreducibles)],
                          ids=["down", "up"])
 @pytest.mark.parametrize("make", [make_n5, lambda: make_mk(3), lambda: make_boolean(2),
                                   lambda: make_chain(4)])
@@ -2337,12 +2407,12 @@ def test_raney_adjunction_fails_on_a_transform_broken_off_the_irreducibles(
         monkeypatch, on_op, irreducibles, make):
     """One down(g) changed off J, or one up(f) off M, leaves every compared
     column alone; only the membership lookups can see it.  The check reads
-    both transforms from the memoized up transforms of the homsets of L and
-    L.op, the up transform on L.op being the down transform on L, so the
-    kernel behind them is broken on one of the two lattices."""
+    down on the rho rows through `star_indices` and up as the memoized up
+    transform; both are the down kernel, up on L being down on L.op, so the
+    kernel is broken on one of the two lattices."""
     L = make()
     kept = irreducibles(L)
-    real, x = quantale.raney_up_tables, _off(L, kept)
+    real, x = quantale.raney_down_tables, _off(L, kept)
     target = L.op if on_op else L
 
     def broken(lattice, tables):
@@ -2355,7 +2425,7 @@ def test_raney_adjunction_fails_on_a_transform_broken_off_the_irreducibles(
         assert (out[:, kept] == real(lattice, tables)[:, kept]).all()
         return out
 
-    monkeypatch.setattr(quantale, "raney_up_tables", broken)
+    monkeypatch.setattr(quantale, "raney_down_tables", broken)
     (got,) = run_suite(L, SuiteConfig(checks=("raney-adjunction",))).results
     assert got.status == "fail"
     assert got.witness.startswith("KeyError")
@@ -2369,20 +2439,36 @@ def _fresh(pair_scan_ctxs, name):
 
 @pytest.mark.parametrize("name", ["m3", "m5"])
 def test_both_forms_of_raney_adjunction_fail_on_a_rolled_star(pair_scan_ctxs, name):
-    """A rolled star alone breaks only the down-monotone fact, which the old
-    pair form does not read; rolled together with the down transform, so
-    that down(rho_f) = star(f) still holds, both forms fail."""
+    """The check reads down on the rho rows as star, so a rolled star alone
+    fails it, at the unit, while the old pair form, reading down off the up
+    transform of `H.op`, does not see it; rolled there too, so that
+    down(rho_f) = star(f) still holds, both forms fail."""
     ctx = _fresh(pair_scan_ctxs, name)
-    H, H_op = ctx.homset, ctx.inf_homset
+    H = ctx.homset
     assert check_raney_adjunction(ctx) is None
     star = np.roll(H.star_indices, 1)
     H._cache["star_idx"] = star
-    assert check_raney_adjunction(ctx).startswith("down transform is not monotone on the cover edge")
+    assert check_raney_adjunction(ctx).startswith("unit of the transform adjunction fails at inf map")
     assert raney_adjunction_by_pairs(ctx) is None
-    down = np.array(H_op.up_transform_tables)
-    down[H_op.index_rows(H.rho_tables)] = H.tables[star]
-    H_op._cache["up_t"] = down
+    H.op._cache["up_t"] = H.tables[star]
     assert check_raney_adjunction(ctx) is not None
+    assert raney_adjunction_by_pairs(ctx) is not None
+
+
+def test_a_raised_star_off_the_image_of_up_fails_only_down_monotonicity():
+    """On n5 one inf map, rho_i, lies outside the image of up.  Its star
+    raised to the top member keeps the unit, as up(top) is the top inf map,
+    and every counit, which reads star on the image of up alone; so only
+    the down-monotone fact sees it.  The old pair form, on the same down
+    rows, fails too."""
+    ctx = _Ctx(make_n5(), SuiteConfig())
+    H = ctx.homset
+    [i] = np.setdiff1d(np.arange(H.m), H.op.index_rows(H.up_transform_tables))
+    star = np.array(H.star_indices)
+    star[i] = H.top_index
+    H._cache["star_idx"], H.op._cache["up_t"] = star, H.tables[star]
+    got = check_raney_adjunction(ctx)
+    assert got.startswith("down transform is not monotone on the cover edge") and got.endswith(f", {i})")
     assert raney_adjunction_by_pairs(ctx) is not None
 
 
@@ -2405,16 +2491,17 @@ def test_both_forms_of_raney_adjunction_fail_on_a_replaced_up_row(pair_scan_ctxs
 
 @pytest.mark.parametrize("name", ["m3", "m5"])
 def test_both_forms_of_raney_adjunction_fail_on_a_raised_down_row(pair_scan_ctxs, name):
-    """down(g0) raised to the top member for g0 = up(f0): up is monotone, so
-    every unit g <= up(down g) still holds, and the counit fails at the
-    first member f != top with up(f) = g0."""
+    """down(g0) raised to the top member for g0 = up(f0), in star and in the
+    up transform of `H.op` alike: up is monotone, so every unit g <= up(down
+    g) still holds, and the counit fails at the first member f != top with
+    up(f) = g0."""
     ctx = _fresh(pair_scan_ctxs, name)
-    H, H_op = ctx.homset, ctx.inf_homset
-    down = np.array(H_op.up_transform_tables)
-    u = H_op.index_rows(H.up_transform_tables)
-    f0 = next(f for f in range(H.m) if f != H.top_index and H.index_rows(down[u[f]])[0] != H.top_index)
-    down[u[f0]] = H.tables[H.top_index]
-    H_op._cache["up_t"] = down
+    H = ctx.homset
+    star = np.array(H.star_indices)
+    u = H.op.index_rows(H.up_transform_tables)
+    f0 = next(f for f in range(H.m) if f != H.top_index and star[u[f]] != H.top_index)
+    star[u[f0]] = H.top_index
+    H._cache["star_idx"], H.op._cache["up_t"] = star, H.tables[star]
     first = int(np.flatnonzero((u == u[f0]) & (np.arange(H.m) != H.top_index))[0])
     assert check_raney_adjunction(ctx) == f"counit of the transform adjunction fails at member {first}"
     assert raney_adjunction_by_pairs(ctx) is not None
