@@ -14,6 +14,7 @@ from supq.lattice import (
     serialize_lattice,
 )
 from supq.verify import (
+    POSET_CHECKS,
     Report,
     SuiteConfig,
     corpus,
@@ -123,6 +124,9 @@ def _cmd_verify(args) -> int:
         for name, L, poset in corpus():
             reports.append(run_suite(L, config, name=name, poset=poset))
     else:
+        unrunnable = [cid for cid, _ in POSET_CHECKS if cid in (config.checks or ())]
+        if unrunnable:
+            raise ValueError(f"{', '.join(unrunnable)} needs a generating poset; a lattice file carries none")
         L = _load_lattice(args.file)
         name = args.file.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         reports.append(run_suite(L, config, name=name))

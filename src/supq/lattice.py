@@ -268,9 +268,6 @@ class Lattice:
     def names(self) -> list[str]:
         return self.poset.names
 
-    def le(self, x: int, y: int) -> bool:
-        return bool(self.poset.leq[x, y])
-
     # -- derived structure ------------------------------------------------
 
     @property
@@ -571,7 +568,10 @@ def find_order_isomorphism(leq1: np.ndarray, leq2: np.ndarray):
     return next(order_isomorphisms(leq1, leq2), None)
 
 
+@cached("auts")
 def automorphisms(L: Lattice) -> list[tuple[int, ...]]:
+    """The order automorphisms of L, searched once per lattice; a search
+    past its node cap raises and stores nothing."""
     return order_automorphisms(L.leq)
 
 

@@ -138,18 +138,6 @@ def identity_map(L: Lattice) -> LatticeMap:
     return LatticeMap(L, L, range(L.n))
 
 
-def bottom_map(source: Lattice, target: Lattice) -> LatticeMap:
-    return LatticeMap(source, target, [target.bottom] * source.n)
-
-
-def top_q_map(source: Lattice, target: Lattice) -> LatticeMap:
-    """Greatest sup-preserving map: bottom to bottom, everything else to top."""
-    return LatticeMap(
-        source, target,
-        [target.bottom if x == source.bottom else target.top for x in range(source.n)],
-    )
-
-
 # -- generator maps ----------------------------------------------------------
 
 

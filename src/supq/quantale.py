@@ -33,7 +33,6 @@ from supq.maps import (
     join_fold,
     join_zeta,
     left_adjoint_tables,
-    pointwise_join,
     pointwise_meet,
     right_adjoint,
     right_adjoint_tables,
@@ -114,10 +113,6 @@ def is_completely_distributive(L: Lattice) -> bool:
 
 
 # -- the quantale operations ----------------------------------------------------
-
-
-def q_join(f: LatticeMap, g: LatticeMap) -> LatticeMap:
-    return pointwise_join(f, g)
 
 
 def q_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
@@ -379,7 +374,7 @@ class EndoHomset:
     computed once into `_cache` by `lattice.cached`: the lookup under "keys",
     the composite weights under "comp_w", the
     distinguished members under "id_idx", "bot_idx" and "top_idx", the
-    transforms under "rho", "up_t", "tight_t", "tight_mask" and "star_idx",
+    transforms under "rho", "up_t", "star_idx", "tight_idx" and "tight_mask",
     the opposite homset under "op", the sup-interior memo under "interior",
     `find_cyclic` under "cyclic", `find_dualizing` under "dualizing",
     `tight_has_unit` under "tight_unit" and `homset_irreducibles` under
@@ -531,23 +526,28 @@ class EndoHomset:
         return raney_up_tables(self.lattice, self.tables)
 
     @property
-    @cached("tight_t")
-    def tight_interior_tables(self) -> np.ndarray:
-        return raney_down_tables(self.lattice, self.up_transform_tables)
+    @cached("star_idx")
+    def star_indices(self) -> np.ndarray:
+        """Index of the star of each member, the down transform of its right
+        adjoint: down on L is up on L.op, so star is the up transform of
+        `op` on the rho rows, looked up strictly among the members."""
+        return _freeze(self.index_rows(self.op.up_transform_tables))
+
+    @property
+    @cached("tight_idx")
+    def tight_interior_indices(self) -> np.ndarray:
+        """Index of the tight interior down(up f) of each member f.  up f is
+        rho of member op.star_indices[f] (up on L is down on L.op), so
+        down(up f) is that member's star."""
+        return _freeze(self.star_indices[self.op.star_indices])
 
     @property
     @cached("tight_mask")
     def tight_mask(self) -> np.ndarray:
-        return _freeze((self.tight_interior_tables == self.tables).all(axis=1))
+        return _freeze(self.tight_interior_indices == np.arange(self.m))
 
     def tight_indices(self) -> np.ndarray:
         return np.flatnonzero(self.tight_mask)
-
-    @property
-    @cached("star_idx")
-    def star_indices(self) -> np.ndarray:
-        """Index of the star of each member (down-transform of its adjoint)."""
-        return _freeze(self.index_rows(raney_down_tables(self.lattice, self.rho_tables)))
 
     # -- residuals by index -------------------------------------------------------
 
@@ -756,7 +756,7 @@ def conucleus_gap(H: EndoHomset):
     The composite of the interiors always sits below the interior of the
     composite; the gap is the failure of the opposite inclusion, which is
     what the interior would need to restrict composition."""
-    t_idx = H.index_rows(H.tight_interior_tables)
+    t_idx = H.tight_interior_indices
     if (t_idx == np.arange(H.m)).all():
         return None
     L = H.lattice

@@ -78,9 +78,6 @@ class FiniteQuantale:
         self.carrier = carrier
         self.mult = mult
 
-    def multiply(self, x: int, y: int) -> int:
-        return int(self.mult[x, y])
-
     def unit(self):
         """The two-sided unit, or None."""
         n = self.carrier.n

@@ -22,6 +22,7 @@ from supq.maps import (
     table_take,
     tensor_tables,
 )
+from supq.quantale import raney_down_tables
 
 
 def join_of(L, xs) -> int:
@@ -292,6 +293,18 @@ def galois_adjunction_every_x(ctx):
     if not (right_adjoint_tables(L, L, left_adjoint_tables(L, L, inf)) == inf).all():
         return "upper adjoint does not invert the lower adjoint"
     return None
+
+
+def star_by_down_kernel(H) -> np.ndarray:
+    """EndoHomset.star_indices before star became the up transform of
+    `H.op`: the strict lookup of the down kernel on the rho rows."""
+    return H.index_rows(raney_down_tables(H.lattice, H.rho_tables))
+
+
+def tight_interior_by_down_kernel(H) -> np.ndarray:
+    """The tight interior before it became an index composition: the strict
+    lookup of the down kernel on the up transform rows."""
+    return H.index_rows(raney_down_tables(H.lattice, H.up_transform_tables))
 
 
 def raney_transform_exchange_by_both_adjoints(ctx):

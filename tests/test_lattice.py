@@ -194,7 +194,7 @@ def test_lattice_axioms_hold_on_corpus():
 def test_bottom_and_top():
     for L in corpus():
         for x in range(L.n):
-            assert L.le(L.bottom, x) and L.le(x, L.top)
+            assert L.leq[L.bottom, x] and L.leq[x, L.top]
     assert make_chain(4).bottom == 0 and make_chain(4).top == 3
     L1 = make_chain(1)
     assert L1.bottom == L1.top == 0
@@ -290,7 +290,7 @@ def test_n5_pentagon():
     assert N5.n == 5 and not is_distributive(N5)
     # bot < a < c < top and bot < b < top
     a, c, b = 1, 2, 3
-    assert N5.le(a, c) and not N5.le(a, b) and not N5.le(b, a)
+    assert N5.leq[a, c] and not N5.leq[a, b] and not N5.leq[b, a]
     assert int(N5.join[a, b]) == N5.top and int(N5.meet[c, b]) == N5.bottom
     assert N5.names == ["bot", "a", "c", "b", "top"]
 

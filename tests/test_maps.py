@@ -16,7 +16,6 @@ from supq import (
     MapError,
     a_map,
     alpha_map,
-    bottom_map,
     c_map,
     characterization_check,
     e_map,
@@ -45,7 +44,6 @@ from supq import (
     sup_witness,
     tensor_over,
     tensor_under,
-    top_q_map,
 )
 
 from oracles import join_of
@@ -150,8 +148,8 @@ def test_pointwise_join_meet():
 
 def test_extreme_maps_bound_the_homset():
     for name, L in CORPUS.items():
-        bot = bottom_map(L, L)
-        top = top_q_map(L, L)
+        bot = c_map(L, L, L.bottom)
+        top = c_map(L, L, L.top)
         assert is_sup_preserving(bot) and is_sup_preserving(top)
         for f in SUP_MAPS[name]:
             assert bot.leq(f) and f.leq(top)
@@ -275,7 +273,7 @@ def test_inf_map_is_the_join_of_its_tensor_decomposition():
 def interior_scan(k):
     """Pointwise join of every sup-preserving map below k."""
     L1, L2 = k.source, k.target
-    best = bottom_map(L1, L2)
+    best = c_map(L1, L2, L2.bottom)
     for g in sup_maps_scan(L1, L2):
         if g.leq(k):
             best = pointwise_join(best, g)

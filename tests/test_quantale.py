@@ -17,6 +17,7 @@ from supq import (
     LatticeMap,
     Poset,
     automorphisms,
+    c_map,
     downset_lattice,
     dual,
     identity_map,
@@ -29,8 +30,8 @@ from supq import (
     make_chain,
     make_mk,
     make_n5,
+    pointwise_join,
     right_adjoint,
-    top_q_map,
 )
 from supq import quantale
 from supq.quantale import (
@@ -53,7 +54,6 @@ from supq.quantale import (
     is_girard,
     is_tight,
     left_residual,
-    q_join,
     q_meet,
     raney_down,
     raney_up,
@@ -219,7 +219,7 @@ def test_distinguished_members():
         L = H.lattice
         assert tuple(H.tables[H.identity_index]) == tuple(range(L.n))
         assert tuple(H.tables[H.bottom_index]) == (L.bottom,) * L.n
-        assert H.map_at(H.top_index) == top_q_map(L, L)
+        assert H.map_at(H.top_index) == c_map(L, L, L.top)
         # extremes really bound the homset
         assert leq_tables(L, H.tables[H.bottom_index], H.tables).all()
         assert leq_tables(L, H.tables, H.tables[H.top_index]).all()
@@ -237,7 +237,7 @@ def test_homset_closed_under_the_quantale_operations():
             for j in sample:
                 g = H.map_at(j)
                 H.index_of(f.compose(g))
-                H.index_of(q_join(f, g))
+                H.index_of(pointwise_join(f, g))
                 H.index_of(q_meet(f, g))
                 H.index_of(right_residual(f, g))
                 H.index_of(left_residual(g, f))
@@ -475,7 +475,7 @@ def test_cyclic_members_frozen():
     for name, H in HOMSETS.items():
         L = H.lattice
         got = {tuple(int(v) for v in H.tables[i]) for i in find_cyclic(H)}
-        expect = {top_q_map(L, L).table}
+        expect = {c_map(L, L, L.top).table}
         if is_distributive(L):
             expect.add(raney_down(identity_map(L)).table)
         assert got == expect

@@ -38,7 +38,6 @@ from supq.maps import (
     LatticeMap,
     MapError,
     a_map,
-    bottom_map,
     c_map,
     e_map,
     e_tables,
@@ -138,11 +137,11 @@ def test_m5_quantale_named_products():
     name = {n: i for i, n in enumerate(Q.carrier.names)}
     u, d, a, b, c = name["u"], name["d"], name["a"], name["b"], name["c"]
     assert Q.unit() == u
-    assert Q.multiply(a, c) == d
-    assert Q.multiply(b, a) == d
-    assert Q.multiply(c, b) == d
-    assert Q.multiply(d, d) == name["top"]
-    assert Q.multiply(d, a) == name["top"]
+    assert Q.mult[a, c] == d
+    assert Q.mult[b, a] == d
+    assert Q.mult[c, b] == d
+    assert Q.mult[d, d] == name["top"]
+    assert Q.mult[d, a] == name["top"]
 
 
 def test_m5_quantale_residual_adjunction_all_triples():
@@ -987,4 +986,4 @@ def test_family_constructors_validate_their_components():
     with pytest.raises(MapError, match=r"^first component does not preserve joins at \(0, 1\)$"):
         family_map_after_a([c_map(L, L, 1)] + [c_map(L, L, 0)] * (L.n - 1), identity_map(L))
     with pytest.raises(MapError, match=r"^second component does not turn meets into joins at \(0, 4\)$"):
-        family_c_after_map(identity_map(L), [bottom_map(L, L)] * (L.n - 1) + [c_map(L, L, 1)])
+        family_c_after_map(identity_map(L), [c_map(L, L, L.bottom)] * (L.n - 1) + [c_map(L, L, 1)])

@@ -400,6 +400,20 @@ def test_cli_verify_unknown_check_id_is_an_input_error(tmp_path, capsys):
     assert "unknown check ids" in err
 
 
+def test_cli_verify_a_poset_check_on_a_lattice_file_is_an_input_error(tmp_path, capsys):
+    """A lattice file carries no poset, so a named poset check could not
+    run: exit 2 naming it, not a pass with no checks."""
+    code, out, _ = _run(capsys, "gen", "boolean", "2")
+    path = tmp_path / "b2.json"
+    path.write_text(out)
+    for cid, _ in POSET_CHECKS:
+        code, out, err = _run(capsys, "verify", str(path), "--checks", cid, "--strict", "--format", "json")
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.startswith("error: ") and cid in err
+    code, _, err = _run(capsys, "verify", str(path), "--checks", "lattice-axioms,wk-composition")
+    assert code == EXIT_BAD_INPUT and "wk-composition" in err and "lattice-axioms" not in err
+
+
 def test_cli_strict_escalates_skips_only(tmp_path, capsys):
     code, out, _ = _run(capsys, "gen", "mk", "5")
     path = tmp_path / "m5.json"

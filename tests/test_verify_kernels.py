@@ -535,11 +535,15 @@ def _planted_inf_maps(monkeypatch, L, plant):
 
 @pytest.mark.parametrize("make", [lambda: make_mk(3), make_n5, lambda: make_boolean(3)])
 def test_the_folded_adjoint_inversions_keep_their_witnesses(make):
-    """galois-adjunction's inversion tests and raney-transform-exchange, each
-    one loop over the right adjoint on L and on L.op, against their bodies
-    with both adjoint kernels: clean, and with a fault planted on each side.
-    The inf maps are one row of the enumeration of L.op replaced, which the
-    old body sees as the right adjoint not inverting the left one there."""
+    """galois-adjunction's inversion tests, one loop over the right adjoint
+    on L and on L.op, and raney-transform-exchange, the identity of the two
+    star index arrays, against their bodies with both adjoint kernels:
+    clean, and with a fault planted on each side.  The inf maps are one row
+    of the enumeration of L.op replaced, which the old body sees as the
+    right adjoint not inverting the left one there.  Two up rows swapped on
+    either side before any star is looked up reach the stars, and so both
+    exchange bodies; swapped in H once the stars are memoized, they reach
+    raney-adjunction's unit alone, which reads the up transform itself."""
     L = make()
     ctx = _Ctx(L, SuiteConfig())
     H = ctx.homset
@@ -558,13 +562,24 @@ def test_the_folded_adjoint_inversions_keep_their_witnesses(make):
         _planted_inf_maps(mp, L, off_top)
         assert check_galois_adjunction(ctx) == galois_adjunction_every_x(ctx) == (
             "upper adjoint does not invert the lower adjoint")
-    for K, witness in (
-        (H.op, "upper adjoint of the down transform differs from the up transform of the lower adjoint"),
-        (H, "lower adjoint of the up transform differs from the down transform of the upper adjoint"),
-    ):
+    exchange = "lower adjoint of the up transform differs from the down transform of the upper adjoint at member 0"
+    upper = "upper adjoint of the down transform differs from the up transform of the lower adjoint"
+    lower = "lower adjoint of the up transform differs from the down transform of the upper adjoint"
+    for K, witness in ((H.op, upper), (H, lower)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(K._cache, "up_t", _rows_swapped(K.up_transform_tables))
-            assert check_raney_transform_exchange(ctx) == raney_transform_exchange_by_both_adjoints(ctx) == witness
+            mp.setitem(K._cache, "star_idx", np.array(K.star_indices)[[1, 0, *range(2, H.m)]])
+            assert check_raney_transform_exchange(ctx) == exchange
+            assert raney_transform_exchange_by_both_adjoints(ctx) == witness
+    for op_side in (True, False):
+        fresh = _Ctx(L, SuiteConfig())
+        K = fresh.homset.op if op_side else fresh.homset
+        K._cache["up_t"] = _rows_swapped(K.up_transform_tables)
+        assert check_raney_transform_exchange(fresh) == exchange
+        assert raney_transform_exchange_by_both_adjoints(fresh) == upper
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(H._cache, "up_t", _rows_swapped(H.up_transform_tables))
+        assert check_raney_transform_exchange(ctx) is None
+        assert check_raney_adjunction(ctx).startswith("unit of the transform adjunction fails at inf map")
 
 
 @pytest.mark.parametrize("make", [lambda: make_mk(3), make_n5, lambda: make_boolean(3), lambda: make_chain(4)])
@@ -617,6 +632,66 @@ def test_one_homset_per_side_on_the_corpus(monkeypatch):
         assert calls == [L, L.op], name
         H = built[0]
         assert H.lattice is L and len(built) == 2 and built[1] is H.op, name
+
+
+def _counted(monkeypatch, fn, calls, key):
+    """Every binding of fn in the package counts its calls under key."""
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    for module in (supq, cli, lattice, maps, quantale, structures, verify):
+        for attr in [a for a, v in vars(module).items() if v is fn]:
+            monkeypatch.setattr(module, attr, counted)
+
+
+def test_the_transform_kernels_run_once_per_side_and_operand(monkeypatch):
+    """Per run_suite on every corpus and seed-0 midsize lattice the down
+    kernel runs 4 times: up and down on the identity row for
+    is_completely_distributive, and one up transform per side, H's on the
+    members and H.op's on the rho rows, from which star, the tight interior
+    and the exchange law are index lookups.  The right adjoint kernel runs
+    twice: the rho rows, and the left adjoint in galois-adjunction."""
+    calls = dict.fromkeys(("down", "adjoint"), 0)
+    _counted(monkeypatch, quantale.raney_down_tables, calls, "down")
+    _counted(monkeypatch, maps.right_adjoint_tables, calls, "adjoint")
+    for name, L, P in corpus() + workloads.build("midsize", 0):
+        calls.update(down=0, adjoint=0)
+        assert run_suite(L, name=name, poset=P).failed == 0, name
+        assert calls == {"down": 4, "adjoint": 2}, name
+    assert not hasattr(EndoHomset, "tight_interior_tables")
+
+
+def test_one_automorphism_search_per_lattice(monkeypatch):
+    """dualizing-structure and the automorphism_count flag share one search
+    on boolean3; a search past its node cap stores nothing, so the next call
+    searches again."""
+    calls = {"search": 0}
+    _counted(monkeypatch, lattice.order_automorphisms, calls, "search")
+    report = run_suite(make_boolean(3))
+    assert report.failed == 0 and report.summary["automorphism_count"] == 6
+    assert calls["search"] == 1
+    L = make_mk(5)
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "AUTOMORPHISM_NODE_CAP", 3)
+        with pytest.raises(SearchCapExceeded):
+            automorphisms(L)
+    assert "auts" not in L._cache
+    assert len(automorphisms(L)) == len(automorphisms(L)) == 120
+    assert calls["search"] == 3
+
+
+def test_the_star_and_tight_interior_indices_equal_the_down_kernel(pair_scan_ctxs):
+    """star is the up transform of `H.op` looked up in H, and the tight
+    interior star[H.op.star_indices]; on every corpus and seed-0 midsize
+    homset both equal the strict lookups of the down kernel they replace,
+    and the tight mask its fixed points."""
+    for name, ctx in pair_scan_ctxs.items():
+        H = ctx.homset
+        k = oracles.tight_interior_by_down_kernel(H)
+        assert np.array_equal(H.star_indices, oracles.star_by_down_kernel(H)), name
+        assert np.array_equal(H.tight_interior_indices, k), name
+        assert np.array_equal(H.tight_mask, (H.tables[k] == H.tables).all(axis=1)), name
 
 
 def test_the_count_form_agrees_with_the_order_matrix_body_on_the_corpus():
@@ -1999,44 +2074,58 @@ def test_tight_subset_reports_the_per_member_witness(monkeypatch, make):
 
 @pytest.mark.parametrize("name", ["m3", "m5", "n5"])
 def test_tight_subset_reports_the_interior_and_composite_witnesses(pair_scan_ctxs, monkeypatch, name):
-    """Faults the down image cannot see: a planted tight interior k that
-    keeps the tight mask, and a planted composite of a tight member with a
-    join-irreducible member; each gives its own witness."""
+    """Faults of the tight interior k = down o up, and a planted composite
+    of a tight member with a join-irreducible member.  k planted on its
+    memo so that a tight member is no fixed point changes the tight mask
+    built from it, which the down image sees.  Deflation and monotonicity
+    of k are raney-adjunction's counit and its monotone up and down: a k(f)
+    raised to the top member, planted where the counit reads k, fails the
+    counit at f.  up(f) = rho_q for a loose f and an inf map q with k(f) =
+    star(q) <= f keeps the unit and the counit (f is no star, so the unit
+    never reads up(f)); on n5 the first such plant that breaks monotonicity
+    fails the up-monotone test on the first cover edge it breaks."""
     ctx = pair_scan_ctxs[name]
     H = ctx.homset
-    mask, real_k = H.tight_mask, H.tight_interior_tables
-    k = H.index_rows(real_k)
+    mask, k = np.array(H.tight_mask), np.array(H.tight_interior_indices)
     f_e, g_e = structures.homset_irreducibles(H).lower_cover_edges
     loose = np.flatnonzero(~mask)
 
-    def plant_k(at, row):
-        tab = np.array(real_k)
-        tab[at] = H.tables[row]
-        monkeypatch.setitem(H._cache, "tight_t", tab)
-
-    plant_k(H.tight_indices()[-1], H.bottom_index)
-    assert check_tight_subset(ctx) == "tight subset differs from the fixed points of the tight interior"
-    f = int(loose[loose != H.top_index][0])
-    plant_k(f, H.top_index)
-    assert check_tight_subset(ctx) == f"tight interior is not deflationary at member {f}"
-    # k(f) = p for a member p strictly below a loose f keeps k deflationary
-    # and its fixed points; the first such plant that breaks monotonicity
-    # (on m3 none does)
-    leq = order_on_J(H)
-    for f, p in ((f, p) for f in loose for p in np.flatnonzero(leq[:, f]) if p != f):
+    with pytest.MonkeyPatch.context() as mp:
         planted = k.copy()
-        planted[f] = p
-        bad = ~leq[planted[g_e], planted[f_e]]
+        planted[H.tight_indices()[-1]] = H.bottom_index
+        mp.setitem(H._cache, "tight_idx", planted)
+        mp.delitem(H._cache, "tight_mask")
+        assert check_tight_subset(ctx) == IMAGE_WITNESS
+    assert check_tight_subset(ctx) is None
+
+    f = int(loose[loose != H.top_index][0])
+    u = np.array(H.op.star_indices)  # k = star[u]
+    assert H.star_indices[H.bottom_index] == H.top_index  # down(rho bottom) = down(top inf map)
+    with pytest.MonkeyPatch.context() as mp:
+        raised = u.copy()
+        raised[f] = H.bottom_index
+        mp.setitem(H.op._cache, "star_idx", raised)
+        assert check_raney_adjunction(ctx) == f"counit of the transform adjunction fails at member {f}"
+
+    # up(g) <= up(f) exactly when member u[f] <= member u[g], as rho reverses the order
+    leq, star = order_on_J(H), H.star_indices
+    for f, q in ((f, q) for f in loose for q in np.flatnonzero(leq[star, f]) if q != u[f]):
+        planted = u.copy()
+        planted[f] = q
+        bad = ~leq[planted[f_e], planted[g_e]]
         if bad.any():
             e = int(np.argmax(bad))
-            plant_k(f, p)
-            want = f"tight interior is not monotone on the cover edge ({g_e[e]}, {f_e[e]})"
-            assert check_tight_subset(ctx) == want
+            rows = np.array(H.up_transform_tables)
+            rows[f] = H.rho_tables[q]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(H._cache, "up_t", rows)
+                mp.setitem(H.op._cache, "star_idx", planted)
+                want = f"up transform is not monotone on the cover edge ({g_e[e]}, {f_e[e]})"
+                assert check_raney_adjunction(ctx) == want
             break
     else:
-        assert name == "m3"
-    monkeypatch.setitem(H._cache, "tight_t", real_k)
-    assert check_tight_subset(ctx) is None
+        assert name in ("m3", "m5")  # every such plant keeps up monotone there
+    assert check_raney_adjunction(ctx) is None
 
     tight, real = H.tight_indices(), EndoHomset.compose_indices
     for side, at in (("left", 0), ("right", 0), ("left", len(tight) - 1), ("right", len(tight) - 1)):
